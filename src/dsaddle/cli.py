@@ -15,7 +15,7 @@ identical inputs produce byte-identical JSON.
 
 import argparse
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from .core import assemble
 from .errors import GenerationError, PreconditionError
 from .generators import GeneratorSpec, gen_instance
-from .inverses import dense_inverse_blocks, inverse_via_factorization, \
-    three_block_inverse, verify_identities
+from .inverses import dense_inverse_blocks, three_block_inverse, verify_identities
 from .invertibility import Verdict, diagnose
 from .mmio import canonical_json, load_block_system, save_block_system, \
     save_inverse_blocks, write_json
@@ -60,15 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _tolerance(field):
+    """Argument type for one ToleranceConfig field, checked by the config itself."""
+    def parse(text):
+        try:
+            return getattr(DEFAULT_TOL.replace(**{field: float(text)}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsaddle",
                      description="invertibility analysis for double saddle-point systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol-rank", type=float, default=None,
+        p.add_argument("--tol-rank", type=_tolerance("rank_rtol"), default=None,
                        help="relative rank tolerance (default 1e-10)")
-        p.add_argument("--tol-residual", type=float, default=None,
+        p.add_argument("--tol-residual", type=_tolerance("residual_rtol"), default=None,
                        help="relative residual tolerance (default 1e-8)")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="report format")
@@ -100,18 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_dir=getattr(args, "input_dir", None),
-        out_dir=getattr(args, "out_dir", None),
-        spec_path=getattr(args, "spec_path", None),
-        tol_rank=getattr(args, "tol_rank", None),
-        tol_residual=getattr(args, "tol_residual", None),
-        alpha=getattr(args, "alpha", None),
-        seed=getattr(args, "seed", None),
-        fmt=getattr(args, "fmt", "text"),
-        allow_dense=getattr(args, "allow_dense", False),
-    )
+    # argument dests are the RunConfig field names; a subcommand's missing
+    # options keep their defaults
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if hasattr(args, f.name)})
 
 
 def _tolerances(config: RunConfig):
@@ -160,17 +161,12 @@ def _cmd_diagnose(config: RunConfig) -> int:
 def _cmd_invert(config: RunConfig) -> int:
     tol = _tolerances(config)
     system = load_block_system(config.input_dir, tol)
-    constructor = None
-    inv = None
-    for name, fn in (("three_block", three_block_inverse),
-                     ("factorization", inverse_via_factorization)):
-        try:
-            inv = fn(system, tol)
-            constructor = name
-            break
-        except PreconditionError:
-            continue
-    if inv is None:
+    # inverse_via_factorization is no fallback: null(A) = m and N1 force
+    # rank(B) = m and so DS1, so its hypotheses imply the three-block ones.
+    try:
+        inv = three_block_inverse(system, tol)
+        constructor = "three_block"
+    except PreconditionError:
         if not config.allow_dense:
             _sys.stderr.write(
                 "no structured constructor applies to this system; "
@@ -202,10 +198,9 @@ def _cmd_invert(config: RunConfig) -> int:
 def _cmd_generate(config: RunConfig) -> int:
     import json
 
-    spec_data = json.loads(Path(config.spec_path).read_text(encoding="utf-8"))
+    spec = GeneratorSpec.from_dict(json.loads(Path(config.spec_path).read_text(encoding="utf-8")))
     if config.seed is not None:
-        spec_data["seed"] = config.seed
-    spec = GeneratorSpec.from_dict(spec_data)
+        spec = replace(spec, seed=config.seed)
     system, certificate = gen_instance(spec, _tolerances(config))
     out = Path(config.out_dir)
     save_block_system(out, system)

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .subspaces import _as_matrix
+from .subspaces import _SymEig, _as_matrix
 from .tolerances import ToleranceConfig, resolve
 
 
 def _check_symmetric(M, name, tol: ToleranceConfig):
-    norm = np.linalg.norm(M, "fro")
-    if np.linalg.norm(M - M.T, "fro") > tol.sym_rtol * norm:
+    if not _SymEig(M, tol).symmetric:
         raise ValueError(f"block {name} is not symmetric within tolerance")
 
 
@@ -168,10 +167,7 @@ def permute_similar(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Blo
 
 def lambda_max_sym(M) -> float:
     """Largest eigenvalue of a symmetric matrix (0 for an empty one)."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
+    return _SymEig(M).lambda_max
 
 
 def alpha_upper_bound(sys: BlockSystem) -> float:

@@ -11,14 +11,14 @@ Nonzero singular values and eigenvalues are drawn from [0.5, 2] so assembled
 systems stay well conditioned and residual tolerances remain meaningful.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .core import BlockSystem
 from .errors import GenerationError
-from .subspaces import Definiteness, classify_definiteness, intersection_kernels, \
-    is_direct_sum, kernel_basis, matrix_rank, nullity, range_intersection_trivial
+from .invertibility import _Analysis
+from .subspaces import Definiteness
 from .tolerances import ToleranceConfig, resolve
 
 SPECTRUM_LOW = 0.5
@@ -167,18 +167,23 @@ class GeneratorSpec:
         return spec
 
     def to_dict(self) -> dict:
-        spec = self.resolved()
-        return {k: getattr(spec, k) for k in (
-            "n", "m", "p", "null_a", "null_d", "null_e", "rank_b", "rank_c",
-            "require_ds1", "require_ds2", "require_r", "force_overlap_r",
-            "def_a", "def_d", "def_e", "seed")}
+        return asdict(self.resolved())
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """Spec from decoded JSON; field types are checked, never coerced."""
+        if not isinstance(data, dict):
+            raise ValueError("a generator spec must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown generator spec fields: {sorted(unknown)}")
+        for name, value in data.items():
+            expected = fields[name].type
+            # bool is a subclass of int, but a flag is no count
+            if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+                raise ValueError(f"generator spec field {name!r} must be of type "
+                                 f"{getattr(expected, '__name__', expected)}, got {value!r}")
         return cls(**data)
 
 
@@ -203,41 +208,25 @@ class InstanceCertificate:
     attempt: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "null_a": self.null_a, "null_d": self.null_d, "null_e": self.null_e,
-            "rank_b": self.rank_b, "rank_c": self.rank_c,
-            "definiteness": dict(self.definiteness),
-            "n1": self.n1, "n2": self.n2, "n3": self.n3,
-            "ds1": self.ds1, "ds2": self.ds2,
-            "range_disjoint": self.range_disjoint,
-            "seed": self.seed, "attempt": self.attempt,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 def _measure(sys: BlockSystem, tol: ToleranceConfig, seed, attempt) -> InstanceCertificate:
-    ker_a = kernel_basis(sys.A, tol)
-    ker_b = kernel_basis(sys.B, tol)
-    ker_e = kernel_basis(sys.E, tol)
-    ker_ct = kernel_basis(sys.C.T, tol)
+    an = _Analysis(sys, tol)
     return InstanceCertificate(
         dims=sys.dims,
-        null_a=ker_a.dim,
-        null_d=nullity(sys.D, tol),
-        null_e=ker_e.dim,
-        rank_b=matrix_rank(sys.B, tol),
-        rank_c=matrix_rank(sys.C, tol),
-        definiteness={
-            "A": classify_definiteness(sys.A, tol).value,
-            "D": classify_definiteness(sys.D, tol).value,
-            "E": classify_definiteness(sys.E, tol).value,
-        },
-        n1=intersection_kernels([sys.A, sys.B], tol).is_trivial,
-        n2=intersection_kernels([sys.B.T, sys.D, sys.C], tol).is_trivial,
-        n3=intersection_kernels([sys.C.T, sys.E], tol).is_trivial,
-        ds1=is_direct_sum(ker_a, ker_b, tol),
-        ds2=is_direct_sum(ker_e, ker_ct, tol),
-        range_disjoint=range_intersection_trivial(sys.B, sys.C.T, tol)[0],
+        null_a=an.A.nullity,
+        null_d=an.D.nullity,
+        null_e=an.E.nullity,
+        rank_b=an.B.rank,
+        rank_c=an.Ct.rank,
+        definiteness={k: getattr(an, k).definiteness.value for k in "ADE"},
+        n1=an.n1.is_trivial,
+        n2=an.n2.is_trivial,
+        n3=an.n3.is_trivial,
+        ds1=an.ds1,
+        ds2=an.ds2,
+        range_disjoint=an.r_witness is None,
         seed=seed,
         attempt=attempt,
     )
@@ -248,17 +237,8 @@ def _certificate_mismatches(spec: GeneratorSpec, cert: InstanceCertificate) -> l
         "psd": lambda v: Definiteness(v).is_psd,
         "indefinite": lambda v: Definiteness(v) is Definiteness.INDEFINITE,
     }
-    problems = []
-    if cert.null_a != spec.null_a:
-        problems.append("null_a")
-    if cert.null_d != spec.null_d:
-        problems.append("null_d")
-    if cert.null_e != spec.null_e:
-        problems.append("null_e")
-    if cert.rank_b != spec.rank_b:
-        problems.append("rank_b")
-    if cert.rank_c != spec.rank_c:
-        problems.append("rank_c")
+    problems = [name for name in ("null_a", "null_d", "null_e", "rank_b", "rank_c")
+                if getattr(cert, name) != getattr(spec, name)]
     for block, target in (("A", spec.def_a), ("D", spec.def_d), ("E", spec.def_e)):
         if not tag_matches[target](cert.definiteness[block]):
             problems.append(f"definiteness of {block}")

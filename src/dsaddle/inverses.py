@@ -9,19 +9,55 @@ All identity helpers return relative residuals and raise
 violated hypothesis can never masquerade as a small number.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 
 from .core import BlockSystem, assemble, congruence_transform, \
-    default_alpha, lambda_max_sym, _validate_alpha
+    default_alpha, _validate_alpha
 from .errors import PreconditionError
-from .invertibility import is_nonsingular, oracle_invertible
-from .subspaces import SubspaceBasis, _as_matrix, classify_definiteness, \
-    intersection_kernels, is_direct_sum, kernel_basis, matrix_rank, nullity, \
-    range_intersection_trivial
+from .invertibility import _Analysis, is_nonsingular
+from .subspaces import SubspaceBasis, _as_matrix, is_direct_sum, matrix_rank
 from .tolerances import ToleranceConfig, resolve
+
+
+# ---------------------------------------------------------------------------
+# hypotheses, each checked in one place
+# ---------------------------------------------------------------------------
+
+_HYPOTHESES = {
+    "A psd": lambda an: (an.A.definiteness.is_psd, "A must be positive semidefinite"),
+    "null(A) = m": lambda an: (
+        an.A.nullity == an.sys.B.shape[0],
+        f"null(A) = {an.A.nullity} must equal the row count m = {an.sys.B.shape[0]} of B"),
+    "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
+    "DS1": lambda an: (an.ds1,
+                       "ker(A) and ker(B) must form a direct sum of the whole space"),
+    "lambda_max(D) < 2": lambda an: (
+        an.D.lambda_max < 2.0,
+        f"lambda_max(D) = {an.D.lambda_max!r} must be below 2; "
+        "rescale the middle block first"),
+    "E nonsingular": lambda an: (an.E.nonsingular, "E must be nonsingular"),
+    "K invertible": lambda an: (an.oracle_invertible,
+                                "nullity bounds apply to invertible systems only"),
+}
+
+
+def _require(an, *names):
+    """Raise PreconditionError naming the first hypothesis that fails."""
+    for name in names:
+        holds, message = _HYPOTHESES[name](an)
+        if not holds:
+            raise PreconditionError(message)
+
+
+def _blocks(tol, **blocks):
+    """Analysis of loose blocks, passed by name, outside a BlockSystem."""
+    return _Analysis(SimpleNamespace(**{k: _as_matrix(v, k) for k, v in blocks.items()}),
+                     resolve(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +95,14 @@ def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
     return 0.5 * (V + V.T)
 
 
+def _projector(an, *hypotheses) -> ReducedHessianProjector:
+    """The projector over Z = ker(B) from B's SVD, once A is semidefinite and
+    the named hypotheses hold."""
+    _require(an, "A psd", *hypotheses)
+    Z = an.B.kernel
+    return ReducedHessianProjector(_projector_from_basis(an.sys.A, Z, an.tol), Z)
+
+
 def reduced_hessian_projector(A, B, tol: ToleranceConfig | None = None) -> ReducedHessianProjector:
     """Build the projector from the blocks A and B.
 
@@ -66,15 +110,21 @@ def reduced_hessian_projector(A, B, tol: ToleranceConfig | None = None) -> Reduc
     together make the reduced Hessian positive definite.  With a trivial
     kernel of B the projector is the zero matrix.
     """
-    tol = resolve(tol)
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    if not classify_definiteness(A, tol).is_psd:
-        raise PreconditionError("A must be positive semidefinite")
-    if not intersection_kernels([A, B], tol).is_trivial:
-        raise PreconditionError("ker(A) and ker(B) must intersect only in {0}")
-    Z = kernel_basis(B, tol)
-    return ReducedHessianProjector(_projector_from_basis(A, Z, tol), Z)
+    return _projector(_blocks(tol, A=A, B=B), "N1")
+
+
+def _inner_inverse(an, proj: ReducedHessianProjector) -> float:
+    _require(an, "A psd")
+    if not is_direct_sum(an.A.kernel, proj.Z, an.tol):
+        raise PreconditionError(
+            "ker(A) and ker(B) must form a direct sum of the whole space "
+            "(this pins null(A) to the number of rows of B)"
+        )
+    A = an.sys.A
+    norm = np.linalg.norm(A, "fro")
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(A - A @ proj.V @ A, "fro") / norm)
 
 
 def inner_inverse_residual(A, proj: ReducedHessianProjector,
@@ -85,19 +135,25 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     whole space (the maximally rank-deficient setting); both hypotheses are
     enforced.
     """
-    tol = resolve(tol)
-    A = _as_matrix(A, "A")
-    if not classify_definiteness(A, tol).is_psd:
-        raise PreconditionError("A must be positive semidefinite")
-    if not is_direct_sum(kernel_basis(A, tol), proj.Z, tol):
+    return _inner_inverse(_blocks(tol, A=A), proj)
+
+
+def _weight_recovery(an, W) -> float:
+    m = an.sys.B.shape[0]
+    W = _as_matrix(W, "W")
+    if W.shape != (m, m):
+        raise ValueError(f"W must be {m} x {m}, got {W.shape}")
+    _require(an, "null(A) = m", "N1")
+    if not is_nonsingular(W, an.tol):
+        raise PreconditionError("W must be invertible")
+    A, B = an.sys.A, an.sys.B
+    X = A + B.T @ np.linalg.solve(W, B)
+    if not is_nonsingular(X, an.tol):
         raise PreconditionError(
-            "ker(A) and ker(B) must form a direct sum of the whole space "
-            "(this pins null(A) to the number of rows of B)"
+            "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
         )
-    norm = np.linalg.norm(A, "fro")
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(A - A @ proj.V @ A, "fro") / norm)
+    recovered = B @ np.linalg.solve(X, B.T)
+    return float(np.linalg.norm(recovered - W, "fro") / np.linalg.norm(W, "fro"))
 
 
 def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> float:
@@ -108,28 +164,22 @@ def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> flo
     A + B^T W^{-1} B is invertible and compressing its inverse by B recovers
     W exactly.
     """
-    tol = resolve(tol)
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    W = _as_matrix(W, "W")
-    m = B.shape[0]
-    if W.shape != (m, m):
-        raise ValueError(f"W must be {m} x {m}, got {W.shape}")
-    if nullity(A, tol) != m:
-        raise PreconditionError(
-            f"null(A) = {nullity(A, tol)} must equal the row count m = {m} of B"
-        )
-    if not intersection_kernels([A, B], tol).is_trivial:
-        raise PreconditionError("ker(A) and ker(B) must intersect only in {0}")
-    if not is_nonsingular(W, tol):
-        raise PreconditionError("W must be invertible")
-    X = A + B.T @ np.linalg.solve(W, B)
-    if not is_nonsingular(X, tol):
-        raise PreconditionError(
-            "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
-        )
-    recovered = B @ np.linalg.solve(X, B.T)
-    return float(np.linalg.norm(recovered - W, "fro") / np.linalg.norm(W, "fro"))
+    return _weight_recovery(_blocks(tol, A=A, B=B), W)
+
+
+def _projector_complement(an, Z: SubspaceBasis) -> float:
+    B = an.sys.B
+    m, n = B.shape
+    if an.B.rank != m:
+        raise PreconditionError("B must have full row rank")
+    if Z.ambient_dim != n or Z.dim != n - m:
+        raise PreconditionError("Z does not have the dimensions of ker(B)")
+    if Z.dim and np.linalg.norm(B @ Z.basis, 2) > an.tol.residual_rtol * an.B.s[0]:
+        raise PreconditionError("Z is not a kernel basis of B")
+    gram = sla.cho_factor(B @ B.T)
+    row_proj = B.T @ sla.cho_solve(gram, B)
+    complement = np.eye(n) - Z.basis @ Z.basis.T
+    return float(np.linalg.norm(row_proj - complement, 2))
 
 
 def projector_complement_residual(B, Z: SubspaceBasis,
@@ -139,19 +189,14 @@ def projector_complement_residual(B, Z: SubspaceBasis,
     Z must be an orthonormal basis of ker(B); both the rank of B and the
     kernel property of Z are enforced.
     """
-    tol = resolve(tol)
-    B = _as_matrix(B, "B")
-    m, n = B.shape
-    if matrix_rank(B, tol) != m:
-        raise PreconditionError("B must have full row rank")
-    if Z.ambient_dim != n or Z.dim != n - m:
-        raise PreconditionError("Z does not have the dimensions of ker(B)")
-    if Z.dim and np.linalg.norm(B @ Z.basis, 2) > tol.residual_rtol * np.linalg.norm(B, 2):
-        raise PreconditionError("Z is not a kernel basis of B")
-    gram = sla.cho_factor(B @ B.T)
-    row_proj = B.T @ sla.cho_solve(gram, B)
-    complement = np.eye(n) - Z.basis @ Z.basis.T
-    return float(np.linalg.norm(row_proj - complement, 2))
+    return _projector_complement(_blocks(tol, B=B), Z)
+
+
+def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
+    if proj.Z.dim == 0:
+        return 0.0
+    ZZt = proj.Z.basis @ proj.Z.basis.T
+    return float(np.linalg.norm(ZZt @ A @ proj.V - ZZt, 2))
 
 
 def reduced_projector_residual(A, proj: ReducedHessianProjector,
@@ -163,10 +208,7 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
     scale = max(np.linalg.norm(proj.V, 2), 1e-300)
     if np.linalg.norm(V_check - proj.V, 2) > tol.residual_rtol * max(scale, 1.0):
         raise PreconditionError("projector was not built from this A")
-    if proj.Z.dim == 0:
-        return 0.0
-    ZZt = proj.Z.basis @ proj.Z.basis.T
-    return float(np.linalg.norm(ZZt @ A @ proj.V - ZZt, 2))
+    return _fixed_point_residual(A, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +274,8 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     tol = resolve(tol)
+    _require(_Analysis(sys, tol), "A psd", "null(A) = m", "N1", "lambda_max(D) < 2")
     n, m, p = sys.dims
-    if not classify_definiteness(sys.A, tol).is_psd:
-        raise PreconditionError("A must be positive semidefinite")
-    if nullity(sys.A, tol) != m:
-        raise PreconditionError(
-            f"null(A) = {nullity(sys.A, tol)} must equal m = {m}"
-        )
-    if not intersection_kernels([sys.A, sys.B], tol).is_trivial:
-        raise PreconditionError("ker(A) and ker(B) must intersect only in {0}")
-    lam = lambda_max_sym(sys.D)
-    if not lam < 2.0:
-        raise PreconditionError(
-            f"lambda_max(D) = {lam!r} must be below 2; "
-            "rescale the middle block first"
-        )
-
     M = 2.0 * np.eye(m) - sys.D
     a_tilde = sys.A + sys.B.T @ M @ sys.B
     a_tilde = 0.5 * (a_tilde + a_tilde.T)
@@ -354,21 +382,6 @@ class TwoBlockInverse:
         return X
 
 
-def _maximally_deficient_projector(A, B, m, tol):
-    """Shared hypothesis check for the explicit inverse formulas."""
-    if not classify_definiteness(A, tol).is_psd:
-        raise PreconditionError("A must be positive semidefinite")
-    null_a = nullity(A, tol)
-    if null_a != m:
-        raise PreconditionError(f"null(A) = {null_a} must equal m = {m}")
-    Z = kernel_basis(B, tol)
-    if not is_direct_sum(kernel_basis(A, tol), Z, tol):
-        raise PreconditionError(
-            "ker(A) and ker(B) must form a direct sum of the whole space"
-        )
-    return ReducedHessianProjector(_projector_from_basis(A, Z, tol), Z)
-
-
 def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockInverse:
     """Closed-form inverse of [[A, B^T], [B, -D]].
 
@@ -391,11 +404,18 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
         raise ValueError(f"A must be {n} x {n}, got {A.shape}")
     if D.shape != (m, m):
         raise ValueError(f"D must be {m} x {m}, got {D.shape}")
-    proj = _maximally_deficient_projector(A, B, m, tol)
+    x11, R = _two_block(_blocks(tol, A=A, B=B), D)
+    return TwoBlockInverse(x11, R.T.copy(), np.zeros((m, m)), (n, m))
+
+
+def _two_block(an, D):
+    """Leading block R^T D R + V of the two-block inverse, and R."""
+    A, B = an.sys.A, an.sys.B
+    proj = _projector(an, "null(A) = m", "DS1")
     gram = sla.cho_factor(B @ B.T)
-    R = sla.cho_solve(gram, B @ (np.eye(n) - A @ proj.V))
+    R = sla.cho_solve(gram, B @ (np.eye(A.shape[0]) - A @ proj.V))
     x11 = R.T @ D @ R + proj.V
-    return TwoBlockInverse(0.5 * (x11 + x11.T), R.T.copy(), np.zeros((m, m)), (n, m))
+    return 0.5 * (x11 + x11.T), R
 
 
 def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
@@ -408,22 +428,19 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
         [[T,   R^T, S^T   ],
          [R,   0,   0     ],      T = R^T (D + C^T E^{-1} C) R + V
          [S,   0,   E^{-1}]],     R = (B B^T)^{-1} B (I - A V),  S = -E^{-1} C R
+
+    Eliminating E leaves the two-block system with middle block
+    D + C^T E^{-1} C, whose inverse supplies T and R.
     """
-    tol = resolve(tol)
-    n, m, p = sys.dims
-    if not is_nonsingular(sys.E, tol):
-        raise PreconditionError("E must be nonsingular for the explicit inverse")
-    proj = _maximally_deficient_projector(sys.A, sys.B, m, tol)
-    gram = sla.cho_factor(sys.B @ sys.B.T)
-    R = sla.cho_solve(gram, sys.B @ (np.eye(n) - sys.A @ proj.V))
-    Einv = sla.solve(sys.E, np.eye(p), assume_a="sym")
-    Einv = 0.5 * (Einv + Einv.T)
-    T = R.T @ (sys.D + sys.C.T @ Einv @ sys.C) @ R + proj.V
-    S = -Einv @ (sys.C @ R)
+    an = _Analysis(sys, resolve(tol))
+    m, p = sys.m, sys.p
+    _require(an, "E nonsingular")
+    Einv = an.E.inverse
+    T, R = _two_block(an, sys.D + sys.C.T @ Einv @ sys.C)
     return InverseBlocks(
-        z11=0.5 * (T + T.T),
+        z11=T,
         z12=R.T.copy(),
-        z13=S.T.copy(),
+        z13=(-Einv @ (sys.C @ R)).T.copy(),
         z22=np.zeros((m, m)),
         z23=np.zeros((m, p)),
         z33=Einv,
@@ -445,8 +462,8 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     tol = resolve(tol)
     fact = factorize_transformed(sys, tol)
     n, m, p = sys.dims
-    if not is_nonsingular(sys.E, tol):
-        raise PreconditionError("E must be nonsingular to invert the factorization")
+    an = _Analysis(sys, tol)  # E only: the factorization read A, B and D
+    _require(an, "E nonsingular")
 
     L21 = fact.L[n:n + m, :n]
     L31 = fact.L[n + m:, :n]
@@ -458,11 +475,10 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
 
     factor = sla.cho_factor(fact.a_tilde)
     a_tilde_inv = sla.cho_solve(factor, np.eye(n))
-    Einv = sla.solve(sys.E, np.eye(p), assume_a="sym")
     midinv = np.zeros((sys.ell, sys.ell))
     midinv[:n, :n] = 0.5 * (a_tilde_inv + a_tilde_inv.T)
     midinv[n:n + m, n:n + m] = -(2.0 * np.eye(m) - sys.D)
-    midinv[n + m:, n + m:] = 0.5 * (Einv + Einv.T)
+    midinv[n + m:, n + m:] = an.E.inverse
 
     Kt_inv = Linv.T @ midinv @ Linv
     _, W = congruence_transform(sys, 1.0, tol)
@@ -516,20 +532,7 @@ class NullityBoundReport:
                 and self.corner_zero_ok in (None, True))
 
     def to_dict(self):
-        return {
-            "null_a": self.null_a, "null_e": self.null_e,
-            "null_z22": self.null_z22, "m": self.m,
-            "lower_bound": self.lower_bound, "upper_bound": self.upper_bound,
-            "eq_base_holds": self.eq_base_holds,
-            "range_disjoint": self.range_disjoint,
-            "refined_lower": self.refined_lower,
-            "eq_refined_holds": self.eq_refined_holds,
-            "remark_holds": self.remark_holds,
-            "corner_expected": self.corner_expected,
-            "corner_zero_ok": self.corner_zero_ok,
-            "z22_norm": self.z22_norm, "inverse_norm": self.inverse_norm,
-            "satisfied": self.satisfied,
-        }
+        return {**asdict(self), "satisfied": self.satisfied}
 
 
 def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
@@ -541,12 +544,15 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     largest singular value, except that a block vanishing relative to the
     whole inverse counts as nullity m.
     """
-    tol = resolve(tol)
-    if not oracle_invertible(sys, tol):
-        raise PreconditionError("nullity bounds apply to invertible systems only")
-    null_a = nullity(sys.A, tol)
-    null_e = nullity(sys.E, tol)
-    m = sys.m
+    return _z22_bounds(_Analysis(sys, resolve(tol)), inv)
+
+
+def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
+    _require(an, "K invertible")
+    tol = an.tol
+    null_a = an.A.nullity
+    null_e = an.E.nullity
+    m = an.sys.m
 
     full = inv.full
     inverse_norm = float(np.linalg.norm(full, 2))
@@ -560,7 +566,7 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     upper = null_a + null_e
     eq_base = lower <= null_z22 <= upper
 
-    range_disjoint, _ = range_intersection_trivial(sys.B, sys.C.T, tol)
+    range_disjoint = an.r_witness is None
     refined = min(null_a + null_e, m) if range_disjoint else None
     eq_refined = (refined <= null_z22) if range_disjoint else None
 
@@ -573,7 +579,7 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     return NullityBoundReport(
         null_a=null_a, null_e=null_e, null_z22=null_z22, m=m,
         lower_bound=lower, upper_bound=upper, eq_base_holds=eq_base,
-        range_disjoint=bool(range_disjoint), refined_lower=refined,
+        range_disjoint=range_disjoint, refined_lower=refined,
         eq_refined_holds=eq_refined, remark_holds=remark,
         corner_expected=corner, corner_zero_ok=corner_ok,
         z22_norm=z22_norm, inverse_norm=inverse_norm,
@@ -592,7 +598,8 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     (residual within ``residual_rtol``), "failed", or "skipped" with a
     reason when the identity's hypotheses do not hold for this system.
     """
-    tol = resolve(tol)
+    an = _Analysis(sys, resolve(tol))
+    tol = an.tol
     if alpha is None:
         alpha = default_alpha(sys)
     _validate_alpha(sys, alpha)
@@ -607,39 +614,31 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         status = "ok" if res <= tol.residual_rtol else "failed"
         entries.append({"id": name, "status": status, "residual": float(res)})
 
+    @functools.cache
+    def projector():
+        return _projector(an, "N1")
+
     def weight_recovery():
         M = 2.0 * np.eye(sys.m) - alpha * sys.D
         W = (1.0 / alpha) * sla.solve(M, np.eye(sys.m), assume_a="sym")
-        return weight_recovery_residual(sys.A, sys.B, 0.5 * (W + W.T), tol)
-
-    def inner_inverse():
-        proj = reduced_hessian_projector(sys.A, sys.B, tol)
-        return inner_inverse_residual(sys.A, proj, tol)
-
-    def projector_complement():
-        Z = kernel_basis(sys.B, tol)
-        return projector_complement_residual(sys.B, Z, tol)
-
-    def reduced_projector():
-        proj = reduced_hessian_projector(sys.A, sys.B, tol)
-        return reduced_projector_residual(sys.A, proj, tol)
+        return _weight_recovery(an, 0.5 * (W + W.T))
 
     def congruence():
         Kt, W = congruence_transform(sys, alpha, tol)
-        K = assemble(sys).matrix
-        return float(np.linalg.norm(W.matrix.T @ K @ W.matrix - Kt.matrix, 2)
+        return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix, 2)
                      / max(np.linalg.norm(Kt.matrix, 2), 1e-300))
 
     residual_entry("weight_recovery", weight_recovery)
-    residual_entry("inner_inverse", inner_inverse)
-    residual_entry("projector_complement", projector_complement)
-    residual_entry("reduced_projector", reduced_projector)
+    residual_entry("inner_inverse", lambda: _inner_inverse(an, projector()))
+    residual_entry("projector_complement",
+                   lambda: _projector_complement(an, an.B.kernel))
+    residual_entry("reduced_projector",
+                   lambda: _fixed_point_residual(sys.A, projector()))
     residual_entry("congruence", congruence)
 
     try:
-        if not oracle_invertible(sys, tol):
-            raise PreconditionError("nullity bounds apply to invertible systems only")
-        bounds = z22_nullity_bounds(sys, dense_inverse_blocks(sys), tol)
+        _require(an, "K invertible")
+        bounds = _z22_bounds(an, dense_inverse_blocks(sys))
         entries.append({"id": "nullity_bounds",
                         "status": "ok" if bounds.satisfied else "failed",
                         "detail": bounds.to_dict()})

@@ -19,16 +19,16 @@ N1, N2, N3 are necessary for invertibility; a failure of any of them yields
 an explicit kernel vector of the assembled matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .core import BlockSystem, assemble, block_reversal_permutation, \
-    lambda_max_sym, permute_similar
-from .subspaces import Definiteness, classify_definiteness, intersection_kernels, \
-    is_direct_sum, kernel_basis, matrix_rank, range_intersection_trivial, rank_threshold
+from .core import BlockSystem, assemble
+from .subspaces import Definiteness, _SVD, _SymEig, _shared_direction, \
+    intersection_kernels, kernel_basis, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -67,6 +67,8 @@ class ConditionReport:
     entries: dict = field(default_factory=dict)
     definiteness: dict = field(default_factory=dict)
     ranks: dict = field(default_factory=dict)
+    # the analysis the report was read from, so rules given the report reuse it
+    _analysis: "_Analysis | None" = field(default=None, repr=False, compare=False)
 
     def add(self, entry: ConditionEntry):
         self.entries[entry.cond_id] = entry
@@ -114,13 +116,79 @@ def _unit(v):
     return v / norm
 
 
-def _singular(sys, rule, witness, report, tol):
+def _first(basis):
+    """Unit witness of a nontrivial subspace, None for the trivial one."""
+    return None if basis.is_trivial else _unit(basis.basis[:, 0])
+
+
+def _fact(compute):
+    """A lazily computed fact of the analysed blocks."""
+    return cached_property(lambda an: compute(an.sys, an.tol))
+
+
+class _Analysis:
+    """Facts about one system under one tolerance, each computed on first use.
+
+    Blocks are read by attribute, so an object holding only the blocks a
+    caller asks about (such as a namespace with A and B) can be analysed too.
+    """
+
+    def __init__(self, sys, tol: ToleranceConfig):
+        self.sys = sys
+        self.tol = tol
+
+    A = _fact(lambda s, tol: _SymEig(s.A, tol))
+    D = _fact(lambda s, tol: _SymEig(s.D, tol))
+    E = _fact(lambda s, tol: _SymEig(s.E, tol))
+    B = _fact(lambda s, tol: _SVD(s.B, tol))
+    Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
+    n1 = _fact(lambda s, tol: intersection_kernels([s.A, s.B], tol))
+    n2 = _fact(lambda s, tol: intersection_kernels([s.B.T, s.D, s.C], tol))
+    n3 = _fact(lambda s, tol: intersection_kernels([s.C.T, s.E], tol))
+    K = _fact(lambda s, tol: assemble(s).matrix)
+
+    @cached_property
+    def r_witness(self):
+        """Shared unit direction of ran(B) and ran(C^T); None when R holds."""
+        return _shared_direction(self.B.range, self.Ct.range, self.tol)
+
+    # A sum of two subspaces is direct exactly when they meet only in {0}, and
+    # then it fills R^n exactly when the dimensions add up to n:
+    # null(A) + null(B) = n is null(A) = rank(B), likewise for E and C^T.
+    @property
+    def ds1(self) -> bool:
+        return self.n1.is_trivial and self.A.nullity == self.B.rank
+
+    @property
+    def ds2(self) -> bool:
+        return self.n3.is_trivial and self.E.nullity == self.Ct.rank
+
+    def entry(self, cond_id: str) -> ConditionEntry:
+        if cond_id in ("DS1", "DS2"):
+            return ConditionEntry(cond_id, getattr(self, cond_id.lower()))
+        w = self.r_witness if cond_id == "R" else _first(getattr(self, cond_id.lower()))
+        return ConditionEntry(cond_id, w is None, w)
+
+    @cached_property
+    def oracle_invertible(self) -> bool:
+        return is_nonsingular(self.K, self.tol)
+
+
+def _facts(sys, tol, report):
+    """The report a rule decides on and the analysis behind it."""
+    tol = resolve(tol)
+    report = condition_report(sys, tol) if report is None else report
+    an = report._analysis
+    if an is None or an.sys is not sys or an.tol != tol:
+        an = _Analysis(sys, tol)
+    return report, an
+
+
+def _singular(an, rule, witness, report):
     """Build a singular diagnosis, insisting the witness is genuine."""
     u = _unit(witness)
-    K = assemble(sys).matrix
-    knorm = np.linalg.norm(K, 2)
-    residual = np.linalg.norm(K @ u)
-    if residual > tol.residual_rtol * max(knorm, 1e-300):
+    residual = np.linalg.norm(an.K @ u)
+    if residual > an.tol.residual_rtol * max(np.linalg.norm(an.K, 2), 1e-300):
         raise RuntimeError(
             f"rule {rule} constructed a witness with residual {residual:.3e} "
             f"above tolerance; this indicates an input at the rank threshold"
@@ -141,10 +209,7 @@ def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
     M = np.asarray(M, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise ValueError("nonsingularity is defined for square matrices only")
-    if M.shape[0] == 0:
-        return True
-    s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[-1] > rank_threshold(s[0], M.shape, tol))
+    return matrix_rank(M, tol) == M.shape[0]
 
 
 def _is_zero_block(M) -> bool:
@@ -153,36 +218,13 @@ def _is_zero_block(M) -> bool:
 
 def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> ConditionReport:
     """Evaluate every condition the rules consult, in one pass."""
-    tol = resolve(tol)
-    report = ConditionReport()
-
-    n1 = intersection_kernels([sys.A, sys.B], tol)
-    report.add(ConditionEntry("N1", n1.is_trivial,
-                              None if n1.is_trivial else _unit(n1.basis[:, 0])))
-    n2 = intersection_kernels([sys.B.T, sys.D, sys.C], tol)
-    report.add(ConditionEntry("N2", n2.is_trivial,
-                              None if n2.is_trivial else _unit(n2.basis[:, 0])))
-    n3 = intersection_kernels([sys.C.T, sys.E], tol)
-    report.add(ConditionEntry("N3", n3.is_trivial,
-                              None if n3.is_trivial else _unit(n3.basis[:, 0])))
-
-    disjoint, shared = range_intersection_trivial(sys.B, sys.C.T, tol)
-    report.add(ConditionEntry("R", disjoint, shared))
-
-    ker_a = kernel_basis(sys.A, tol)
-    ker_b = kernel_basis(sys.B, tol)
-    ker_e = kernel_basis(sys.E, tol)
-    ker_ct = kernel_basis(sys.C.T, tol)
-    report.add(ConditionEntry("DS1", is_direct_sum(ker_a, ker_b, tol)))
-    report.add(ConditionEntry("DS2", is_direct_sum(ker_e, ker_ct, tol)))
-
-    report.definiteness = {
-        "A": classify_definiteness(sys.A, tol),
-        "D": classify_definiteness(sys.D, tol),
-        "E": classify_definiteness(sys.E, tol),
-    }
-    report.ranks = {"B": matrix_rank(sys.B, tol), "C": matrix_rank(sys.C, tol)}
-    return report
+    an = _Analysis(sys, resolve(tol))
+    return ConditionReport(
+        entries={c: an.entry(c) for c in CONDITION_ORDER},
+        definiteness={k: getattr(an, k).definiteness for k in "ADE"},
+        ranks={"B": an.B.rank, "C": an.Ct.rank},
+        _analysis=an,
+    )
 
 
 def _embed(sys, x=None, y=None, z=None):
@@ -204,26 +246,16 @@ def necessary_conditions(sys: BlockSystem, tol: ToleranceConfig | None = None) -
     the kernel vector [x; 0; 0], a nonzero y in the N2 intersection gives
     [0; y; 0], and a nonzero z in the N3 intersection gives [0; 0; z].
     """
-    tol = resolve(tol)
-    report = ConditionReport()
-    n1 = intersection_kernels([sys.A, sys.B], tol)
-    n2 = intersection_kernels([sys.B.T, sys.D, sys.C], tol)
-    n3 = intersection_kernels([sys.C.T, sys.E], tol)
-    for cond_id, basis in (("N1", n1), ("N2", n2), ("N3", n3)):
-        report.add(ConditionEntry(cond_id, basis.is_trivial,
-                                  None if basis.is_trivial else _unit(basis.basis[:, 0])))
-    report.definiteness = {}
-    report.ranks = {}
-    return report
+    an = _Analysis(sys, resolve(tol))
+    return ConditionReport(entries={c: an.entry(c) for c in ("N1", "N2", "N3")})
 
 
-def _necessary_failure(sys, report, tol):
+def _necessary_failure(an, report):
     """Singular diagnosis from the first failed necessary condition, if any."""
     for cond_id, embed in (("N1", "x"), ("N2", "y"), ("N3", "z")):
         if not report.holds(cond_id):
-            w = report.witness(cond_id)
-            u = _embed(sys, **{embed: w})
-            return _singular(sys, f"necessary:{cond_id}", u, report, tol)
+            u = _embed(an.sys, **{embed: report.witness(cond_id)})
+            return _singular(an, f"necessary:{cond_id}", u, report)
     return None
 
 
@@ -235,15 +267,14 @@ def schur_sufficient(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     S1 is nonsingular, S2 = E + C S1^{-1} C^T.  Both nonsingular certifies
     invertibility.  The rule is one-sided: anything else is undetermined.
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
-    if not is_nonsingular(sys.A, tol):
+    report, an = _facts(sys, tol, report)
+    if not an.A.nonsingular:
         return _undetermined(report)
     s1 = sys.D + sys.B @ sla.solve(sys.A, sys.B.T, assume_a="sym")
-    if not is_nonsingular(s1, tol):
+    if not is_nonsingular(s1, an.tol):
         return _undetermined(report)
     s2 = sys.E + sys.C @ sla.solve(s1, sys.C.T, assume_a="sym")
-    if not is_nonsingular(s2, tol):
+    if not is_nonsingular(s2, an.tol):
         return _undetermined(report)
     return _invertible("schur_sufficient", report)
 
@@ -263,8 +294,7 @@ def psd_ladder(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
       case 2: E positive definite and N1        -> invertible
       case 3: R together with N3 and N1         -> invertible
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
+    report, _ = _facts(sys, tol, report)
     if not _all_psd(report, "A", "D", "E") or not report.holds("N2"):
         return _undetermined(report)
     if report.definiteness["A"] is Definiteness.POSITIVE_DEFINITE and report.holds("N3"):
@@ -288,41 +318,55 @@ def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     When a corollary applies the verdict is definitive; singular verdicts
     carry the witness from the corresponding kernel.
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
+    report, an = _facts(sys, tol, report)
     pd = Definiteness.POSITIVE_DEFINITE
 
     if _is_zero_block(sys.A) and sys.m >= sys.n \
             and report.definiteness["D"] is pd and report.definiteness["E"] is pd:
         if report.ranks["B"] == sys.n:
             return _invertible("corollary_b_full_rank", report)
-        x = kernel_basis(sys.B, tol).basis[:, 0]
-        return _singular(sys, "corollary_b_full_rank", _embed(sys, x=x), report, tol)
+        x = an.B.kernel.basis[:, 0]
+        return _singular(an, "corollary_b_full_rank", _embed(sys, x=x), report)
 
     if _is_zero_block(sys.E) and sys.m >= sys.p \
             and report.definiteness["A"] is pd and report.definiteness["D"] is pd:
         if report.ranks["C"] == sys.p:
             return _invertible("corollary_c_full_rank", report)
-        z = kernel_basis(sys.C.T, tol).basis[:, 0]
-        return _singular(sys, "corollary_c_full_rank", _embed(sys, z=z), report, tol)
+        z = an.Ct.kernel.basis[:, 0]
+        return _singular(an, "corollary_c_full_rank", _embed(sys, z=z), report)
 
     if _is_zero_block(sys.D) \
             and report.definiteness["A"] is pd and report.definiteness["E"] is pd:
-        middle = intersection_kernels([sys.B.T, sys.C], tol)
+        middle = intersection_kernels([sys.B.T, sys.C], an.tol)
         if middle.is_trivial:
             return _invertible("corollary_middle_kernels", report)
-        return _singular(sys, "corollary_middle_kernels",
-                         _embed(sys, y=middle.basis[:, 0]), report, tol)
+        return _singular(an, "corollary_middle_kernels",
+                         _embed(sys, y=middle.basis[:, 0]), report)
 
     return _undetermined(report)
 
 
-def _split_along(vector, part_one: np.ndarray, part_two: np.ndarray):
-    """Decompose vector = u1 + u2 with u_i in span(part_i) of a direct sum."""
-    stacked = np.hstack([part_one, part_two])
-    coeff = np.linalg.solve(stacked, vector)
-    k = part_one.shape[1]
-    return part_one @ coeff[:k], part_two @ coeff[k:]
+def _first_part(vector, part_one: np.ndarray, part_two: np.ndarray):
+    """u1 of vector = u1 + u2 with u_i in span(part_i) of a direct sum."""
+    coeff = np.linalg.solve(np.hstack([part_one, part_two]), vector)
+    return part_one @ coeff[:part_one.shape[1]]
+
+
+def _overlap_witness(an, split_x: bool, split_z: bool):
+    """Kernel vector [x; 0; -z] from the shared direction w = B x = C^T z of R.
+
+    Row two vanishes for any such pair.  Rows one and three need A x = 0 and
+    E z = 0: a side that is split keeps only its ker(A) part along DS1 (ker(E)
+    part along DS2), which leaves B x (C^T z) unchanged; a side left whole
+    must face a zero diagonal block.
+    """
+    w = an.r_witness
+    x, z = an.B.solve(w), an.Ct.solve(w)
+    if split_x:
+        x = _first_part(x, an.A.kernel.basis, an.B.kernel.basis)
+    if split_z:
+        z = _first_part(z, an.E.kernel.basis, an.Ct.kernel.basis)
+    return _embed(an.sys, x=x, z=-z)
 
 
 def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -335,8 +379,7 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     x along ker(A) (+) ker(B) and z along ker(E) (+) ker(C^T) leaves
     w = B x1 = C^T z1, and [x1; 0; -z1] is a kernel vector.
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
+    report, an = _facts(sys, tol, report)
     if not _all_psd(report, "A", "D", "E"):
         return _undetermined(report)
     if not (report.holds("N1") and report.holds("N3") and report.holds("N2")):
@@ -345,13 +388,29 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
         return _invertible("direct_sum_iff", report)
     if not (report.holds("DS1") and report.holds("DS2")):
         return _undetermined(report)
+    witness = _overlap_witness(an, split_x=True, split_z=True)
+    return _singular(an, "direct_sum_iff", witness, report)
 
-    w = report.witness("R")
-    x = np.linalg.lstsq(sys.B, w, rcond=None)[0]
-    z = np.linalg.lstsq(sys.C.T, w, rcond=None)[0]
-    x1, _ = _split_along(x, kernel_basis(sys.A, tol).basis, kernel_basis(sys.B, tol).basis)
-    z1, _ = _split_along(z, kernel_basis(sys.E, tol).basis, kernel_basis(sys.C.T, tol).basis)
-    return _singular(sys, "direct_sum_iff", _embed(sys, x=x1, z=-z1), report, tol)
+
+def _full_row_rank_rule(sys, tol, report, mirrored):
+    """:func:`rank_b_iff`, or with ``mirrored`` the same rule on the block
+    reversal Q K Q^T, read from this system's facts: the reversal swaps N1
+    with N3, DS1 with DS2, rank(B) with rank(C), A with E and n with p."""
+    report, an = _facts(sys, tol, report)
+    name, n3, ds1, a, e, outer, rank = (
+        ("rank_c_iff", "N1", "DS2", "E", "A", sys.p, "C") if mirrored else
+        ("rank_b_iff", "N3", "DS1", "A", "E", sys.n, "B"))
+    applicable = (report.holds(n3) and outer >= sys.m
+                  and report.ranks[rank] == sys.m and report.holds(ds1)
+                  and report.definiteness[a].is_psd)
+    if not applicable:
+        return _undetermined(report)
+    if report.holds("R"):
+        return _invertible(name, report)
+    if not _is_zero_block(getattr(sys, e)):
+        return _undetermined(report)
+    witness = _overlap_witness(an, split_x=not mirrored, split_z=mirrored)
+    return _singular(an, name, witness, report)
 
 
 def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -360,25 +419,10 @@ def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Hypotheses: N3, n >= m, rank(B) = m, DS1, and A positive semidefinite.
     R implies invertibility.  When E is the zero block and R fails, the
-    system is singular with witness [-x1; 0; z] built from a shared range
+    system is singular with witness [x1; 0; -z] built from a shared range
     direction w = B x = C^T z and the ker(A) component x1 of x.
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
-    applicable = (report.holds("N3") and sys.n >= sys.m
-                  and report.ranks["B"] == sys.m and report.holds("DS1")
-                  and report.definiteness["A"].is_psd)
-    if not applicable:
-        return _undetermined(report)
-    if report.holds("R"):
-        return _invertible("rank_b_iff", report)
-    if not _is_zero_block(sys.E):
-        return _undetermined(report)
-    w = report.witness("R")
-    x = np.linalg.lstsq(sys.B, w, rcond=None)[0]
-    z = np.linalg.lstsq(sys.C.T, w, rcond=None)[0]
-    x1, _ = _split_along(x, kernel_basis(sys.A, tol).basis, kernel_basis(sys.B, tol).basis)
-    return _singular(sys, "rank_b_iff", _embed(sys, x=-x1, z=z), report, tol)
+    return _full_row_rank_rule(sys, tol, report, mirrored=False)
 
 
 def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -387,19 +431,10 @@ def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Applies the full-row-rank rule to the reversed system (hypotheses become
     N1, p >= m, rank(C) = m, DS2, E positive semidefinite; the zero block is
-    A) and maps the verdict back through the permutation.
+    A).  Its witness pulls back through the permutation as [x; 0; -z1], with
+    z1 the ker(E) component of z.
     """
-    tol = resolve(tol)
-    reversed_sys = permute_similar(sys, tol)
-    inner = rank_b_iff(reversed_sys, tol)
-    report = condition_report(sys, tol) if report is None else report
-    if inner.verdict is Verdict.INVERTIBLE:
-        return _invertible("rank_c_iff", report)
-    if inner.verdict is Verdict.SINGULAR:
-        # K = Q^T K_s Q, so a kernel vector of K_s pulls back through Q^T.
-        u = block_reversal_permutation(*sys.dims).T @ inner.witness
-        return _singular(sys, "rank_c_iff", u, report, tol)
-    return _undetermined(report)
+    return _full_row_rank_rule(sys, tol, report, mirrored=True)
 
 
 def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -412,26 +447,24 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     the assembled matrix.  When lambda_max(D) >= 2, rescale the system first
     (see :func:`dsaddle.core.rescale_middle`).
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
+    report, an = _facts(sys, tol, report)
     hypotheses = (report.definiteness["A"].is_psd and report.definiteness["D"].is_psd
                   and report.holds("N1") and report.holds("N2") and report.holds("N3")
-                  and kernel_basis(sys.A, tol).dim == sys.m
-                  and lambda_max_sym(sys.D) < 2.0)
+                  and an.A.nullity == sys.m and an.D.lambda_max < 2.0)
     if not hypotheses:
         return _undetermined(report)
-    if is_nonsingular(sys.E, tol):
+    if an.E.nonsingular:
         return _invertible("e_iff", report)
-    kernel = kernel_basis(assemble(sys).matrix, tol)
+    kernel = kernel_basis(an.K, an.tol)
     if kernel.is_trivial:
         raise RuntimeError("E is numerically singular but the assembled matrix "
                            "has no kernel at this tolerance")
-    return _singular(sys, "e_iff", kernel.basis[:, 0], report, tol)
+    return _singular(an, "e_iff", kernel.basis[:, 0], report)
 
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
     """Ground truth by dense SVD of the assembled matrix."""
-    return is_nonsingular(assemble(sys).matrix, tol)
+    return _Analysis(sys, resolve(tol)).oracle_invertible
 
 
 _RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
@@ -445,12 +478,13 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
     Order: the necessary conditions (any failure short-circuits to
     singular), then schur_sufficient, e_iff_rule, corollary_rules,
     rank_b_iff, rank_c_iff, direct_sum_iff, psd_ladder.  The order is fixed
-    so reports are reproducible.  With ``with_oracle`` the dense ground
-    truth is attached to the diagnosis.
+    so reports are reproducible.  Every rule reads the one analysis behind
+    the report.  With ``with_oracle`` the dense ground truth is attached to
+    the diagnosis.
     """
     tol = resolve(tol)
     report = condition_report(sys, tol)
-    result = _necessary_failure(sys, report, tol)
+    result = _necessary_failure(report._analysis, report)
     if result is None:
         for rule in _RULES:
             candidate = rule(sys, tol, report=report)
@@ -460,7 +494,6 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
         else:
             result = _undetermined(report)
     if with_oracle:
-        result = Diagnosis(result.verdict, result.rule, result.report,
-                           witness=result.witness,
-                           oracle_check=oracle_invertible(sys, tol))
+        result = replace(result, oracle_check=report._analysis.oracle_invertible)
+    report._analysis = None  # a diagnosis keeps its facts, not the decompositions
     return result

@@ -23,10 +23,15 @@ INVERSE_FILES = ("Z11.mtx", "Z12.mtx", "Z13.mtx", "Z22.mtx", "Z23.mtx", "Z33.mtx
 
 
 def read_matrix(path) -> np.ndarray:
-    """Dense array from a Matrix Market file (array or coordinate)."""
+    """Dense real array from a Matrix Market file (array or coordinate).
+
+    Complex files are rejected rather than cut down to their real part.
+    """
     data = scipy.io.mmread(str(path))
     if scipy.sparse.issparse(data):
         data = data.toarray()
+    if np.iscomplexobj(data):
+        raise ValueError(f"{path}: complex Matrix Market data is not supported")
     return np.asarray(data, dtype=float)
 
 

@@ -2,13 +2,17 @@
 
 Kernels, ranges, kernel intersections, direct sums and definiteness
 classification, all driven by the single rank policy in
-:mod:`dsaddle.tolerances`.  Kernel and range bases come from a full SVD, so
-they are orthonormal by construction; the trivial subspace is represented
-explicitly as a basis with zero columns, never as ``None``.
+:mod:`dsaddle.tolerances`.  A general matrix is read through one full SVD
+and a symmetric one through one eigendecomposition; the singular values of a
+symmetric matrix are the moduli of its eigenvalues, so both go through the
+same rank cut.  Kernel and range bases are orthonormal by construction; the
+trivial subspace is represented explicitly as a basis with zero columns,
+never as ``None``.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +35,14 @@ def rank_threshold(sigma_max, shape, tol: ToleranceConfig | None = None):
     return tol.rank_rtol * max(shape[0], shape[1], 1) * sigma_max
 
 
+def _above_cut(s, shape, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """Mask of the singular values that count as nonzero: the one rank cut."""
+    return s > rank_threshold(s.max(initial=0.0), shape, tol)
+
+
 def matrix_rank(M, tol: ToleranceConfig | None = None) -> int:
     M = _as_matrix(M)
-    if min(M.shape) == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > rank_threshold(s[0], M.shape, tol)))
+    return int(_above_cut(np.linalg.svd(M, compute_uv=False), M.shape, tol).sum())
 
 
 @dataclass(frozen=True)
@@ -96,37 +102,45 @@ class Definiteness(Enum):
         return self in (Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE)
 
 
+class _SVD:
+    """One full SVD of a matrix M, read under the rank cut."""
+
+    def __init__(self, M, tol: ToleranceConfig | None = None):
+        M = _as_matrix(M)
+        self.u, self.s, self.vh = np.linalg.svd(M, full_matrices=True)
+        self.rank = int(_above_cut(self.s, M.shape, tol).sum())
+
+    @cached_property
+    def kernel(self) -> SubspaceBasis:
+        return SubspaceBasis(self.vh[self.rank:].T.copy())
+
+    @cached_property
+    def range(self) -> SubspaceBasis:
+        return SubspaceBasis(self.u[:, :self.rank].copy())
+
+    def solve(self, w) -> np.ndarray:
+        """Minimum-norm x with M x = w, for w in the numerical range of M."""
+        r = self.rank
+        return self.vh[:r].T @ ((self.u[:, :r].T @ w) / self.s[:r])
+
+
 def kernel_basis(M, tol: ToleranceConfig | None = None) -> SubspaceBasis:
     """Orthonormal basis of ker(M) for a d2 x d1 matrix M.
 
     The kernel dimension is d1 - rank(M) under the global rank policy; empty
     and zero matrices are legal (a zero matrix has a full kernel).
     """
-    M = _as_matrix(M)
-    d2, d1 = M.shape
-    if d1 == 0:
-        return SubspaceBasis.trivial(0)
-    if d2 == 0:
-        return SubspaceBasis(np.eye(d1))
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rank_threshold(s[0], M.shape, tol))) if s.size else 0
-    return SubspaceBasis(vh[rank:].T.copy())
+    return _SVD(M, tol).kernel
 
 
 def range_basis(M, tol: ToleranceConfig | None = None) -> SubspaceBasis:
     """Orthonormal basis of ran(M) (the column space)."""
-    M = _as_matrix(M)
-    d2, d1 = M.shape
-    if d1 == 0 or d2 == 0:
-        return SubspaceBasis.trivial(d2)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > rank_threshold(s[0], M.shape, tol))) if s.size else 0
-    return SubspaceBasis(u[:, :rank].copy())
+    return _SVD(M, tol).range
 
 
 def nullity(M, tol: ToleranceConfig | None = None) -> int:
     """dim ker(M); satisfies rank(M) + nullity(M) = column count."""
-    return kernel_basis(M, tol).dim
+    return _as_matrix(M).shape[1] - matrix_rank(M, tol)
 
 
 def intersection_kernels(mats, tol: ToleranceConfig | None = None) -> SubspaceBasis:
@@ -149,13 +163,29 @@ def intersection_kernels(mats, tol: ToleranceConfig | None = None) -> SubspaceBa
     return kernel_basis(np.vstack(mats), tol)
 
 
+def _shared_direction(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | None = None):
+    """Unit vector in span(U) ∩ span(W), or None when they meet only in {0}.
+
+    U a = W b with (a, b) != 0 forces both sides nonzero because the bases
+    have independent columns, so one kernel of [U | -W] both decides the
+    question and yields the shared direction.
+    """
+    if U.is_trivial or W.is_trivial:
+        return None
+    null = kernel_basis(np.hstack([U.basis, -W.basis]), tol)
+    if null.is_trivial:
+        return None
+    w = U.basis @ null.basis[:U.dim, 0]
+    return w / np.linalg.norm(w)
+
+
 def range_intersection_trivial(Bmat, Ct, tol: ToleranceConfig | None = None):
     """Decide whether ran(B) and ran(C^T) intersect only in {0}.
 
     Both arguments must have the same number of rows (they map into the same
-    space).  Returns ``(True, None)`` when rank([B | C^T]) = rank(B) +
-    rank(C^T); otherwise ``(False, w)`` with a unit vector w lying in both
-    ranges.
+    space).  Returns ``(True, None)`` when the orthonormal range bases are
+    jointly independent; otherwise ``(False, w)`` with a unit vector w lying
+    in both ranges.
     """
     Bmat = _as_matrix(Bmat, "first matrix")
     Ct = _as_matrix(Ct, "second matrix")
@@ -163,24 +193,8 @@ def range_intersection_trivial(Bmat, Ct, tol: ToleranceConfig | None = None):
         raise ValueError(
             f"row count mismatch: {Bmat.shape[0]} vs {Ct.shape[0]}"
         )
-    rank_b = matrix_rank(Bmat, tol)
-    rank_c = matrix_rank(Ct, tol)
-    stacked_rank = matrix_rank(np.hstack([Bmat, Ct]), tol)
-    if stacked_rank == rank_b + rank_c:
-        return True, None
-
-    # A shared direction exists; recover one from the kernel of the stacked
-    # orthonormal range bases.  U_b a = U_c b with (a, b) != 0 forces both
-    # sides nonzero because the bases have independent columns.
-    Ub = range_basis(Bmat, tol).basis
-    Uc = range_basis(Ct, tol).basis
-    null = kernel_basis(np.hstack([Ub, -Uc]), tol)
-    if null.is_trivial:
-        raise RuntimeError("rank tests disagree on range intersection; "
-                           "input is too close to the rank threshold")
-    coeff = null.basis[:, 0]
-    w = Ub @ coeff[: Ub.shape[1]]
-    return False, w / np.linalg.norm(w)
+    w = _shared_direction(range_basis(Bmat, tol), range_basis(Ct, tol), tol)
+    return w is None, w
 
 
 def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | None = None) -> bool:
@@ -197,26 +211,77 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
     return matrix_rank(np.hstack([U.basis, W.basis]), tol) == d
 
 
+class _SymEig:
+    """One eigendecomposition of a symmetric matrix, read under the rank cut.
+
+    Gives the definiteness tag, nullity, kernel, lambda_max, nonsingularity
+    and the inverse.  The decomposition is of the symmetric part, and it runs
+    only when a fact needs it: an asymmetric matrix is tagged without one.
+    """
+
+    def __init__(self, M, tol: ToleranceConfig | None = None):
+        self.tol = resolve(tol)
+        self.matrix = _as_matrix(M)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError(f"definiteness needs a square matrix, got {self.matrix.shape}")
+
+    @cached_property
+    def _eigh(self):
+        M = self.matrix
+        lam, vecs = np.linalg.eigh(0.5 * (M + M.T))
+        return lam, vecs, _above_cut(np.abs(lam), M.shape, self.tol)
+
+    @property
+    def symmetric(self) -> bool:
+        M = self.matrix
+        return np.linalg.norm(M - M.T, "fro") <= self.tol.sym_rtol * np.linalg.norm(M, "fro")
+
+    @cached_property
+    def definiteness(self) -> Definiteness:
+        """Strongest true tag among PD, PSD, indefinite, not-symmetric."""
+        M, tol = self.matrix, self.tol
+        if M.shape[0] == 0:
+            return Definiteness.POSITIVE_DEFINITE
+        if not self.symmetric:
+            return Definiteness.NOT_SYMMETRIC
+        eigs = self._eigh[0]
+        scale = float(np.max(np.abs(eigs)))
+        lam_min = float(eigs[0])
+        if lam_min > tol.psd_rtol * scale:
+            return Definiteness.POSITIVE_DEFINITE
+        if lam_min >= -tol.psd_rtol * scale:
+            return Definiteness.POSITIVE_SEMIDEFINITE
+        return Definiteness.INDEFINITE
+
+    @property
+    def nullity(self) -> int:
+        return int((~self._eigh[2]).sum())
+
+    @property
+    def nonsingular(self) -> bool:
+        return self.nullity == 0
+
+    @cached_property
+    def kernel(self) -> SubspaceBasis:
+        _, vecs, nonzero = self._eigh
+        return SubspaceBasis(vecs[:, ~nonzero])
+
+    @property
+    def lambda_max(self) -> float:
+        lam = self._eigh[0]
+        return float(lam[-1]) if lam.size else 0.0
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        lam, vecs, _ = self._eigh
+        inv = (vecs / lam) @ vecs.T
+        return 0.5 * (inv + inv.T)
+
+
 def classify_definiteness(M, tol: ToleranceConfig | None = None) -> Definiteness:
     """Strongest true tag among PD, PSD, indefinite, not-symmetric.
 
     The zero matrix classifies positive semidefinite; an empty matrix is
     vacuously positive definite.
     """
-    tol = resolve(tol)
-    M = _as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"definiteness needs a square matrix, got {M.shape}")
-    if M.shape[0] == 0:
-        return Definiteness.POSITIVE_DEFINITE
-    norm = np.linalg.norm(M, "fro")
-    if np.linalg.norm(M - M.T, "fro") > tol.sym_rtol * norm:
-        return Definiteness.NOT_SYMMETRIC
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = float(np.max(np.abs(eigs)))
-    lam_min = float(eigs[0])
-    if lam_min > tol.psd_rtol * scale:
-        return Definiteness.POSITIVE_DEFINITE
-    if lam_min >= -tol.psd_rtol * scale:
-        return Definiteness.POSITIVE_SEMIDEFINITE
-    return Definiteness.INDEFINITE
+    return _SymEig(M, tol).definiteness

@@ -205,6 +205,40 @@ class TestVerify:
         assert all(v == "skipped" for v in status.values())
 
 
+COMPLEX_MTX = "%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0\n"
+
+# (case, argv with {blocks}/{spec}/{out} placeholders, spec override, exit code):
+# bad tolerances are usage errors, bad spec fields and files are data errors
+MALFORMED = (
+    ("tol_rank_zero", ["diagnose", "{blocks}", "--tol-rank", "0"], None, 64),
+    ("tol_rank_nan", ["diagnose", "{blocks}", "--tol-rank", "nan"], None, 64),
+    ("tol_residual_one", ["verify", "{blocks}", "--tol-residual", "1"], None, 64),
+    ("spec_string_dimension", ["generate", "--spec", "{spec}", "--out", "{out}"],
+     {"n": "5"}, 65),
+    ("spec_float_nullity", ["generate", "--spec", "{spec}", "--out", "{out}"],
+     {"null_a": 2.5}, 65),
+    ("spec_int_flag", ["generate", "--spec", "{spec}", "--out", "{out}"],
+     {"require_ds1": 1}, 65),
+    ("complex_block", ["diagnose", "{complex}"], None, 65),
+)
+
+
+@pytest.mark.parametrize("argv, override, expected", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exit_codes(tmp_path, capsys, argv, override, expected):
+    save_block_system(tmp_path / "blocks", fixture_three_block())
+    save_block_system(tmp_path / "complex", fixture_three_block())
+    (tmp_path / "complex" / "C.mtx").write_text(COMPLEX_MTX)
+    spec = {"n": 4, "m": 2, "p": 3, "null_a": 2, "seed": 5}
+    spec.update(override or {})
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    paths = {"blocks": tmp_path / "blocks", "complex": tmp_path / "complex",
+             "spec": tmp_path / "spec.json", "out": tmp_path / "out"}
+    code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == expected
+    assert out == ""
+
+
 class TestRunConfig:
     def test_run_accepts_config_directly(self, fixture_dir, capsys):
         from dsaddle.cli import RunConfig, run

@@ -1,0 +1,63 @@
+"""Decomposition budget of one diagnosis.
+
+Every rule reads one analysis of the five blocks, so a diagnosis runs a
+bounded number of eigen and singular-value decompositions whichever exit it
+takes, and builds the condition report once.
+"""
+
+import numpy as np
+import pytest
+
+import dsaddle.invertibility as invertibility
+from dsaddle import GeneratorSpec, diagnose, gen_instance
+
+# the six classes of the ladder benchmark, at one fifth of (100, 50, 25)
+DIMS = (20, 10, 5)
+CLASSES = (
+    ("e_iff", dict(null_a=10, require_ds1=True), "e_iff"),
+    ("e_iff_singular", dict(null_a=10, require_ds1=True, null_e=1), "e_iff"),
+    ("schur_sufficient", {}, "schur_sufficient"),
+    ("undetermined", dict(null_a=1, def_a="indefinite"), None),
+    ("direct_sum_iff", dict(null_a=8, rank_b=8, require_ds1=True, rank_c=4, null_e=4,
+                            require_ds2=True, force_overlap_r=True), "direct_sum_iff"),
+    ("necessary_N1", dict(null_a=10, rank_b=9), "necessary:N1"),
+)
+BUDGET = 13
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Count svd / eigh / eigvalsh / norm(., 2) calls and condition reports."""
+    counts = {"decompositions": 0, "condition_report": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), "decompositions"))
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:  # the spectral norm is an SVD
+            counts["decompositions"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(invertibility, "condition_report",
+                        counting(invertibility.condition_report, "condition_report"))
+    return counts
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_diagnose_stays_within_budget(counts, targets, rule):
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        counts.update(decompositions=0, condition_report=0)
+        diagnosis = diagnose(system)
+        assert diagnosis.rule == rule
+        assert counts["decompositions"] <= BUDGET, counts
+        assert counts["condition_report"] == 1

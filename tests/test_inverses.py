@@ -283,6 +283,31 @@ class TestInverseViaFactorization:
             inverse_via_factorization(sys)
 
 
+def test_factorization_never_succeeds_alone():
+    # null(A) = m and N1 force rank(B) = m and hence DS1, so whenever the
+    # factorization applies the three-block formula applies too
+    from dsaddle import GeneratorSpec, gen_instance
+    rng = np.random.default_rng(11)
+    factorized = 0
+    for seed in range(300):
+        m, p = (int(x) for x in rng.integers(1, 5, size=2))
+        n = m + int(rng.integers(0, 4))
+        spec = GeneratorSpec(n=n, m=m, p=p, null_a=m,
+                             rank_b=int(rng.integers(0, m + 1)),
+                             rank_c=int(rng.integers(0, min(p, m) + 1)),
+                             null_d=int(rng.integers(0, m + 1)),
+                             null_e=int(rng.integers(0, 2)),
+                             def_d="indefinite" if seed % 4 == 0 else "psd", seed=seed)
+        try:  # infeasible specs and inapplicable factorizations are skipped
+            sys, _ = gen_instance(spec)
+            inverse_via_factorization(sys)
+        except (ValueError, PreconditionError):
+            continue
+        three_block_inverse(sys)
+        factorized += 1
+    assert factorized >= 20
+
+
 class TestTwoBlockInverse:
     def test_fixture(self):
         tb = two_block_inverse(A2, B2, np.array([[3.0]]))

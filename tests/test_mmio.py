@@ -55,3 +55,12 @@ def test_inconsistent_dims_raise(tmp_path):
     write_matrix(tmp_path / "E.mtx", np.eye(3))
     with pytest.raises(ValueError, match="E"):
         load_block_system(tmp_path)
+
+
+def test_complex_file_is_rejected(tmp_path):
+    # scipy reads it as complex; dropping the imaginary part would silently
+    # analyse a different matrix
+    path = tmp_path / "C.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0\n")
+    with pytest.raises(ValueError, match="complex"):
+        read_matrix(path)
