@@ -8,12 +8,14 @@ Subcommands:
     verify     recompute every identity on an instance and report residuals
 
 Exit codes: 0 success (for diagnose: invertible), 1 singular (diagnose) or a
-failed identity (verify), 2 undetermined, 64 usage error, 65 data error.
+failed identity (verify), 2 undetermined, 64 usage error, 65 data error,
+70 internal error (an unexpected exception, reported on one stderr line).
 Reports are emitted as text or canonical JSON; both carry the same facts and
 identical inputs produce byte-identical JSON.
 """
 
 import argparse
+import logging
 import sys as _sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -34,6 +36,9 @@ EXIT_SINGULAR = 1
 EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -250,6 +255,11 @@ def run(config: RunConfig) -> int:
     except (FileNotFoundError, ValueError, GenerationError) as exc:
         _sys.stderr.write(f"dsaddle {config.command}: {exc}\n")
         return EXIT_DATA
+    except Exception as exc:  # never let a bug exit with a verdict's code
+        _log.debug("dsaddle %s failed", config.command, exc_info=True)
+        _sys.stderr.write(f"dsaddle {config.command}: internal error: "
+                          f"{type(exc).__name__}: {exc}\n")
+        return EXIT_SOFTWARE
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .subspaces import _SymEig, _as_matrix
+from .subspaces import _SymEig, _above_cut, _as_matrix
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -170,31 +170,53 @@ def lambda_max_sym(M) -> float:
     return _SymEig(M).lambda_max
 
 
-def alpha_upper_bound(sys: BlockSystem) -> float:
-    """Upper end of the admissible scaling interval (inf when unconstrained).
-
-    The congruence transform needs 2 I - alpha D positive definite, which
-    constrains alpha only when D has a positive eigenvalue.
-    """
-    lam = lambda_max_sym(sys.D)
-    return 2.0 / lam if lam > 0.0 else np.inf
+def _alpha_bound(D: _SymEig) -> float:
+    """2 / lambda_max(D), or inf when no eigenvalue of D is positive past D's
+    rank cut: a rounding-level lambda_max does not constrain alpha."""
+    lam, _, nonzero = D._eigh
+    return 2.0 / lam[-1] if lam[-1] > 0.0 and nonzero[-1] else np.inf
 
 
-def default_alpha(sys: BlockSystem) -> float:
-    """Midpoint of the admissible interval, or 1 when it is unbounded."""
-    bound = alpha_upper_bound(sys)
-    return 1.0 if np.isinf(bound) else bound / 2.0
-
-
-def _validate_alpha(sys: BlockSystem, alpha: float) -> None:
-    if not alpha > 0.0:
-        raise PreconditionError(f"alpha must be positive, got {alpha!r}")
-    bound = alpha_upper_bound(sys)
-    if alpha >= bound:
+def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
+    """alpha checked against the admissible interval, or its midpoint
+    (1 when the interval is unbounded) for ``None``."""
+    bound = _alpha_bound(D)
+    if alpha is None:
+        return 1.0 if np.isinf(bound) else bound / 2.0
+    if not 0.0 < alpha < bound:
         raise PreconditionError(
             f"alpha={alpha!r} is outside the admissible interval "
             f"(0, {bound!r}) = (0, 2/lambda_max(D))"
         )
+    return alpha
+
+
+def alpha_upper_bound(sys: BlockSystem) -> float:
+    """Upper end of the admissible scaling interval (inf when unconstrained).
+
+    The congruence transform needs 2 I - alpha D positive definite, which
+    constrains alpha only when D has a positive eigenvalue that passes the
+    rank cut.
+    """
+    return _alpha_bound(_SymEig(sys.D))
+
+
+def default_alpha(sys: BlockSystem) -> float:
+    """Midpoint of the admissible interval, or 1 when it is unbounded."""
+    return _checked_alpha(_SymEig(sys.D))
+
+
+def _m_inverse(D: _SymEig, alpha: float) -> np.ndarray:
+    """M^{-1} = (2I - alpha D)^{-1} = Q diag(1 / (2 - alpha lambda_i)) Q^T from
+    D's eigenpairs; M is singular when some |2 - alpha lambda_i| fails the
+    rank cut."""
+    lam, Q, _ = D._eigh
+    mu = 2.0 - alpha * lam
+    if not _above_cut(np.abs(mu), D.matrix.shape, D.tol).all():
+        raise PreconditionError("2I - alpha D is numerically singular; "
+                                "alpha is too close to the interval boundary")
+    inv = (Q / mu) @ Q.T
+    return 0.5 * (inv + inv.T)
 
 
 def congruence_transform(sys: BlockSystem, alpha: float,
@@ -212,26 +234,18 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     partition.  alpha must lie strictly inside (0, 2/lambda_max(D)); for
     D = 0 any positive alpha is admissible.
     """
-    _validate_alpha(sys, alpha)
-    n, m, p = sys.dims
-    A, B, C, D, E = sys.A, sys.B, sys.C, sys.D, sys.E
+    return _congruence(sys, _checked_alpha(_SymEig(sys.D, tol), alpha))
 
-    M = 2.0 * np.eye(m) - alpha * D
-    top = A + alpha * B.T @ M @ B
-    B1 = B - alpha * D @ B
-    CB = alpha * C @ B
 
-    Kt = np.zeros((sys.ell, sys.ell))
-    Kt[:n, :n] = top
-    Kt[:n, n:n + m] = B1.T
-    Kt[:n, n + m:] = CB.T
-    Kt[n:n + m, :n] = B1
-    Kt[n:n + m, n:n + m] = -D
-    Kt[n:n + m, n + m:] = C.T
-    Kt[n + m:, :n] = CB
-    Kt[n + m:, n:n + m] = C
-    Kt[n + m:, n + m:] = E
-
+def _congruence(sys: BlockSystem, alpha: float):
+    """:func:`congruence_transform` for an alpha the caller has checked."""
+    n, m, _ = sys.dims
+    B, D = sys.B, sys.D
+    Kt = assemble(sys).matrix.copy()
+    Kt[:n, :n] += alpha * B.T @ (2.0 * np.eye(m) - alpha * D) @ B
+    Kt[n:n + m, :n] -= alpha * D @ B
+    Kt[n + m:, :n] = alpha * sys.C @ B
+    Kt[:n, n:] = Kt[n:, :n].T
     W = np.eye(sys.ell)
     W[n:n + m, :n] = alpha * B
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)

@@ -16,8 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg as sla
 
-from .core import BlockSystem, assemble, congruence_transform, \
-    default_alpha, _validate_alpha
+from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
 from .invertibility import _Analysis, is_nonsingular
 from .subspaces import SubspaceBasis, _as_matrix, is_direct_sum, matrix_rank
@@ -36,10 +35,6 @@ _HYPOTHESES = {
     "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
     "DS1": lambda an: (an.ds1,
                        "ker(A) and ker(B) must form a direct sum of the whole space"),
-    "lambda_max(D) < 2": lambda an: (
-        an.D.lambda_max < 2.0,
-        f"lambda_max(D) = {an.D.lambda_max!r} must be below 2; "
-        "rescale the middle block first"),
     "E nonsingular": lambda an: (an.E.nonsingular, "E must be nonsingular"),
     "K invertible": lambda an: (an.oracle_invertible,
                                 "nullity bounds apply to invertible systems only"),
@@ -229,15 +224,9 @@ def transformed_schur_complement(sys: BlockSystem, alpha: float,
     when the full system is; the equivalence holds for every admissible
     alpha in (0, 2/lambda_max(D)).
     """
-    tol = resolve(tol)
-    _validate_alpha(sys, alpha)
+    D = _Analysis(sys, resolve(tol)).D
+    Minv = _m_inverse(D, _checked_alpha(D, alpha))
     m, p = sys.m, sys.p
-    M = 2.0 * np.eye(m) - alpha * sys.D
-    if not is_nonsingular(M, tol):
-        raise PreconditionError("2I - alpha D is numerically singular; "
-                                "alpha is too close to the interval boundary")
-    Minv = sla.solve(M, np.eye(m), assume_a="sym")
-    Minv = 0.5 * (Minv + Minv.T)
     S = np.zeros((m + p, m + p))
     S[:m, :m] = -(1.0 / alpha) * Minv
     S[:m, m:] = Minv @ sys.C.T
@@ -273,33 +262,37 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     ker(A) ∩ ker(B) = {0}, and lambda_max(D) < 2.  E may be singular; its
     rank deficiency then shows up in the middle factor.
     """
-    tol = resolve(tol)
-    _require(_Analysis(sys, tol), "A psd", "null(A) = m", "N1", "lambda_max(D) < 2")
+    an = _Analysis(sys, resolve(tol))
+    a_tilde, b_one, _, L21, L31 = _factor_blocks(an)
     n, m, p = sys.dims
-    M = 2.0 * np.eye(m) - sys.D
-    a_tilde = sys.A + sys.B.T @ M @ sys.B
-    a_tilde = 0.5 * (a_tilde + a_tilde.T)
-    if not is_nonsingular(a_tilde, tol):
-        raise PreconditionError("A + B^T (2I - D) B is numerically singular; "
-                                "hypotheses do not hold")
-    b_one = sys.B - sys.D @ sys.B
-
-    factor = sla.cho_factor(a_tilde)
-    L21 = sla.cho_solve(factor, b_one.T).T
-    L31 = sla.cho_solve(factor, (sys.C @ sys.B).T).T
-
     ell = sys.ell
     L = np.eye(ell)
     L[n:n + m, :n] = L21
     L[n + m:, :n] = L31
     L[n + m:, n:n + m] = -sys.C
-
-    Minv = sla.solve(M, np.eye(m), assume_a="pos")
     mid = np.zeros((ell, ell))
     mid[:n, :n] = a_tilde
-    mid[n:n + m, n:n + m] = -0.5 * (Minv + Minv.T)
+    mid[n:n + m, n:n + m] = -_m_inverse(an.D, 1.0)
     mid[n + m:, n + m:] = sys.E
     return TransformedFactorization(a_tilde, b_one, L, mid, sys.dims)
+
+
+def _factor_blocks(an):
+    """a_tilde, b_one, one Cholesky factor of a_tilde, and the blocks L21 and
+    L31 of the unit triangular factor (L32 is -C) at alpha = 1."""
+    _require(an, "A psd", "null(A) = m", "N1")
+    _checked_alpha(an.D, 1.0)  # lambda_max(D) < 2
+    A, B, C, D = an.sys.A, an.sys.B, an.sys.C, an.sys.D
+    a_tilde = A + B.T @ (2.0 * np.eye(B.shape[0]) - D) @ B
+    a_tilde = 0.5 * (a_tilde + a_tilde.T)
+    if not is_nonsingular(a_tilde, an.tol):
+        raise PreconditionError("A + B^T (2I - D) B is numerically singular; "
+                                "hypotheses do not hold")
+    b_one = B - D @ B
+    factor = sla.cho_factor(a_tilde)
+    L21 = sla.cho_solve(factor, b_one.T).T
+    L31 = sla.cho_solve(factor, (C @ B).T).T
+    return a_tilde, b_one, factor, L21, L31
 
 
 # ---------------------------------------------------------------------------
@@ -449,40 +442,30 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
 
 
 def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
-    """Inverse assembled from the alpha = 1 factorization.
+    """Inverse assembled blockwise from the alpha = 1 factorization.
 
-    Inverts the three factors of :func:`factorize_transformed` directly
-    (the unit triangular factor by block back-substitution, the middle one
-    blockwise) and maps the result back through the congruence, so
+    With W the congruence, K^{-1} = W L^{-T} mid^{-1} L^{-1} W^T = G^T mid^{-1} G
+    for G = L^{-1} W^T.  The block rows of G follow from L21, L31 and
+    L32 = -C by block back-substitution, and mid^{-1} is
+    blockdiag(a_tilde^{-1}, -(2I - D), E^{-1}), so
 
-        K^{-1} = W (L^{-T} mid^{-1} L^{-1}) W^T.
+        K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3
 
-    Requires the factorization hypotheses plus nonsingular E.
+    with a_tilde^{-1} applied through one Cholesky factor.  Requires the
+    factorization hypotheses plus nonsingular E.
     """
-    tol = resolve(tol)
-    fact = factorize_transformed(sys, tol)
-    n, m, p = sys.dims
-    an = _Analysis(sys, tol)  # E only: the factorization read A, B and D
+    an = _Analysis(sys, resolve(tol))
+    _, _, factor, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
-
-    L21 = fact.L[n:n + m, :n]
-    L31 = fact.L[n + m:, :n]
-    L32 = fact.L[n + m:, n:n + m]
-    Linv = np.eye(sys.ell)
-    Linv[n:n + m, :n] = -L21
-    Linv[n + m:, :n] = L32 @ L21 - L31
-    Linv[n + m:, n:n + m] = -L32
-
-    factor = sla.cho_factor(fact.a_tilde)
-    a_tilde_inv = sla.cho_solve(factor, np.eye(n))
-    midinv = np.zeros((sys.ell, sys.ell))
-    midinv[:n, :n] = 0.5 * (a_tilde_inv + a_tilde_inv.T)
-    midinv[n:n + m, n:n + m] = -(2.0 * np.eye(m) - sys.D)
-    midinv[n + m:, n + m:] = an.E.inverse
-
-    Kt_inv = Linv.T @ midinv @ Linv
-    _, W = congruence_transform(sys, 1.0, tol)
-    K_inv = W.matrix @ Kt_inv @ W.matrix.T
+    n, m, p = sys.dims
+    B, C = sys.B, sys.C
+    L3 = -C @ L21 - L31  # L32 L21 - L31
+    G1 = np.hstack([np.eye(n), B.T, np.zeros((n, p))])
+    G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T, np.zeros((m, p))])
+    G3 = np.hstack([L3, L3 @ B.T + C, np.eye(p)])
+    K_inv = (G1.T @ sla.cho_solve(factor, G1)
+             - G2.T @ (2.0 * np.eye(m) - sys.D) @ G2
+             + G3.T @ an.E.inverse @ G3)
     return InverseBlocks.from_full(K_inv, sys.dims)
 
 
@@ -600,9 +583,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     """
     an = _Analysis(sys, resolve(tol))
     tol = an.tol
-    if alpha is None:
-        alpha = default_alpha(sys)
-    _validate_alpha(sys, alpha)
+    alpha = _checked_alpha(an.D, alpha)
     entries = []
 
     def residual_entry(name, fn):
@@ -618,17 +599,13 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     def projector():
         return _projector(an, "N1")
 
-    def weight_recovery():
-        M = 2.0 * np.eye(sys.m) - alpha * sys.D
-        W = (1.0 / alpha) * sla.solve(M, np.eye(sys.m), assume_a="sym")
-        return _weight_recovery(an, 0.5 * (W + W.T))
-
     def congruence():
-        Kt, W = congruence_transform(sys, alpha, tol)
+        Kt, W = _congruence(sys, alpha)
         return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix, 2)
                      / max(np.linalg.norm(Kt.matrix, 2), 1e-300))
 
-    residual_entry("weight_recovery", weight_recovery)
+    residual_entry("weight_recovery",
+                   lambda: _weight_recovery(an, _m_inverse(an.D, alpha) / alpha))
     residual_entry("inner_inverse", lambda: _inner_inverse(an, projector()))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))

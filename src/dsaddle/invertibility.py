@@ -24,7 +24,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import BlockSystem, assemble
 from .subspaces import Definiteness, _SVD, _SymEig, _shared_direction, \
@@ -270,10 +269,10 @@ def schur_sufficient(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     report, an = _facts(sys, tol, report)
     if not an.A.nonsingular:
         return _undetermined(report)
-    s1 = sys.D + sys.B @ sla.solve(sys.A, sys.B.T, assume_a="sym")
+    s1 = sys.D + sys.B @ np.linalg.solve(sys.A, sys.B.T)
     if not is_nonsingular(s1, an.tol):
         return _undetermined(report)
-    s2 = sys.E + sys.C @ sla.solve(s1, sys.C.T, assume_a="sym")
+    s2 = sys.E + sys.C @ np.linalg.solve(s1, sys.C.T)
     if not is_nonsingular(s2, an.tol):
         return _undetermined(report)
     return _invertible("schur_sufficient", report)

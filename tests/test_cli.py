@@ -239,6 +239,18 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, override, expected):
     assert out == ""
 
 
+def test_unexpected_error_exit_70(fixture_dir, capsys, monkeypatch):
+    # a bug must not exit 1, the code for a singular verdict
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dsaddle.cli.diagnose", broken)
+    code, out, err = run_cli(capsys, "diagnose", str(fixture_dir))
+    assert code == 70
+    assert out == ""
+    assert "diagnose" in err and "boom" in err and len(err.splitlines()) == 1
+
+
 class TestRunConfig:
     def test_run_accepts_config_directly(self, fixture_dir, capsys):
         from dsaddle.cli import RunConfig, run

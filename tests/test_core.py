@@ -1,19 +1,25 @@
 """Block system assembly, permutation, congruence and rescaling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from dsaddle import (
     BlockSystem,
+    GeneratorSpec,
     PreconditionError,
     alpha_upper_bound,
     assemble,
     block_reversal_permutation,
     congruence_transform,
     default_alpha,
+    gen_instance,
+    lambda_max_sym,
     matrix_rank,
     permute_similar,
     rescale_middle,
+    verify_identities,
 )
 
 from _families import fixture_three_block, max_deficient
@@ -134,6 +140,19 @@ class TestCongruence:
         assert alpha_upper_bound(s) == np.inf
         assert default_alpha(s) == 1.0
         congruence_transform(s, 100.0)  # any positive alpha is admissible
+
+    def test_rounding_level_lambda_max_is_unconstrained(self):
+        # D is negative semidefinite; its zero eigenvalue comes out as a tiny
+        # positive number, which must not shrink the interval to (0, ~1e17)
+        s, _ = gen_instance(GeneratorSpec(n=1, m=2, p=1, null_d=1,
+                                          def_d="indefinite", seed=9))
+        assert abs(lambda_max_sym(s.D)) < 1e-15
+        assert alpha_upper_bound(s) == np.inf
+        assert default_alpha(s) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = verify_identities(s)
+        assert {e["id"]: e["status"] for e in entries}["congruence"] == "ok"
 
     def test_negative_definite_d_is_unconstrained(self):
         # 2I - alpha D stays positive definite for every alpha > 0

@@ -1,13 +1,16 @@
-"""Decomposition budget of one diagnosis.
+"""Decomposition budgets of one call.
 
 Every rule reads one analysis of the five blocks, so a diagnosis runs a
 bounded number of eigen and singular-value decompositions whichever exit it
-takes, and builds the condition report once.
+takes, and builds the condition report once.  The congruence route reads
+the same analysis, so it decomposes D once per call.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import dsaddle
 import dsaddle.invertibility as invertibility
 from dsaddle import GeneratorSpec, diagnose, gen_instance
 
@@ -61,3 +64,36 @@ def test_diagnose_stays_within_budget(counts, targets, rule):
         assert diagnosis.rule == rule
         assert counts["decompositions"] <= BUDGET, counts
         assert counts["condition_report"] == 1
+
+
+
+@pytest.mark.parametrize("name", ("inverse_via_factorization", "verify_identities",
+                                  "factorize_transformed", "transformed_schur_complement"))
+def test_congruence_route_decomposes_d_once(monkeypatch, name):
+    """One eigh of the m x m block D per call, and one Cholesky factor of
+    A + B^T (2I - D) B per factorization inverse."""
+    counts = {"eigh_m": 0, "cho_factor": 0}
+    eigh, cho_factor = np.linalg.eigh, sla.cho_factor
+
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh_m"] += np.shape(a) == (DIMS[1], DIMS[1])  # n, m, p differ
+        return eigh(a, *args, **kwargs)
+
+    def counting_cho_factor(*args, **kwargs):
+        counts["cho_factor"] += 1
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sla, "cho_factor", counting_cho_factor)
+    call = getattr(dsaddle, name)
+    for seed in range(3):
+        # max_deficient-style: null(A) = rank(B) = m, so every call applies;
+        # D's spectrum lies below 2, so alpha = 0.5 is admissible
+        system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
+                                               null_d=seed % 2, seed=seed))
+        args = (system, 0.5) if name == "transformed_schur_complement" else (system,)
+        counts.update(eigh_m=0, cho_factor=0)
+        call(*args)
+        assert counts["eigh_m"] <= 1, counts
+        if name == "inverse_via_factorization":
+            assert counts["cho_factor"] <= 1, counts
