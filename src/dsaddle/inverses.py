@@ -14,12 +14,11 @@ from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
 from .invertibility import _Analysis, is_nonsingular
-from .subspaces import SubspaceBasis, _as_matrix, is_direct_sum, matrix_rank
+from .subspaces import SubspaceBasis, _SymEig, _above_cut, _as_matrix, is_direct_sum
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -86,7 +85,7 @@ def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
             "reduced Hessian Z^T A Z is numerically singular; "
             "ker(A) and ker(B) must intersect trivially with A semidefinite"
         )
-    V = Z.basis @ sla.solve(H, Z.basis.T, assume_a="sym")
+    V = Z.basis @ np.linalg.solve(H, Z.basis.T)
     return 0.5 * (V + V.T)
 
 
@@ -133,16 +132,19 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     return _inner_inverse(_blocks(tol, A=A), proj)
 
 
-def _weight_recovery(an, W) -> float:
+def _weight_recovery(an, W, winv_b=None) -> float:
+    """Residual of the identity, solving with W unless W^{-1} B is given."""
     m = an.sys.B.shape[0]
     W = _as_matrix(W, "W")
     if W.shape != (m, m):
         raise ValueError(f"W must be {m} x {m}, got {W.shape}")
     _require(an, "null(A) = m", "N1")
-    if not is_nonsingular(W, an.tol):
-        raise PreconditionError("W must be invertible")
     A, B = an.sys.A, an.sys.B
-    X = A + B.T @ np.linalg.solve(W, B)
+    if winv_b is None:
+        if not is_nonsingular(W, an.tol):
+            raise PreconditionError("W must be invertible")
+        winv_b = np.linalg.solve(W, B)
+    X = A + B.T @ winv_b
     if not is_nonsingular(X, an.tol):
         raise PreconditionError(
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
@@ -171,8 +173,7 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
     if Z.dim and np.linalg.norm(B @ Z.basis, 2) > an.tol.residual_rtol * an.B.s[0]:
         raise PreconditionError("Z is not a kernel basis of B")
-    gram = sla.cho_factor(B @ B.T)
-    row_proj = B.T @ sla.cho_solve(gram, B)
+    row_proj = B.T @ np.linalg.solve(B @ B.T, B)
     complement = np.eye(n) - Z.basis @ Z.basis.T
     return float(np.linalg.norm(row_proj - complement, 2))
 
@@ -263,7 +264,7 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     an = _Analysis(sys, resolve(tol))
-    a_tilde, b_one, _, L21, L31 = _factor_blocks(an)
+    a_tilde, b_one, L21, L31 = _factor_blocks(an)
     n, m, p = sys.dims
     ell = sys.ell
     L = np.eye(ell)
@@ -271,28 +272,26 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     L[n + m:, :n] = L31
     L[n + m:, n:n + m] = -sys.C
     mid = np.zeros((ell, ell))
-    mid[:n, :n] = a_tilde
+    mid[:n, :n] = a_tilde.matrix
     mid[n:n + m, n:n + m] = -_m_inverse(an.D, 1.0)
     mid[n + m:, n + m:] = sys.E
-    return TransformedFactorization(a_tilde, b_one, L, mid, sys.dims)
+    return TransformedFactorization(a_tilde.matrix, b_one, L, mid, sys.dims)
 
 
 def _factor_blocks(an):
-    """a_tilde, b_one, one Cholesky factor of a_tilde, and the blocks L21 and
-    L31 of the unit triangular factor (L32 is -C) at alpha = 1."""
+    """a_tilde's one eigendecomposition (nonsingularity and inverse), b_one,
+    and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
+    alpha = 1."""
     _require(an, "A psd", "null(A) = m", "N1")
     _checked_alpha(an.D, 1.0)  # lambda_max(D) < 2
     A, B, C, D = an.sys.A, an.sys.B, an.sys.C, an.sys.D
     a_tilde = A + B.T @ (2.0 * np.eye(B.shape[0]) - D) @ B
-    a_tilde = 0.5 * (a_tilde + a_tilde.T)
-    if not is_nonsingular(a_tilde, an.tol):
+    a_tilde = _SymEig(0.5 * (a_tilde + a_tilde.T), an.tol)
+    if not a_tilde.nonsingular:
         raise PreconditionError("A + B^T (2I - D) B is numerically singular; "
                                 "hypotheses do not hold")
     b_one = B - D @ B
-    factor = sla.cho_factor(a_tilde)
-    L21 = sla.cho_solve(factor, b_one.T).T
-    L31 = sla.cho_solve(factor, (C @ B).T).T
-    return a_tilde, b_one, factor, L21, L31
+    return a_tilde, b_one, b_one @ a_tilde.inverse, C @ B @ a_tilde.inverse
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +384,8 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
         [[R^T D R + V,  R^T],
          [R,            0  ]].
 
-    Solves with a Cholesky factorization of B B^T are used throughout; the
-    Gram matrix is never inverted explicitly.
+    B has full row rank under these hypotheses, so (B B^T)^{-1} B is read
+    from the SVD of B; the Gram matrix B B^T is never formed.
     """
     tol = resolve(tol)
     A = _as_matrix(A, "A")
@@ -402,11 +401,12 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
 
 
 def _two_block(an, D):
-    """Leading block R^T D R + V of the two-block inverse, and R."""
-    A, B = an.sys.A, an.sys.B
+    """Leading block R^T D R + V of the two-block inverse, and R.  B has full
+    row rank m here, so (B B^T)^{-1} B = U S^{-1} V_m^T from B = U S V_m^T."""
+    A, m = an.sys.A, an.sys.B.shape[0]
     proj = _projector(an, "null(A) = m", "DS1")
-    gram = sla.cho_factor(B @ B.T)
-    R = sla.cho_solve(gram, B @ (np.eye(A.shape[0]) - A @ proj.V))
+    u, s, vh = an.B.u, an.B.s, an.B.vh
+    R = (u / s[:m]) @ (vh[:m] @ (np.eye(A.shape[0]) - A @ proj.V))
     x11 = R.T @ D @ R + proj.V
     return 0.5 * (x11 + x11.T), R
 
@@ -451,11 +451,11 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
 
         K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3
 
-    with a_tilde^{-1} applied through one Cholesky factor.  Requires the
-    factorization hypotheses plus nonsingular E.
+    with a_tilde^{-1} from the eigendecomposition that decides its
+    nonsingularity.  Requires the factorization hypotheses plus nonsingular E.
     """
     an = _Analysis(sys, resolve(tol))
-    _, _, factor, L21, L31 = _factor_blocks(an)
+    a_tilde, _, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
     n, m, p = sys.dims
     B, C = sys.B, sys.C
@@ -463,7 +463,7 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     G1 = np.hstack([np.eye(n), B.T, np.zeros((n, p))])
     G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T, np.zeros((m, p))])
     G3 = np.hstack([L3, L3 @ B.T + C, np.eye(p)])
-    K_inv = (G1.T @ sla.cho_solve(factor, G1)
+    K_inv = (G1.T @ a_tilde.inverse @ G1
              - G2.T @ (2.0 * np.eye(m) - sys.D) @ G2
              + G3.T @ an.E.inverse @ G3)
     return InverseBlocks.from_full(K_inv, sys.dims)
@@ -539,11 +539,13 @@ def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
 
     full = inv.full
     inverse_norm = float(np.linalg.norm(full, 2))
-    z22_norm = float(np.linalg.norm(inv.z22, 2)) if inv.z22.size else 0.0
+    # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
+    s = np.linalg.svd(inv.z22, compute_uv=False)
+    z22_norm = float(s.max(initial=0.0))
     if z22_norm <= tol.rank_rtol * max(m, 1) * inverse_norm:
         null_z22 = m
     else:
-        null_z22 = m - matrix_rank(inv.z22, tol)
+        null_z22 = m - int(_above_cut(s, inv.z22.shape, tol).sum())
 
     lower = min(max(null_a, null_e), m)
     upper = null_a + null_e
@@ -604,8 +606,9 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix, 2)
                      / max(np.linalg.norm(Kt.matrix, 2), 1e-300))
 
-    residual_entry("weight_recovery",
-                   lambda: _weight_recovery(an, _m_inverse(an.D, alpha) / alpha))
+    # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form
+    residual_entry("weight_recovery", lambda: _weight_recovery(
+        an, _m_inverse(an.D, alpha) / alpha, alpha * (2.0 * np.eye(sys.m) - alpha * sys.D) @ sys.B))
     residual_entry("inner_inverse", lambda: _inner_inverse(an, projector()))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))

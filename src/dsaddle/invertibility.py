@@ -69,9 +69,6 @@ class ConditionReport:
     # the analysis the report was read from, so rules given the report reuse it
     _analysis: "_Analysis | None" = field(default=None, repr=False, compare=False)
 
-    def add(self, entry: ConditionEntry):
-        self.entries[entry.cond_id] = entry
-
     def holds(self, cond_id: str) -> bool:
         return self.entries[cond_id].holds
 

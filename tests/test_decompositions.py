@@ -3,8 +3,14 @@
 Every rule reads one analysis of the five blocks, so a diagnosis runs a
 bounded number of eigen and singular-value decompositions whichever exit it
 takes, and builds the condition report once.  The congruence route reads
-the same analysis, so it decomposes D once per call.
+the same analysis, so it decomposes D once per call, and the inverse
+constructors read the decompositions it holds instead of factoring again.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ CLASSES = (
     ("necessary_N1", dict(null_a=10, rank_b=9), "necessary:N1"),
 )
 BUDGET = 13
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -97,3 +104,62 @@ def test_congruence_route_decomposes_d_once(monkeypatch, name):
         assert counts["eigh_m"] <= 1, counts
         if name == "inverse_via_factorization":
             assert counts["cho_factor"] <= 1, counts
+
+
+# numpy and scipy kernels a call can run; the spectral norm is an SVD
+NUMPY_KERNELS = ("svd", "eigh", "eigvalsh", "solve", "inv", "cholesky", "qr", "lstsq")
+SCIPY_KERNELS = ("solve", "cho_factor", "cho_solve")
+KERNEL_BUDGETS = {
+    "three_block_inverse": 6,
+    "inverse_via_factorization": 5,
+    "factorize_transformed": 4,
+    "two_block_inverse": 5,
+    "verify_identities": 22,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_BUDGETS)
+def test_inverse_constructors_read_held_decompositions(monkeypatch, name):
+    """Each constructor reads the decompositions of the one analysis, so it
+    runs a fixed number of dense kernels, and none from scipy.linalg."""
+    counts = {"numpy": 0, "scipy": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for kernel in NUMPY_KERNELS:
+        monkeypatch.setattr(np.linalg, kernel, counting(getattr(np.linalg, kernel), "numpy"))
+    for kernel in SCIPY_KERNELS:
+        monkeypatch.setattr(sla, kernel, counting(getattr(sla, kernel), "scipy"))
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["numpy"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    call = getattr(dsaddle, name)
+    for seed in range(3):
+        # the max-deficient systems of the congruence test, where every call applies
+        system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
+                                               null_d=seed % 2, seed=seed))
+        args = ((system.A, system.B, system.D) if name == "two_block_inverse"
+                else (system,))
+        counts.update(numpy=0, scipy=0)
+        call(*args)
+        assert counts["scipy"] == 0, counts
+        assert counts["numpy"] <= KERNEL_BUDGETS[name], counts
+
+
+def test_import_does_not_load_scipy_linalg():
+    """Only the Matrix Market reader uses scipy, and it does not need scipy.linalg."""
+    code = "import sys, dsaddle.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
