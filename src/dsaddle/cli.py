@@ -252,7 +252,7 @@ def run(config: RunConfig) -> int:
     }
     try:
         return handlers[config.command](config)
-    except (FileNotFoundError, ValueError, GenerationError) as exc:
+    except (OSError, ValueError, GenerationError) as exc:
         _sys.stderr.write(f"dsaddle {config.command}: {exc}\n")
         return EXIT_DATA
     except Exception as exc:  # never let a bug exit with a verdict's code

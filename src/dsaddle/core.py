@@ -185,8 +185,8 @@ def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
         return 1.0 if np.isinf(bound) else bound / 2.0
     if not 0.0 < alpha < bound:
         raise PreconditionError(
-            f"alpha={alpha!r} is outside the admissible interval "
-            f"(0, {bound!r}) = (0, 2/lambda_max(D))"
+            f"alpha={float(alpha)!r} is outside the admissible interval "
+            f"(0, {float(bound)!r}) = (0, 2/lambda_max(D))"
         )
     return alpha
 

@@ -35,7 +35,7 @@ _HYPOTHESES = {
     "DS1": lambda an: (an.ds1,
                        "ker(A) and ker(B) must form a direct sum of the whole space"),
     "E nonsingular": lambda an: (an.E.nonsingular, "E must be nonsingular"),
-    "K invertible": lambda an: (an.oracle_invertible,
+    "K invertible": lambda an: (an.K.nonsingular,
                                 "nullity bounds apply to invertible systems only"),
 }
 
@@ -107,9 +107,10 @@ def reduced_hessian_projector(A, B, tol: ToleranceConfig | None = None) -> Reduc
     return _projector(_blocks(tol, A=A, B=B), "N1")
 
 
-def _inner_inverse(an, proj: ReducedHessianProjector) -> float:
+def _inner_inverse(an, proj: ReducedHessianProjector, direct_sum: bool) -> float:
+    """Residual of A = A V A, given whether ker(A) (+) ker(B) = R^n."""
     _require(an, "A psd")
-    if not is_direct_sum(an.A.kernel, proj.Z, an.tol):
+    if not direct_sum:
         raise PreconditionError(
             "ker(A) and ker(B) must form a direct sum of the whole space "
             "(this pins null(A) to the number of rows of B)"
@@ -129,7 +130,8 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     whole space (the maximally rank-deficient setting); both hypotheses are
     enforced.
     """
-    return _inner_inverse(_blocks(tol, A=A), proj)
+    an = _blocks(tol, A=A)
+    return _inner_inverse(an, proj, is_direct_sum(an.A.kernel, proj.Z, an.tol))
 
 
 def _weight_recovery(an, W, winv_b=None) -> float:
@@ -525,7 +527,8 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     ``inv`` may come from any constructor or from dense inversion.  The
     nullity of Z22 follows the global rank policy measured against its own
     largest singular value, except that a block vanishing relative to the
-    whole inverse counts as nullity m.
+    whole inverse (``inverse_norm`` = ||K^{-1}||_2 = 1 / min |lambda(K)|, from
+    the eigendecomposition of K) counts as nullity m.
     """
     return _z22_bounds(_Analysis(sys, resolve(tol)), inv)
 
@@ -537,8 +540,7 @@ def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
     null_e = an.E.nullity
     m = an.sys.m
 
-    full = inv.full
-    inverse_norm = float(np.linalg.norm(full, 2))
+    inverse_norm = float(1.0 / np.abs(an.K._eigh[0]).min())
     # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
     s = np.linalg.svd(inv.z22, compute_uv=False)
     z22_norm = float(s.max(initial=0.0))
@@ -603,13 +605,14 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
 
     def congruence():
         Kt, W = _congruence(sys, alpha)
-        return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix, 2)
-                     / max(np.linalg.norm(Kt.matrix, 2), 1e-300))
+        return float(np.linalg.norm(W.matrix.T @ an.K.matrix @ W.matrix - Kt.matrix)
+                     / max(np.linalg.norm(Kt.matrix), 1e-300))
 
     # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form
     residual_entry("weight_recovery", lambda: _weight_recovery(
         an, _m_inverse(an.D, alpha) / alpha, alpha * (2.0 * np.eye(sys.m) - alpha * sys.D) @ sys.B))
-    residual_entry("inner_inverse", lambda: _inner_inverse(an, projector()))
+    # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1
+    residual_entry("inner_inverse", lambda: _inner_inverse(an, projector(), an.ds1))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))
     residual_entry("reduced_projector",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BlockSystem, assemble
 from .subspaces import Definiteness, _SVD, _SymEig, _shared_direction, \
-    intersection_kernels, kernel_basis, matrix_rank
+    intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -141,7 +141,7 @@ class _Analysis:
     n1 = _fact(lambda s, tol: intersection_kernels([s.A, s.B], tol))
     n2 = _fact(lambda s, tol: intersection_kernels([s.B.T, s.D, s.C], tol))
     n3 = _fact(lambda s, tol: intersection_kernels([s.C.T, s.E], tol))
-    K = _fact(lambda s, tol: assemble(s).matrix)
+    K = _fact(lambda s, tol: _SymEig(assemble(s).matrix, tol))
 
     @cached_property
     def r_witness(self):
@@ -165,10 +165,6 @@ class _Analysis:
         w = self.r_witness if cond_id == "R" else _first(getattr(self, cond_id.lower()))
         return ConditionEntry(cond_id, w is None, w)
 
-    @cached_property
-    def oracle_invertible(self) -> bool:
-        return is_nonsingular(self.K, self.tol)
-
 
 def _facts(sys, tol, report):
     """The report a rule decides on and the analysis behind it."""
@@ -183,8 +179,9 @@ def _facts(sys, tol, report):
 def _singular(an, rule, witness, report):
     """Build a singular diagnosis, insisting the witness is genuine."""
     u = _unit(witness)
-    residual = np.linalg.norm(an.K @ u)
-    if residual > an.tol.residual_rtol * max(np.linalg.norm(an.K, 2), 1e-300):
+    residual = np.linalg.norm(an.K.matrix @ u)
+    # ||K||_2 is the largest |eigenvalue| of the symmetric K
+    if residual > an.tol.residual_rtol * max(np.abs(an.K._eigh[0]).max(), 1e-300):
         raise RuntimeError(
             f"rule {rule} constructed a witness with residual {residual:.3e} "
             f"above tolerance; this indicates an input at the rank threshold"
@@ -333,11 +330,11 @@ def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     if _is_zero_block(sys.D) \
             and report.definiteness["A"] is pd and report.definiteness["E"] is pd:
-        middle = intersection_kernels([sys.B.T, sys.C], an.tol)
-        if middle.is_trivial:
+        # with D = 0 the middle condition is N2 itself
+        if report.holds("N2"):
             return _invertible("corollary_middle_kernels", report)
         return _singular(an, "corollary_middle_kernels",
-                         _embed(sys, y=middle.basis[:, 0]), report)
+                         _embed(sys, y=report.witness("N2")), report)
 
     return _undetermined(report)
 
@@ -451,7 +448,7 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
         return _undetermined(report)
     if an.E.nonsingular:
         return _invertible("e_iff", report)
-    kernel = kernel_basis(an.K, an.tol)
+    kernel = an.K.kernel
     if kernel.is_trivial:
         raise RuntimeError("E is numerically singular but the assembled matrix "
                            "has no kernel at this tolerance")
@@ -459,8 +456,8 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
-    """Ground truth by dense SVD of the assembled matrix."""
-    return _Analysis(sys, resolve(tol)).oracle_invertible
+    """Ground truth from one eigendecomposition of the assembled matrix."""
+    return _Analysis(sys, resolve(tol)).K.nonsingular
 
 
 _RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
@@ -490,6 +487,6 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
         else:
             result = _undetermined(report)
     if with_oracle:
-        result = replace(result, oracle_check=report._analysis.oracle_invertible)
+        result = replace(result, oracle_check=report._analysis.K.nonsingular)
     report._analysis = None  # a diagnosis keeps its facts, not the decompositions
     return result

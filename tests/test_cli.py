@@ -169,9 +169,11 @@ class TestVerify:
         sys = BlockSystem(np.diag([0.0, 1.0]), np.array([[1.0, 0.0]]),
                           np.array([[1.0]]), np.array([[1.0]]), np.array([[2.0]]))
         save_block_system(tmp_path / "blk", sys)
-        code, _, err = run_cli(capsys, "verify", str(tmp_path / "blk"),
-                               "--alpha", "5.0")
-        assert code == 65 and "admissible" in err
+        for alpha in ("5.0", "nan"):
+            code, _, err = run_cli(capsys, "verify", str(tmp_path / "blk"),
+                                   "--alpha", alpha)
+            assert code == 65 and "admissible" in err
+            assert "np.float64(" not in err  # the bound prints as a plain float
 
     def test_singular_system_skips_bounds(self, tmp_path, capsys):
         from dsaddle import BlockSystem
@@ -208,7 +210,7 @@ class TestVerify:
 COMPLEX_MTX = "%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0\n"
 
 # (case, argv with {blocks}/{spec}/{out} placeholders, spec override, exit code):
-# bad tolerances are usage errors, bad spec fields and files are data errors
+# bad tolerances are usage errors, bad spec fields, files and paths are data errors
 MALFORMED = (
     ("tol_rank_zero", ["diagnose", "{blocks}", "--tol-rank", "0"], None, 64),
     ("tol_rank_nan", ["diagnose", "{blocks}", "--tol-rank", "nan"], None, 64),
@@ -220,6 +222,8 @@ MALFORMED = (
     ("spec_int_flag", ["generate", "--spec", "{spec}", "--out", "{out}"],
      {"require_ds1": 1}, 65),
     ("complex_block", ["diagnose", "{complex}"], None, 65),
+    ("out_is_existing_file", ["invert", "{blocks}", "--out", "{spec}"], None, 65),
+    ("spec_is_directory", ["generate", "--spec", "{blocks}", "--out", "{out}"], None, 65),
 )
 
 

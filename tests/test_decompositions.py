@@ -5,6 +5,8 @@ bounded number of eigen and singular-value decompositions whichever exit it
 takes, and builds the condition report once.  The congruence route reads
 the same analysis, so it decomposes D once per call, and the inverse
 constructors read the decompositions it holds instead of factoring again.
+The assembled matrix K is one more fact of that analysis: one eigh of K
+answers the oracle, the witness scale, the kernel of K and ||K^{-1}||_2.
 """
 
 import os
@@ -18,7 +20,10 @@ import scipy.linalg as sla
 
 import dsaddle
 import dsaddle.invertibility as invertibility
-from dsaddle import GeneratorSpec, diagnose, gen_instance
+from _families import direct_sum_singular, fixture_three_block, max_deficient, \
+    psd_disjoint_ranges
+from dsaddle import GeneratorSpec, assemble, dense_inverse_blocks, diagnose, gen_instance, \
+    matrix_rank, oracle_invertible, verify_identities, z22_nullity_bounds
 
 # the six classes of the ladder benchmark, at one fifth of (100, 50, 25)
 DIMS = (20, 10, 5)
@@ -37,8 +42,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Count svd / eigh / eigvalsh / norm(., 2) calls and condition reports."""
-    counts = {"decompositions": 0, "condition_report": 0}
+    """Count svd / eigh / eigvalsh / norm(., 2) calls, those of them on an
+    input of shape ``counts["square"]``, and condition reports."""
+    counts = {"decompositions": 0, "on_square": 0, "square": None, "condition_report": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -46,13 +52,23 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def decomposition(x):
+        counts["decompositions"] += 1
+        counts["on_square"] += np.shape(x) == counts["square"]
+
+    def counting_decomposition(fn):
+        def wrapper(x, *args, **kwargs):
+            decomposition(x)
+            return fn(x, *args, **kwargs)
+        return wrapper
+
     for name in ("svd", "eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), "decompositions"))
+        monkeypatch.setattr(np.linalg, name, counting_decomposition(getattr(np.linalg, name)))
     norm = np.linalg.norm
 
     def counting_norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:  # the spectral norm is an SVD
-            counts["decompositions"] += 1
+            decomposition(x)
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
@@ -114,7 +130,7 @@ KERNEL_BUDGETS = {
     "inverse_via_factorization": 5,
     "factorize_transformed": 4,
     "two_block_inverse": 5,
-    "verify_identities": 22,
+    "verify_identities": 18,
 }
 
 
@@ -153,6 +169,46 @@ def test_inverse_constructors_read_held_decompositions(monkeypatch, name):
         call(*args)
         assert counts["scipy"] == 0, counts
         assert counts["numpy"] <= KERNEL_BUDGETS[name], counts
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
+    """The oracle, a singular exit's witness check and kernel, and verify's
+    congruence residual and ||K^{-1}||_2 all read one eigh of K."""
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        counts.update(on_square=0, square=(system.ell, system.ell))
+        diagnosis = diagnose(system, with_oracle=True)
+        assert diagnosis.rule == rule
+        assert counts["on_square"] <= 1, (diagnosis.verdict, counts)
+        counts["on_square"] = 0
+        verify_identities(system)
+        assert counts["on_square"] <= 1, counts
+
+
+def _reference_systems():
+    yield fixture_three_block()
+    for seed in range(6):
+        for family in (max_deficient, psd_disjoint_ranges, direct_sum_singular):
+            yield family(seed)[0]
+        yield max_deficient(seed, null_e=1)[0]
+        yield gen_instance(GeneratorSpec(6, 3, 2, seed=seed))[0]
+        yield gen_instance(GeneratorSpec(5, 3, 3, null_a=2, def_a="indefinite", seed=seed))[0]
+
+
+def test_k_eigh_matches_dense_references():
+    """The oracle is the SVD rank of K, and ||K^{-1}||_2 from K's spectrum is
+    the spectral norm of the LU inverse."""
+    systems = list(_reference_systems())
+    truths = [oracle_invertible(system) for system in systems]
+    assert 0 < sum(truths) < len(systems)  # both verdicts are covered
+    for system, truth in zip(systems, truths):
+        assert truth == (matrix_rank(assemble(system).matrix) == system.ell)
+        if truth:
+            inv = dense_inverse_blocks(system)
+            assert z22_nullity_bounds(system, inv).inverse_norm == \
+                pytest.approx(np.linalg.norm(inv.full, 2), rel=1e-8)
 
 
 def test_import_does_not_load_scipy_linalg():
