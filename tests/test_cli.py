@@ -1,6 +1,11 @@
-"""End-to-end command line tests, run in process through main()."""
+"""End-to-end command line tests, run in process through main() except where
+a malformed file could crash the process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +246,45 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, override, expected):
     code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == expected
     assert out == ""
+
+
+def _short_symmetric(matrix):
+    # the lower triangle column by column, without its last value
+    values = [float(matrix[i, j]) for j in range(len(matrix)) for i in range(j, len(matrix))]
+    return (f"%%MatrixMarket matrix array real symmetric\n{len(matrix)} {len(matrix)}\n"
+            + "".join(f"{v!r}\n" for v in values[:-1]))
+
+
+# (case, block file, its new content given the old one): a size line of 0,
+# a non-square symmetric size and a short symmetric array crashed the process
+# or were read with made-up entries; the last two pin exit 65 for bad entries
+MALFORMED_FILES = (
+    ("zero_dimension", "A.mtx", lambda old: "%%MatrixMarket matrix array real general\n0 3\n"),
+    ("symmetric_non_square", "E.mtx",
+     lambda old: "%%MatrixMarket matrix array real symmetric\n5 6\n" + "1\n" * 21),
+    ("symmetric_array_short", "A.mtx",
+     lambda old: _short_symmetric(fixture_three_block().A)),
+    ("coordinate_index_out_of_range", "B.mtx",
+     lambda old: "%%MatrixMarket matrix coordinate real general\n1 2 1\n1 3 1.0\n"),
+    ("array_entry_count_too_large", "C.mtx", lambda old: old + "1.0\n"),
+)
+
+
+@pytest.mark.parametrize("name, content", [c[1:] for c in MALFORMED_FILES],
+                         ids=[c[0] for c in MALFORMED_FILES])
+def test_malformed_matrix_file_exits_65(tmp_path, name, content):
+    directory = tmp_path / "blocks"
+    save_block_system(directory, fixture_three_block())
+    path = directory / name
+    path.write_text(content(path.read_text()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "dsaddle.cli", "diagnose", str(directory)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 65, (proc.returncode, proc.stderr)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_unexpected_error_exit_70(fixture_dir, capsys, monkeypatch):

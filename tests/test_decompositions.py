@@ -211,11 +211,22 @@ def test_k_eigh_matches_dense_references():
                 pytest.approx(np.linalg.norm(inv.full, 2), rel=1e-8)
 
 
-def test_import_does_not_load_scipy_linalg():
-    """Only the Matrix Market reader uses scipy, and it does not need scipy.linalg."""
-    code = "import sys, dsaddle.cli; print('scipy.linalg' in sys.modules)"
+def test_cli_loads_no_scipy_module(tmp_path):
+    """numpy is the only runtime dependency: importing the CLI and running each
+    subcommand, Matrix Market reads and writes included, loads no scipy module."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 6, "m": 3, "p": 2, "null_a": 3, "require_ds1": true, "seed": 1}')
+    code = (
+        "import sys, dsaddle.cli\n"
+        "spec, out = sys.argv[1:]\n"
+        "codes = [dsaddle.cli.main(['generate', '--spec', spec, '--out', out + '/blocks']),\n"
+        "         dsaddle.cli.main(['diagnose', out + '/blocks']),\n"
+        "         dsaddle.cli.main(['invert', out + '/blocks', '--out', out + '/inverse']),\n"
+        "         dsaddle.cli.main(['verify', out + '/blocks'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(spec), str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
