@@ -30,10 +30,13 @@ class BlockSystem:
     """Validated, immutable container for the five blocks.
 
     D and E may be omitted (``None``), meaning zero blocks of the matching
-    size.  Dimensions must satisfy n, m, p >= 1.
+    size.  Dimensions must satisfy n, m, p >= 1.  Blocks are private
+    read-only copies.  The system holds one block analysis per
+    :class:`ToleranceConfig`, which every entry point reads, so keep one
+    system across calls to decompose its blocks once.
     """
 
-    __slots__ = ("A", "B", "C", "D", "E")
+    __slots__ = ("A", "B", "C", "D", "E", "_analyses", "__weakref__")
 
     def __init__(self, A, B, C, D=None, E=None, tol: ToleranceConfig | None = None):
         tol = resolve(tol)
@@ -61,9 +64,10 @@ class BlockSystem:
         _check_symmetric(D, "D", tol)
         _check_symmetric(E, "E", tol)
         for name, block in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
-            block = np.ascontiguousarray(block)
+            block = np.array(block, order="C")
             block.setflags(write=False)
             object.__setattr__(self, name, block)
+        object.__setattr__(self, "_analyses", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockSystem is immutable")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
-from .invertibility import _Analysis, is_nonsingular
+from .invertibility import _analysis, is_nonsingular
 from .subspaces import SubspaceBasis, _SymEig, _above_cut, _as_matrix, is_direct_sum
 from .tolerances import ToleranceConfig, resolve
 
@@ -50,8 +50,7 @@ def _require(an, *names):
 
 def _blocks(tol, **blocks):
     """Analysis of loose blocks, passed by name, outside a BlockSystem."""
-    return _Analysis(SimpleNamespace(**{k: _as_matrix(v, k) for k, v in blocks.items()}),
-                     resolve(tol))
+    return _analysis(SimpleNamespace(**{k: _as_matrix(v, k) for k, v in blocks.items()}), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def transformed_schur_complement(sys: BlockSystem, alpha: float,
     when the full system is; the equivalence holds for every admissible
     alpha in (0, 2/lambda_max(D)).
     """
-    D = _Analysis(sys, resolve(tol)).D
+    D = _analysis(sys, tol).D
     Minv = _m_inverse(D, _checked_alpha(D, alpha))
     m, p = sys.m, sys.p
     S = np.zeros((m + p, m + p))
@@ -265,7 +264,7 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     ker(A) ∩ ker(B) = {0}, and lambda_max(D) < 2.  E may be singular; its
     rank deficiency then shows up in the middle factor.
     """
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     a_tilde, b_one, L21, L31 = _factor_blocks(an)
     n, m, p = sys.dims
     ell = sys.ell
@@ -427,7 +426,7 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
     Eliminating E leaves the two-block system with middle block
     D + C^T E^{-1} C, whose inverse supplies T and R.
     """
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     m, p = sys.m, sys.p
     _require(an, "E nonsingular")
     Einv = an.E.inverse
@@ -438,7 +437,7 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
         z13=(-Einv @ (sys.C @ R)).T.copy(),
         z22=np.zeros((m, m)),
         z23=np.zeros((m, p)),
-        z33=Einv,
+        z33=Einv.copy(),  # the analysis keeps E^{-1} for later calls
         dims=sys.dims,
     )
 
@@ -456,7 +455,7 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     with a_tilde^{-1} from the eigendecomposition that decides its
     nonsingularity.  Requires the factorization hypotheses plus nonsingular E.
     """
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     a_tilde, _, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
     n, m, p = sys.dims
@@ -530,7 +529,7 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     whole inverse (``inverse_norm`` = ||K^{-1}||_2 = 1 / min |lambda(K)|, from
     the eigendecomposition of K) counts as nullity m.
     """
-    return _z22_bounds(_Analysis(sys, resolve(tol)), inv)
+    return _z22_bounds(_analysis(sys, tol), inv)
 
 
 def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
@@ -585,7 +584,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     (residual within ``residual_rtol``), "failed", or "skipped" with a
     reason when the identity's hypotheses do not hold for this system.
     """
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     tol = an.tol
     alpha = _checked_alpha(an.D, alpha)
     entries = []

@@ -19,6 +19,7 @@ N1, N2, N3 are necessary for invertibility; a failure of any of them yields
 an explicit kernel vector of the assembled matrix.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -66,8 +67,6 @@ class ConditionReport:
     entries: dict = field(default_factory=dict)
     definiteness: dict = field(default_factory=dict)
     ranks: dict = field(default_factory=dict)
-    # the analysis the report was read from, so rules given the report reuse it
-    _analysis: "_Analysis | None" = field(default=None, repr=False, compare=False)
 
     def holds(self, cond_id: str) -> bool:
         return self.entries[cond_id].holds
@@ -127,6 +126,8 @@ class _Analysis:
 
     Blocks are read by attribute, so an object holding only the blocks a
     caller asks about (such as a namespace with A and B) can be analysed too.
+    A :class:`BlockSystem` holds its analyses (see :func:`_analysis`); each refers
+    back by a weak proxy, so it is freed with the system, not by the cyclic GC.
     """
 
     def __init__(self, sys, tol: ToleranceConfig):
@@ -163,17 +164,25 @@ class _Analysis:
         if cond_id in ("DS1", "DS2"):
             return ConditionEntry(cond_id, getattr(self, cond_id.lower()))
         w = self.r_witness if cond_id == "R" else _first(getattr(self, cond_id.lower()))
-        return ConditionEntry(cond_id, w is None, w)
+        # a copy, so that editing a report cannot reach the analysis it was read from
+        return ConditionEntry(cond_id, w is None, None if w is None else w.copy())
+
+
+def _analysis(sys, tol) -> _Analysis:
+    """The analysis a BlockSystem holds for tol (made on first use), else a fresh one."""
+    tol = resolve(tol)
+    if not isinstance(sys, BlockSystem):
+        return _Analysis(sys, tol)
+    an = sys._analyses.get(tol)
+    if an is None:
+        an = sys._analyses[tol] = _Analysis(weakref.proxy(sys), tol)
+    return an
 
 
 def _facts(sys, tol, report):
-    """The report a rule decides on and the analysis behind it."""
-    tol = resolve(tol)
-    report = condition_report(sys, tol) if report is None else report
-    an = report._analysis
-    if an is None or an.sys is not sys or an.tol != tol:
-        an = _Analysis(sys, tol)
-    return report, an
+    """The report a rule decides on and this system's analysis."""
+    an = _analysis(sys, tol)
+    return (condition_report(sys, an.tol) if report is None else report), an
 
 
 def _singular(an, rule, witness, report):
@@ -211,12 +220,11 @@ def _is_zero_block(M) -> bool:
 
 def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> ConditionReport:
     """Evaluate every condition the rules consult, in one pass."""
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     return ConditionReport(
         entries={c: an.entry(c) for c in CONDITION_ORDER},
         definiteness={k: getattr(an, k).definiteness for k in "ADE"},
         ranks={"B": an.B.rank, "C": an.Ct.rank},
-        _analysis=an,
     )
 
 
@@ -239,7 +247,7 @@ def necessary_conditions(sys: BlockSystem, tol: ToleranceConfig | None = None) -
     the kernel vector [x; 0; 0], a nonzero y in the N2 intersection gives
     [0; y; 0], and a nonzero z in the N3 intersection gives [0; 0; z].
     """
-    an = _Analysis(sys, resolve(tol))
+    an = _analysis(sys, tol)
     return ConditionReport(entries={c: an.entry(c) for c in ("N1", "N2", "N3")})
 
 
@@ -457,7 +465,7 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
     """Ground truth from one eigendecomposition of the assembled matrix."""
-    return _Analysis(sys, resolve(tol)).K.nonsingular
+    return _analysis(sys, tol).K.nonsingular
 
 
 _RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
@@ -471,22 +479,21 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
     Order: the necessary conditions (any failure short-circuits to
     singular), then schur_sufficient, e_iff_rule, corollary_rules,
     rank_b_iff, rank_c_iff, direct_sum_iff, psd_ladder.  The order is fixed
-    so reports are reproducible.  Every rule reads the one analysis behind
-    the report.  With ``with_oracle`` the dense ground truth is attached to
-    the diagnosis.
+    so reports are reproducible.  Every rule, and every later call on the
+    same system and tolerance, reads the one analysis the system holds.
+    With ``with_oracle`` the dense ground truth is attached to the diagnosis.
     """
-    tol = resolve(tol)
-    report = condition_report(sys, tol)
-    result = _necessary_failure(report._analysis, report)
+    an = _analysis(sys, tol)
+    report = condition_report(sys, an.tol)
+    result = _necessary_failure(an, report)
     if result is None:
         for rule in _RULES:
-            candidate = rule(sys, tol, report=report)
+            candidate = rule(sys, an.tol, report=report)
             if candidate.verdict is not Verdict.UNDETERMINED:
                 result = candidate
                 break
         else:
             result = _undetermined(report)
     if with_oracle:
-        result = replace(result, oracle_check=report._analysis.K.nonsingular)
-    report._analysis = None  # a diagnosis keeps its facts, not the decompositions
+        result = replace(result, oracle_check=an.K.nonsingular)
     return result

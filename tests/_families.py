@@ -26,6 +26,11 @@ def fixture_three_block() -> BlockSystem:
                        np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]]))
 
 
+def cold_copy(system) -> BlockSystem:
+    """A new system from the blocks of ``system``, holding no analysis yet."""
+    return BlockSystem(*(getattr(system, name) for name in "ABCDE"))
+
+
 def fixture_three_block_inverse() -> np.ndarray:
     return np.array([
         [0.5, 0.0, 1.0, -0.5],

@@ -14,6 +14,7 @@ from dsaddle import (
     block_reversal_permutation,
     congruence_transform,
     default_alpha,
+    diagnose,
     gen_instance,
     lambda_max_sym,
     matrix_rank,
@@ -51,6 +52,19 @@ class TestBlockSystem:
         s = scalar_system(2.0, 1.0, 1.0, 0.0, 3.0)
         with pytest.raises(ValueError):
             s.A[0, 0] = 5.0
+
+    def test_system_owns_its_blocks(self):
+        """Each block is copied: the caller's array stays writeable, and
+        editing it changes neither the system nor its diagnosis."""
+        reference, _ = max_deficient(seed=1)
+        blocks = [np.array(getattr(reference, name)) for name in "ABCDE"]
+        s = BlockSystem(*blocks)
+        for block in blocks:
+            assert block.flags.writeable
+            block[...] = 0.0
+        for name in "ABCDE":
+            np.testing.assert_array_equal(getattr(s, name), getattr(reference, name))
+        assert diagnose(s).to_dict() == diagnose(reference).to_dict()
 
 
 class TestAssemble:

@@ -1,10 +1,12 @@
-"""Decomposition budgets of one call.
+"""Decomposition budgets of one call, and of a session of calls.
 
 Every rule reads one analysis of the five blocks, so a diagnosis runs a
 bounded number of eigen and singular-value decompositions whichever exit it
-takes, and builds the condition report once.  The congruence route reads
-the same analysis, so it decomposes D once per call, and the inverse
-constructors read the decompositions it holds instead of factoring again.
+takes, and builds the condition report once.  The system holds that
+analysis, so later calls on the same system decompose no block again.  The
+congruence route reads the same analysis, so it decomposes D once per call,
+and the inverse constructors read the decompositions it holds instead of
+factoring again.
 The assembled matrix K is one more fact of that analysis: one eigh of K
 answers the oracle, the witness scale, the kernel of K and ||K^{-1}||_2.
 """
@@ -20,7 +22,7 @@ import scipy.linalg as sla
 
 import dsaddle
 import dsaddle.invertibility as invertibility
-from _families import direct_sum_singular, fixture_three_block, max_deficient, \
+from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     psd_disjoint_ranges
 from dsaddle import GeneratorSpec, assemble, dense_inverse_blocks, diagnose, gen_instance, \
     matrix_rank, oracle_invertible, verify_identities, z22_nullity_bounds
@@ -37,6 +39,8 @@ CLASSES = (
     ("necessary_N1", dict(null_a=10, rank_b=9), "necessary:N1"),
 )
 BUDGET = 13
+SESSION = ("diagnose", "three_block_inverse", "inverse_via_factorization", "verify_identities")
+SESSION_BUDGET = 18
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -185,6 +189,25 @@ def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
         counts["on_square"] = 0
         verify_identities(system)
         assert counts["on_square"] <= 1, counts
+        counts["on_square"] = 0
+        verify_identities(cold_copy(system))
+        assert counts["on_square"] <= 1, counts
+
+
+def test_session_decomposes_each_block_once(counts):
+    """diagnose, both inverses and verify on one system read the analysis the
+    system holds: A, B, D, E, K and the stacked [A; B] of N1 are each
+    decomposed once in the whole session."""
+    n, m, _ = DIMS
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
+                                               null_d=seed % 2, seed=seed))
+        system = cold_copy(system)
+        counts.update(decompositions=0, on_square=0, square=(n + m, n))
+        for name in SESSION:
+            getattr(dsaddle, name)(system)
+        assert counts["decompositions"] <= SESSION_BUDGET, counts
+        assert counts["on_square"] == 1, counts
 
 
 def _reference_systems():

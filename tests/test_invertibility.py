@@ -1,13 +1,19 @@
 """Rule-by-rule tests for the invertibility decision ladder."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import dsaddle.invertibility as invertibility
 from dsaddle import (
+    DEFAULT_TOL,
     BlockSystem,
     GeneratorSpec,
     Verdict,
     assemble,
+    condition_report,
     corollary_rules,
     diagnose,
     direct_sum_iff,
@@ -21,9 +27,12 @@ from dsaddle import (
     rank_c_iff,
     rescale_middle,
     schur_sufficient,
+    three_block_inverse,
+    verify_identities,
 )
 
 from _families import (
+    cold_copy,
     direct_sum_singular,
     fixture_three_block,
     max_deficient,
@@ -349,3 +358,48 @@ class TestDiagnose:
             definitive = {Verdict.INVERTIBLE, Verdict.SINGULAR}
             if one in definitive and other in definitive:
                 assert one == other
+
+
+class TestHeldAnalysis:
+    def test_freed_with_its_system(self):
+        """The analysis refers back weakly, so with the cyclic collector off
+        the system and its decompositions go with the last reference."""
+        sys = cold_copy(max_deficient(seed=3, null_d=1)[0])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            diagnose(sys)
+            verify_identities(sys)
+            refs = weakref.ref(sys), weakref.ref(invertibility._analysis(sys, None))
+            del sys
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_each_tolerance_has_its_own_analysis(self):
+        # ker(A) ∩ ker(B) = span(e2) under the looser rank cut only
+        blocks = (np.diag([1.0, 1e-9]), np.array([[1.0, 0.0]]), np.array([[1.0]]),
+                  np.array([[0.0]]), np.array([[1.0]]))
+        tols = (DEFAULT_TOL, DEFAULT_TOL.replace(rank_rtol=1e-8), DEFAULT_TOL)
+        held = BlockSystem(*blocks)
+        seen = [diagnose(held, tol).to_dict() for tol in tols]
+        assert seen == [diagnose(BlockSystem(*blocks), tol).to_dict() for tol in tols]
+        assert (seen[0]["rule"], seen[1]["rule"]) == ("schur_sufficient", "necessary:N1")
+
+    def test_rules_given_a_report_read_their_own_system(self):
+        invertible, _ = max_deficient(seed=2)
+        singular, _ = max_deficient(seed=2, null_e=1)
+        diag = e_iff_rule(singular, report=condition_report(invertible))
+        assert diag.verdict is Verdict.SINGULAR
+        assert witness_is_sound(singular, diag)
+
+    def test_editing_results_leaves_later_calls_unchanged(self):
+        sys = direct_sum_singular(1)[0]
+        before = diagnose(sys).to_dict()
+        diagnose(sys).report.witness("R")[:] = 0.0
+        assert diagnose(sys).to_dict() == before
+        sys = max_deficient(seed=1)[0]
+        before = three_block_inverse(sys).z33.copy()
+        three_block_inverse(sys).z33[:] = 0.0
+        np.testing.assert_array_equal(three_block_inverse(sys).z33, before)
