@@ -174,10 +174,16 @@ def lambda_max_sym(M) -> float:
     return _SymEig(M).lambda_max
 
 
+def _held_d(sys: BlockSystem, tol: ToleranceConfig | None = None) -> _SymEig:
+    """D's eigendecomposition from the analysis the system holds for tol."""
+    from .invertibility import _analysis  # that module imports this one
+    return _analysis(sys, tol).D
+
+
 def _alpha_bound(D: _SymEig) -> float:
     """2 / lambda_max(D), or inf when no eigenvalue of D is positive past D's
     rank cut: a rounding-level lambda_max does not constrain alpha."""
-    lam, _, nonzero = D._eigh
+    lam, nonzero = D._spectrum
     return 2.0 / lam[-1] if lam[-1] > 0.0 and nonzero[-1] else np.inf
 
 
@@ -202,19 +208,19 @@ def alpha_upper_bound(sys: BlockSystem) -> float:
     constrains alpha only when D has a positive eigenvalue that passes the
     rank cut.
     """
-    return _alpha_bound(_SymEig(sys.D))
+    return _alpha_bound(_held_d(sys))
 
 
 def default_alpha(sys: BlockSystem) -> float:
     """Midpoint of the admissible interval, or 1 when it is unbounded."""
-    return _checked_alpha(_SymEig(sys.D))
+    return _checked_alpha(_held_d(sys))
 
 
 def _m_inverse(D: _SymEig, alpha: float) -> np.ndarray:
     """M^{-1} = (2I - alpha D)^{-1} = Q diag(1 / (2 - alpha lambda_i)) Q^T from
     D's eigenpairs; M is singular when some |2 - alpha lambda_i| fails the
     rank cut."""
-    lam, Q, _ = D._eigh
+    lam, Q = D._eigh
     mu = 2.0 - alpha * lam
     if not _above_cut(np.abs(mu), D.matrix.shape, D.tol).all():
         raise PreconditionError("2I - alpha D is numerically singular; "
@@ -238,7 +244,7 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     partition.  alpha must lie strictly inside (0, 2/lambda_max(D)); for
     D = 0 any positive alpha is admissible.
     """
-    return _congruence(sys, _checked_alpha(_SymEig(sys.D, tol), alpha))
+    return _congruence(sys, _checked_alpha(_held_d(sys, tol), alpha))
 
 
 def _congruence(sys: BlockSystem, alpha: float):

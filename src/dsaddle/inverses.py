@@ -18,7 +18,7 @@ import numpy as np
 from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
 from .invertibility import _analysis, is_nonsingular
-from .subspaces import SubspaceBasis, _SymEig, _above_cut, _as_matrix, is_direct_sum
+from .subspaces import SubspaceBasis, _above_cut, _as_matrix, is_direct_sum
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -280,17 +280,18 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
 
 
 def _factor_blocks(an):
-    """a_tilde's one eigendecomposition (nonsingularity and inverse), b_one,
+    """a_tilde's held eigendecomposition (nonsingularity and inverse), b_one,
     and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
     alpha = 1."""
-    _require(an, "A psd", "null(A) = m", "N1")
+    _require(an, "A psd", "null(A) = m")
     _checked_alpha(an.D, 1.0)  # lambda_max(D) < 2
-    A, B, C, D = an.sys.A, an.sys.B, an.sys.C, an.sys.D
-    a_tilde = A + B.T @ (2.0 * np.eye(B.shape[0]) - D) @ B
-    a_tilde = _SymEig(0.5 * (a_tilde + a_tilde.T), an.tol)
+    # with A psd and 2I - D positive definite, ker(a_tilde) = ker(A) ∩ ker(B),
+    # so a nonsingular a_tilde is the condition N1
+    a_tilde = an.a_tilde
     if not a_tilde.nonsingular:
-        raise PreconditionError("A + B^T (2I - D) B is numerically singular; "
-                                "hypotheses do not hold")
+        raise PreconditionError("ker(A) and ker(B) must intersect only in {0}: "
+                                "A + B^T (2I - D) B is numerically singular")
+    B, C, D = an.sys.B, an.sys.C, an.sys.D
     b_one = B - D @ B
     return a_tilde, b_one, b_one @ a_tilde.inverse, C @ B @ a_tilde.inverse
 
@@ -539,7 +540,7 @@ def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
     null_e = an.E.nullity
     m = an.sys.m
 
-    inverse_norm = float(1.0 / np.abs(an.K._eigh[0]).min())
+    inverse_norm = float(1.0 / np.abs(an.K._spectrum[0]).min())
     # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
     s = np.linalg.svd(inv.z22, compute_uv=False)
     z22_norm = float(s.max(initial=0.0))

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import BlockSystem, assemble
-from .subspaces import Definiteness, _SVD, _SymEig, _shared_direction, \
+from .subspaces import Definiteness, _SVD, _SymEig, _restricted_kernel, _shared_direction, \
     intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
@@ -121,6 +121,12 @@ def _fact(compute):
     return cached_property(lambda an: compute(an.sys, an.tol))
 
 
+def _a_tilde(s):
+    """A + B^T (2I - D) B, the leading block of the alpha = 1 congruence transform."""
+    M = s.A + s.B.T @ (2.0 * np.eye(s.B.shape[0]) - s.D) @ s.B
+    return 0.5 * (M + M.T)
+
+
 class _Analysis:
     """Facts about one system under one tolerance, each computed on first use.
 
@@ -139,10 +145,24 @@ class _Analysis:
     E = _fact(lambda s, tol: _SymEig(s.E, tol))
     B = _fact(lambda s, tol: _SVD(s.B, tol))
     Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
-    n1 = _fact(lambda s, tol: intersection_kernels([s.A, s.B], tol))
-    n2 = _fact(lambda s, tol: intersection_kernels([s.B.T, s.D, s.C], tol))
-    n3 = _fact(lambda s, tol: intersection_kernels([s.C.T, s.E], tol))
-    K = _fact(lambda s, tol: _SymEig(assemble(s).matrix, tol))
+    K = _fact(lambda s, tol: _SymEig(assemble(s).matrix, tol, values_first=True))
+    a_tilde = _fact(lambda s, tol: _SymEig(_a_tilde(s), tol))
+
+    # N1..N3 restrict the other blocks to the near-kernel of the first, read
+    # from the decomposition held for it; near the rank cut the stacked SVD decides
+    def _intersection(self, pairs, norms, stacked, others):
+        shape = (sum(M.shape[0] for M in stacked), stacked[0].shape[1])
+        basis = None if pairs is None else _restricted_kernel(*pairs, others, shape,
+                                                              max(norms), self.tol)
+        return intersection_kernels(stacked, self.tol) if basis is None else basis
+
+    n1 = cached_property(lambda an: an._intersection(
+        an.A.pairs, (an.A.norm, an.B.norm), [an.sys.A, an.sys.B], [an.sys.B]))
+    n2 = cached_property(lambda an: an._intersection(
+        an.B.cokernel_pairs, (an.B.norm, an.D.norm, an.Ct.norm),
+        [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C]))
+    n3 = cached_property(lambda an: an._intersection(
+        an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T]))
 
     @cached_property
     def r_witness(self):
@@ -189,8 +209,7 @@ def _singular(an, rule, witness, report):
     """Build a singular diagnosis, insisting the witness is genuine."""
     u = _unit(witness)
     residual = np.linalg.norm(an.K.matrix @ u)
-    # ||K||_2 is the largest |eigenvalue| of the symmetric K
-    if residual > an.tol.residual_rtol * max(np.abs(an.K._eigh[0]).max(), 1e-300):
+    if residual > an.tol.residual_rtol * max(an.K.norm, 1e-300):
         raise RuntimeError(
             f"rule {rule} constructed a witness with residual {residual:.3e} "
             f"above tolerance; this indicates an input at the rank threshold"

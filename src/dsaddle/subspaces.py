@@ -118,6 +118,17 @@ class _SVD:
     def range(self) -> SubspaceBasis:
         return SubspaceBasis(self.u[:, :self.rank].copy())
 
+    @property
+    def norm(self) -> float:
+        """||M||_2, the largest singular value (0 for an empty M)."""
+        return float(self.s.max(initial=0.0))
+
+    @property
+    def cokernel_pairs(self):
+        """Singular values of M^T along the left singular vectors, zero past
+        min(shape): ||M^T u_i|| for each column u_i of ``u``."""
+        return np.pad(self.s, (0, self.u.shape[0] - self.s.size)), self.u
+
     def solve(self, w) -> np.ndarray:
         """Minimum-norm x with M x = w, for w in the numerical range of M."""
         r = self.rank
@@ -161,6 +172,50 @@ def intersection_kernels(mats, tol: ToleranceConfig | None = None) -> SubspaceBa
                 f"matrix {i} has {M.shape[1]}"
             )
     return kernel_basis(np.vstack(mats), tol)
+
+
+# A restricted kernel intersection is kept only when every value it reads lies
+# more than this factor away from the rank cut; nearer inputs take the stacked SVD.
+_RESTRICT_MARGIN = 100.0
+
+
+def _near_cut(values, cut, widen=1.0) -> bool:
+    return bool(np.any((values > cut / _RESTRICT_MARGIN)
+                       & (values < _RESTRICT_MARGIN * widen * cut)))
+
+
+def _restricted_kernel(values, vectors, others, shape, scale,
+                       tol: ToleranceConfig | None = None) -> SubspaceBasis | None:
+    """ker M1 ∩ ker M2 ∩ ... read from a held decomposition of M1, or None.
+
+    ``values`` are ||M1 q|| for the orthonormal columns q of ``vectors``
+    (|eigenvalues| with the eigenvectors of a symmetric M1).  With Q the
+    columns whose value is at or below the cut, the intersection is
+    Q ker([diag(values_Q); M2 Q; ...]), since ker M1 ∩ ker M2 = Q ker(M2 Q)
+    for an orthonormal basis Q of ker M1.  The cut is that of the stacked
+    matrix [M1; M2; ...]: its ``shape`` and ``scale``, the largest sigma_max
+    of its blocks.
+
+    Returns None when a value of M1 or a singular value of the restricted
+    matrix lies within ``_RESTRICT_MARGIN`` of the cut; the caller then takes
+    the stacked SVD.  The band above the cut widens by scale / mu, mu the
+    smallest value of M1 past the cut: a unit x with a part b outside span(Q)
+    has ||M1 x|| >= mu ||b||, while that part can cancel up to scale ||b|| of
+    the rest, so only such a margin keeps the stacked and restricted
+    dimensions equal.
+    """
+    cut = rank_threshold(scale, shape, tol)
+    if _near_cut(values, cut):
+        return None
+    small = values <= cut
+    Q = vectors[:, small]
+    if not Q.shape[1]:
+        return SubspaceBasis.trivial(vectors.shape[0])
+    restricted = np.vstack([np.diag(values[small]), *(M @ Q for M in others)])
+    _, s, vh = np.linalg.svd(restricted, full_matrices=False)
+    if _near_cut(s, cut, 1.0 + scale / values[~small].min(initial=np.inf)):
+        return None
+    return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T)
 
 
 def _shared_direction(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | None = None):
@@ -214,22 +269,36 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
 class _SymEig:
     """One eigendecomposition of a symmetric matrix, read under the rank cut.
 
-    Gives the definiteness tag, nullity, kernel, lambda_max, nonsingularity
-    and the inverse.  The decomposition is of the symmetric part, and it runs
-    only when a fact needs it: an asymmetric matrix is tagged without one.
+    Gives the definiteness tag, nullity, kernel, lambda_max, the 2-norm,
+    nonsingularity and the inverse.  The decomposition is of the symmetric
+    part, and it runs only when a fact needs it: an asymmetric matrix is
+    tagged without one.  With ``values_first`` the eigenvalues come from
+    ``eigvalsh`` until a fact needs eigenvectors; whichever decomposition runs
+    first fixes the eigenvalues, so nullity cannot change between reads.
     """
 
-    def __init__(self, M, tol: ToleranceConfig | None = None):
+    def __init__(self, M, tol: ToleranceConfig | None = None, values_first: bool = False):
         self.tol = resolve(tol)
         self.matrix = _as_matrix(M)
+        self.values_first = values_first
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"definiteness needs a square matrix, got {self.matrix.shape}")
 
+    def _sym(self):
+        M = self.matrix
+        return 0.5 * (M + M.T)
+
     @cached_property
     def _eigh(self):
-        M = self.matrix
-        lam, vecs = np.linalg.eigh(0.5 * (M + M.T))
-        return lam, vecs, _above_cut(np.abs(lam), M.shape, self.tol)
+        """Eigenvalues (ascending) and eigenvectors of one eigh."""
+        return np.linalg.eigh(self._sym())
+
+    @cached_property
+    def _spectrum(self):
+        """Eigenvalues (ascending) and the mask of those past the rank cut."""
+        lazy = self.values_first and "_eigh" not in self.__dict__
+        lam = np.linalg.eigvalsh(self._sym()) if lazy else self._eigh[0]
+        return lam, _above_cut(np.abs(lam), self.matrix.shape, self.tol)
 
     @property
     def symmetric(self) -> bool:
@@ -244,7 +313,7 @@ class _SymEig:
             return Definiteness.POSITIVE_DEFINITE
         if not self.symmetric:
             return Definiteness.NOT_SYMMETRIC
-        eigs = self._eigh[0]
+        eigs = self._spectrum[0]
         scale = float(np.max(np.abs(eigs)))
         lam_min = float(eigs[0])
         if lam_min > tol.psd_rtol * scale:
@@ -255,7 +324,7 @@ class _SymEig:
 
     @property
     def nullity(self) -> int:
-        return int((~self._eigh[2]).sum())
+        return int((~self._spectrum[1]).sum())
 
     @property
     def nonsingular(self) -> bool:
@@ -263,17 +332,27 @@ class _SymEig:
 
     @cached_property
     def kernel(self) -> SubspaceBasis:
-        _, vecs, nonzero = self._eigh
-        return SubspaceBasis(vecs[:, ~nonzero])
+        return SubspaceBasis(self._eigh[1][:, ~self._spectrum[1]])
 
     @property
     def lambda_max(self) -> float:
-        lam = self._eigh[0]
+        lam = self._spectrum[0]
         return float(lam[-1]) if lam.size else 0.0
+
+    @property
+    def norm(self) -> float:
+        """||M||_2 of the symmetric part, the largest |eigenvalue|."""
+        return float(np.abs(self._spectrum[0]).max(initial=0.0))
+
+    @property
+    def pairs(self):
+        """|eigenvalues| with their eigenvectors, ||M q|| for each column q;
+        None for an asymmetric M, whose eigenvectors do not give ||M q||."""
+        return (np.abs(self._spectrum[0]), self._eigh[1]) if self.symmetric else None
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        lam, vecs, _ = self._eigh
+        lam, vecs = self._eigh
         inv = (vecs / lam) @ vecs.T
         return 0.5 * (inv + inv.T)
 

@@ -7,8 +7,10 @@ analysis, so later calls on the same system decompose no block again.  The
 congruence route reads the same analysis, so it decomposes D once per call,
 and the inverse constructors read the decompositions it holds instead of
 factoring again.
-The assembled matrix K is one more fact of that analysis: one eigh of K
-answers the oracle, the witness scale, the kernel of K and ||K^{-1}||_2.
+The assembled matrix K is one more fact of that analysis: one decomposition
+of K (eigvalsh, or eigh where the kernel of K is needed) answers the oracle,
+the witness scale, the kernel of K and ||K^{-1}||_2.  N1-N3 restrict blocks
+to kernels the analysis holds, so no stacked SVD runs on clean inputs.
 """
 
 import os
@@ -38,7 +40,7 @@ CLASSES = (
                             require_ds2=True, force_overlap_r=True), "direct_sum_iff"),
     ("necessary_N1", dict(null_a=10, rank_b=9), "necessary:N1"),
 )
-BUDGET = 13
+BUDGET = 10
 SESSION = ("diagnose", "three_block_inverse", "inverse_via_factorization", "verify_identities")
 SESSION_BUDGET = 18
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,8 +49,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture()
 def counts(monkeypatch):
     """Count svd / eigh / eigvalsh / norm(., 2) calls, those of them on an
-    input of shape ``counts["square"]``, and condition reports."""
-    counts = {"decompositions": 0, "on_square": 0, "square": None, "condition_report": 0}
+    input of shape ``counts["square"]``, and condition reports; list the
+    decomposed shapes in ``counts["shapes"]``."""
+    counts = {"decompositions": 0, "on_square": 0, "square": None, "shapes": [],
+              "condition_report": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -58,6 +62,7 @@ def counts(monkeypatch):
 
     def decomposition(x):
         counts["decompositions"] += 1
+        counts["shapes"].append(np.shape(x))
         counts["on_square"] += np.shape(x) == counts["square"]
 
     def counting_decomposition(fn):
@@ -179,7 +184,7 @@ def test_inverse_constructors_read_held_decompositions(monkeypatch, name):
                          ids=[c[0] for c in CLASSES])
 def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
     """The oracle, a singular exit's witness check and kernel, and verify's
-    congruence residual and ||K^{-1}||_2 all read one eigh of K."""
+    congruence residual and ||K^{-1}||_2 all read one decomposition of K."""
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
         counts.update(on_square=0, square=(system.ell, system.ell))
@@ -196,18 +201,39 @@ def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
 
 def test_session_decomposes_each_block_once(counts):
     """diagnose, both inverses and verify on one system read the analysis the
-    system holds: A, B, D, E, K and the stacked [A; B] of N1 are each
-    decomposed once in the whole session."""
+    system holds: A, B, D, E, K and the restricted [Lambda_0; B V_0] of N1
+    (V_0 the null(A) = m kernel eigenvectors of A) are each decomposed once
+    in the whole session, and the stacked [A; B] never."""
     n, m, _ = DIMS
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
                                                null_d=seed % 2, seed=seed))
         system = cold_copy(system)
-        counts.update(decompositions=0, on_square=0, square=(n + m, n))
+        counts.update(decompositions=0, shapes=[])
         for name in SESSION:
             getattr(dsaddle, name)(system)
         assert counts["decompositions"] <= SESSION_BUDGET, counts
-        assert counts["on_square"] == 1, counts
+        assert counts["shapes"].count((n + m, n)) == 0, counts
+        assert counts["shapes"].count((2 * m, m)) == 1, counts
+
+
+def test_alpha_and_a_tilde_read_held_decompositions(counts):
+    """After diagnose, the alpha interval and the congruence transform read the
+    eigh of D that the system holds, and the two factorization calls share
+    one eigh of A + B^T (2I - D) B."""
+    n = DIMS[0]
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
+                                               null_d=seed % 2, seed=seed))
+        system = cold_copy(system)
+        diagnose(system)
+        counts.update(decompositions=0, shapes=[])
+        dsaddle.congruence_transform(system, dsaddle.default_alpha(system))
+        dsaddle.alpha_upper_bound(system)
+        assert counts["decompositions"] == 0, counts
+        dsaddle.factorize_transformed(system)
+        dsaddle.inverse_via_factorization(system)
+        assert counts["shapes"] == [(n, n)], counts
 
 
 def _reference_systems():

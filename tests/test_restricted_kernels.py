@@ -1,0 +1,153 @@
+"""Restricted kernel intersections against the stacked reference.
+
+The analysis reads N1, N2 and N3 from the decompositions it already holds:
+it restricts the later blocks to the near-kernel of the first one.  The
+public ``intersection_kernels`` stacks the blocks and takes one SVD; it is
+the reference, and the analysis falls back to it near the rank cut.  Patching
+the analysis back to the stacked SVD must leave every verdict, rule,
+intersection dimension and direct-sum flag unchanged, on clean systems and
+on systems with noise near the rank cut.
+"""
+
+import numpy as np
+import pytest
+
+import dsaddle.invertibility as invertibility
+from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
+    psd_disjoint_ranges
+from dsaddle import BlockSystem, GenerationError, GeneratorSpec, Verdict, assemble, diagnose, \
+    gen_instance, intersection_kernels
+from dsaddle.invertibility import _Analysis, _analysis
+from dsaddle.subspaces import rank_threshold
+
+STACKED = {
+    "n1": lambda s: [s.A, s.B],
+    "n2": lambda s: [s.B.T, s.D, s.C],
+    "n3": lambda s: [s.C.T, s.E],
+}
+
+
+def _outcome(system):
+    """What the ladder decides and the intersection facts it decides on."""
+    diagnosis = diagnose(system)
+    if diagnosis.verdict is Verdict.SINGULAR:
+        # the bases may differ, so a witness need only be a unit kernel vector
+        K = assemble(system).matrix
+        w = diagnosis.witness
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+        assert np.linalg.norm(K @ w) <= 1e-8 * np.linalg.norm(K, 2)
+    an = _analysis(system, None)
+    return (diagnosis.verdict, diagnosis.rule, an.n1.dim, an.n2.dim, an.n3.dim,
+            an.ds1, an.ds2)
+
+
+def _stacked_outcome(system):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, blocks in STACKED.items():
+            mp.setattr(_Analysis, name, property(
+                lambda an, blocks=blocks: intersection_kernels(blocks(an.sys), an.tol)))
+        return _outcome(cold_copy(system))
+
+
+def _family_systems():
+    yield fixture_three_block()
+    for seed in range(12):
+        yield max_deficient(seed)[0]
+        yield max_deficient(seed, null_e=1)[0]
+        yield max_deficient(seed, null_d=1, rank_c=1)[0]
+        yield psd_disjoint_ranges(seed)[0]
+        yield direct_sum_singular(seed)[0]
+
+
+def _random_systems(count, seed):
+    """Seeded small gen_instance specs with random nullities, ranks and flags."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n, m, p = (int(d) for d in rng.integers(1, 8, size=3, endpoint=True))
+        rank_b = int(rng.integers(0, min(m, n), endpoint=True))
+        rank_c = int(rng.integers(0, min(p, m), endpoint=True))
+        ds1, ds2 = rng.random(2) < 1 / 3
+        spec = GeneratorSpec(
+            n, m, p, rank_b=rank_b, rank_c=rank_c,
+            null_a=rank_b if ds1 else int(rng.integers(0, n, endpoint=True)),
+            null_d=int(rng.integers(0, m, endpoint=True)),
+            null_e=rank_c if ds2 else int(rng.integers(0, p, endpoint=True)),
+            require_ds1=bool(ds1), require_ds2=bool(ds2),
+            force_overlap_r=bool(rng.random() < 0.2 and rank_b and rank_c),
+            def_a=str(rng.choice(["psd", "psd", "indefinite"])),
+            def_d=str(rng.choice(["psd", "psd", "indefinite"])),
+            seed=made)
+        try:
+            yield gen_instance(spec)[0]
+        except (ValueError, GenerationError):  # an infeasible draw
+            continue
+        made += 1
+
+
+def _noisy(system, rng):
+    """A, D and E each plus symmetric noise of size 10^U(-13, -7)."""
+    def noisy(M):
+        G = rng.standard_normal(M.shape)
+        return M + 10.0 ** rng.uniform(-13, -7) * 0.5 * (G + G.T)
+    return BlockSystem(noisy(system.A), system.B, system.C, noisy(system.D), noisy(system.E))
+
+
+def _assert_same_outcomes(systems):
+    for i, system in enumerate(systems):
+        assert _outcome(cold_copy(system)) == _stacked_outcome(system), (i, system)
+
+
+def test_families_match_stacked():
+    _assert_same_outcomes(_family_systems())
+
+
+def test_random_specs_match_stacked():
+    _assert_same_outcomes(_random_systems(150, seed=0))
+
+
+def test_noisy_systems_match_stacked():
+    rng = np.random.default_rng(1)
+    _assert_same_outcomes(_noisy(s, rng) for s in _random_systems(150, seed=1))
+
+
+def _stacked_calls(monkeypatch, system):
+    """Number of stacked SVDs a cold diagnose of ``system`` runs."""
+    calls = []
+
+    def counting(mats, tol=None):
+        calls.append(len(mats))
+        return intersection_kernels(mats, tol)
+
+    monkeypatch.setattr(invertibility, "intersection_kernels", counting)
+    diagnose(cold_copy(system))
+    return len(calls)
+
+
+def test_clean_system_takes_no_stacked_svd(monkeypatch):
+    assert _stacked_calls(monkeypatch, max_deficient(1)[0]) == 0
+
+
+def test_eigenvalue_near_cut_takes_stacked_svd(monkeypatch):
+    """An eigenvalue of A at 10x the N1 cut is too near it to restrict."""
+    B = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    cut = rank_threshold(1.0, (6, 4))  # ||A|| = ||B|| = 1, [A; B] is 6 x 4
+    A = np.diag([1.0, 1.0, 10.0 * cut, 0.0])
+    system = BlockSystem(A, B, np.array([[1.0, 1.0]]), None, np.array([[1.0]]))
+    assert _stacked_calls(monkeypatch, system) == 1
+    assert _outcome(cold_copy(system)) == _stacked_outcome(system)
+
+
+def test_large_b_against_small_eigenvalue_takes_stacked_svd(monkeypatch):
+    """Far from the cut, an eigenvalue of A can still hide a kernel vector.
+
+    A = diag(0, 1e-2) and B = [1, -1e4]: x = (1, 1e-4) has ||A x|| = 1e-6
+    and B x = 0, below the stacked cut of about 3e-6, so N1 fails.  The
+    restricted matrix [0; B e1] alone has singular value 1 and would hold;
+    the margin widened by ||B|| / 1e-2 sends the input to the stacked SVD.
+    """
+    system = BlockSystem(np.diag([0.0, 1e-2]), np.array([[1.0, -1e4]]),
+                         np.array([[1.0]]), None, np.array([[1.0]]))
+    assert _stacked_calls(monkeypatch, system) >= 1
+    assert diagnose(cold_copy(system)).rule == "necessary:N1"
+    assert _outcome(cold_copy(system)) == _stacked_outcome(system)

@@ -18,6 +18,7 @@ from dsaddle import (
     range_basis,
     range_intersection_trivial,
 )
+from dsaddle.subspaces import _SymEig
 
 
 def random_rank_matrix(rng, rows, cols, rank):
@@ -218,3 +219,25 @@ def test_direct_sum_is_symmetric(seed, dim, data):
     U = range_basis(rng.standard_normal((dim, k1))) if k1 else SubspaceBasis.trivial(dim)
     W = range_basis(rng.standard_normal((dim, k2))) if k2 else SubspaceBasis.trivial(dim)
     assert is_direct_sum(U, W) == is_direct_sum(W, U)
+
+
+@pytest.mark.parametrize("values_first, calls", [(True, ["eigvalsh", "eigh"]),
+                                                 (False, ["eigh"])])
+def test_first_decomposition_fixes_eigenvalues(monkeypatch, values_first, calls):
+    """values_first reads nullity and the 2-norm from eigvalsh and runs eigh
+    only for the kernel; the eigenvalues the nullity was read from stay."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = np.random.default_rng(0)
+    M = random_rank_matrix(rng, 6, 4, 4)
+    sym = _SymEig(M @ M.T, values_first=values_first)
+    spectrum = sym._spectrum
+    nullity_first, norm = sym.nullity, sym.norm
+    assert nullity_first == 2 and norm == pytest.approx(np.linalg.norm(M, 2) ** 2)
+    assert sym.kernel.dim == nullity_first
+    assert sym._spectrum is spectrum and sym.nullity == nullity_first
+    assert seen == calls
