@@ -153,7 +153,7 @@ def _diagnosis_text(result) -> list:
 
 def _cmd_diagnose(config: RunConfig) -> int:
     tol = _tolerances(config)
-    system = load_block_system(config.input_dir, tol)
+    system = load_block_system(config.input_dir)
     result = diagnose(system, tol)
     payload = {"schema": "dsaddle.diagnosis/1"}
     payload.update(result.to_dict())
@@ -165,7 +165,7 @@ def _cmd_diagnose(config: RunConfig) -> int:
 
 def _cmd_invert(config: RunConfig) -> int:
     tol = _tolerances(config)
-    system = load_block_system(config.input_dir, tol)
+    system = load_block_system(config.input_dir)
     # inverse_via_factorization is no fallback: null(A) = m and N1 force
     # rank(B) = m and so DS1, so its hypotheses imply the three-block ones.
     try:
@@ -221,7 +221,7 @@ def _cmd_generate(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     tol = _tolerances(config)
-    system = load_block_system(config.input_dir, tol)
+    system = load_block_system(config.input_dir)
     entries = verify_identities(system, tol, alpha=config.alpha)
     failed = [e for e in entries if e["status"] == "failed"]
     computed = [e for e in entries if e["status"] != "skipped"]

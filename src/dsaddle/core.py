@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import PreconditionError
 from .subspaces import _SymEig, _above_cut, _as_matrix
-from .tolerances import ToleranceConfig, resolve
+from .tolerances import ToleranceConfig
 
 
-def _check_symmetric(M, name, tol: ToleranceConfig):
-    if not _SymEig(M, tol).symmetric:
+def _check_symmetric(M, name):
+    if not _SymEig(M).symmetric:
         raise ValueError(f"block {name} is not symmetric within tolerance")
 
 
@@ -38,8 +38,7 @@ class BlockSystem:
 
     __slots__ = ("A", "B", "C", "D", "E", "_analyses", "__weakref__")
 
-    def __init__(self, A, B, C, D=None, E=None, tol: ToleranceConfig | None = None):
-        tol = resolve(tol)
+    def __init__(self, A, B, C, D=None, E=None):
         A = _as_matrix(A, "A")
         B = _as_matrix(B, "B")
         C = _as_matrix(C, "C")
@@ -60,9 +59,9 @@ class BlockSystem:
             raise ValueError(f"D must be {m} x {m}, got {D.shape}")
         if E.shape != (p, p):
             raise ValueError(f"E must be {p} x {p}, got {E.shape}")
-        _check_symmetric(A, "A", tol)
-        _check_symmetric(D, "D", tol)
-        _check_symmetric(E, "E", tol)
+        _check_symmetric(A, "A")
+        _check_symmetric(D, "D")
+        _check_symmetric(E, "E")
         for name, block in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
             block = np.array(block, order="C")
             block.setflags(write=False)
@@ -156,7 +155,7 @@ def block_reversal_permutation(n: int, m: int, p: int) -> np.ndarray:
     return Q
 
 
-def permute_similar(sys: BlockSystem, tol: ToleranceConfig | None = None) -> BlockSystem:
+def permute_similar(sys: BlockSystem) -> BlockSystem:
     """System whose assembly is the block reversal of the original.
 
     Swaps (A, B, C, E) -> (E, C^T, B^T, A) and keeps D in the middle, so
@@ -166,7 +165,7 @@ def permute_similar(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Blo
     with Q from :func:`block_reversal_permutation`.  Applying the operation
     twice returns the original system.
     """
-    return BlockSystem(sys.E, sys.C.T, sys.B.T, sys.D, sys.A, tol=tol)
+    return BlockSystem(sys.E, sys.C.T, sys.B.T, sys.D, sys.A)
 
 
 def lambda_max_sym(M) -> float:
@@ -261,8 +260,7 @@ def _congruence(sys: BlockSystem, alpha: float):
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
 
 
-def rescale_middle(sys: BlockSystem, beta: float,
-                   tol: ToleranceConfig | None = None) -> BlockSystem:
+def rescale_middle(sys: BlockSystem, beta: float) -> BlockSystem:
     """Diagonal congruence diag(I, beta I, I) K diag(I, beta I, I).
 
     Returns the system with blocks (A, beta B, beta C, beta^2 D, E).
@@ -272,5 +270,4 @@ def rescale_middle(sys: BlockSystem, beta: float,
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    return BlockSystem(sys.A, beta * sys.B, beta * sys.C,
-                       beta * beta * sys.D, sys.E, tol=tol)
+    return BlockSystem(sys.A, beta * sys.B, beta * sys.C, beta * beta * sys.D, sys.E)

@@ -293,8 +293,7 @@ def _build(spec: GeneratorSpec, rng) -> BlockSystem:
     return BlockSystem(A, B, C, D, E)
 
 
-def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES):
+def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None):
     """Generate a block system meeting every target in the spec.
 
     Returns ``(system, certificate)``.  Identical spec and seed give
@@ -306,7 +305,7 @@ def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None,
     tol = resolve(tol)
     spec = spec.validate()
     last_problems = []
-    for attempt in range(max_retries):
+    for attempt in range(DEFAULT_MAX_RETRIES):
         rng = np.random.default_rng([spec.seed, attempt])
         sys = _build(spec, rng)
         cert = _measure(sys, tol, spec.seed, attempt)
@@ -314,6 +313,6 @@ def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None,
         if not last_problems:
             return sys, cert
     raise GenerationError(
-        f"generator missed targets {last_problems} after {max_retries} attempts "
+        f"generator missed targets {last_problems} after {DEFAULT_MAX_RETRIES} attempts "
         f"for spec {spec.to_dict()!r}"
     )

@@ -35,7 +35,7 @@ _HYPOTHESES = {
     "DS1": lambda an: (an.ds1,
                        "ker(A) and ker(B) must form a direct sum of the whole space"),
     "E nonsingular": lambda an: (an.E.nonsingular, "E must be nonsingular"),
-    "K invertible": lambda an: (an.K.nonsingular,
+    "K invertible": lambda an: (an.k_nonsingular,
                                 "nullity bounds apply to invertible systems only"),
 }
 
@@ -528,7 +528,7 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     nullity of Z22 follows the global rank policy measured against its own
     largest singular value, except that a block vanishing relative to the
     whole inverse (``inverse_norm`` = ||K^{-1}||_2 = 1 / min |lambda(K)|, from
-    the eigendecomposition of K) counts as nullity m.
+    the eigenvalues of K) counts as nullity m.
     """
     return _z22_bounds(_analysis(sys, tol), inv)
 
@@ -540,7 +540,7 @@ def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
     null_e = an.E.nullity
     m = an.sys.m
 
-    inverse_norm = float(1.0 / np.abs(an.K._spectrum[0]).min())
+    inverse_norm = float(1.0 / an.k_moduli.min())
     # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
     s = np.linalg.svd(inv.z22, compute_uv=False)
     z22_norm = float(s.max(initial=0.0))
@@ -605,7 +605,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
 
     def congruence():
         Kt, W = _congruence(sys, alpha)
-        return float(np.linalg.norm(W.matrix.T @ an.K.matrix @ W.matrix - Kt.matrix)
+        return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix)
                      / max(np.linalg.norm(Kt.matrix), 1e-300))
 
     # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form

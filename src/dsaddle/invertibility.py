@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import BlockSystem, assemble
-from .subspaces import Definiteness, _SVD, _SymEig, _restricted_kernel, _shared_direction, \
-    intersection_kernels, matrix_rank
+from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _restricted_kernel, \
+    _shared_direction, intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -145,7 +145,10 @@ class _Analysis:
     E = _fact(lambda s, tol: _SymEig(s.E, tol))
     B = _fact(lambda s, tol: _SVD(s.B, tol))
     Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
-    K = _fact(lambda s, tol: _SymEig(assemble(s).matrix, tol, values_first=True))
+    K = _fact(lambda s, tol: assemble(s).matrix)
+    # |eigenvalues| of K from one eigvalsh: the oracle, ||K||_2 and ||K^{-1}||_2
+    k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
+    k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
     a_tilde = _fact(lambda s, tol: _SymEig(_a_tilde(s), tol))
 
     # N1..N3 restrict the other blocks to the near-kernel of the first, read
@@ -208,8 +211,8 @@ def _facts(sys, tol, report):
 def _singular(an, rule, witness, report):
     """Build a singular diagnosis, insisting the witness is genuine."""
     u = _unit(witness)
-    residual = np.linalg.norm(an.K.matrix @ u)
-    if residual > an.tol.residual_rtol * max(an.K.norm, 1e-300):
+    residual = np.linalg.norm(an.K @ u)
+    if residual > an.tol.residual_rtol * max(an.k_moduli.max(), 1e-300):
         raise RuntimeError(
             f"rule {rule} constructed a witness with residual {residual:.3e} "
             f"above tolerance; this indicates an input at the rank threshold"
@@ -463,9 +466,10 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Hypotheses: A and D positive semidefinite, N1, N2, N3, null(A) = m and
     lambda_max(D) < 2.  The system is then invertible exactly when E is
-    nonsingular.  Singular verdicts take their witness from the kernel of
-    the assembled matrix.  When lambda_max(D) >= 2, rescale the system first
-    (see :func:`dsaddle.core.rescale_middle`).
+    nonsingular.  A singular verdict's witness is [x; 0; z] with z in ker(E),
+    Q the null(A) = m kernel basis of A and x = Q c for the c solving
+    B Q c = -C^T z; B Q is nonsingular by N1.  When lambda_max(D) >= 2,
+    rescale the system first (see :func:`dsaddle.core.rescale_middle`).
     """
     report, an = _facts(sys, tol, report)
     hypotheses = (report.definiteness["A"].is_psd and report.definiteness["D"].is_psd
@@ -475,16 +479,15 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
         return _undetermined(report)
     if an.E.nonsingular:
         return _invertible("e_iff", report)
-    kernel = an.K.kernel
-    if kernel.is_trivial:
-        raise RuntimeError("E is numerically singular but the assembled matrix "
-                           "has no kernel at this tolerance")
-    return _singular(an, "e_iff", kernel.basis[:, 0], report)
+    z = an.E.kernel.basis[:, 0]
+    Q = an.A.kernel.basis
+    x = Q @ np.linalg.solve(sys.B @ Q, -sys.C.T @ z)
+    return _singular(an, "e_iff", _embed(sys, x=x, z=z), report)
 
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
-    """Ground truth from one eigendecomposition of the assembled matrix."""
-    return _analysis(sys, tol).K.nonsingular
+    """Ground truth from the eigenvalues of the assembled matrix."""
+    return _analysis(sys, tol).k_nonsingular
 
 
 _RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
@@ -514,5 +517,5 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
         else:
             result = _undetermined(report)
     if with_oracle:
-        result = replace(result, oracle_check=an.K.nonsingular)
+        result = replace(result, oracle_check=an.k_nonsingular)
     return result

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import BlockSystem
 from .inverses import InverseBlocks
-from .tolerances import ToleranceConfig
 
 BLOCK_FILES = ("A.mtx", "B.mtx", "C.mtx", "D.mtx", "E.mtx")
 INVERSE_FILES = ("Z11.mtx", "Z12.mtx", "Z13.mtx", "Z22.mtx", "Z23.mtx", "Z33.mtx")
@@ -98,7 +97,7 @@ def write_matrix(path, M) -> None:
                           f"{M.shape[0]} {M.shape[1]}\n{values}\n", encoding="utf-8")
 
 
-def load_block_system(directory, tol: ToleranceConfig | None = None) -> BlockSystem:
+def load_block_system(directory) -> BlockSystem:
     """Read a block system from a directory of .mtx files.
 
     A.mtx, B.mtx and C.mtx are required; D.mtx and E.mtx default to zero
@@ -115,8 +114,7 @@ def load_block_system(directory, tol: ToleranceConfig | None = None) -> BlockSys
     for name in ("D", "E"):
         path = directory / f"{name}.mtx"
         blocks[name] = read_matrix(path) if path.is_file() else None
-    return BlockSystem(blocks["A"], blocks["B"], blocks["C"],
-                       blocks["D"], blocks["E"], tol=tol)
+    return BlockSystem(blocks["A"], blocks["B"], blocks["C"], blocks["D"], blocks["E"])
 
 
 def save_block_system(directory, sys: BlockSystem) -> None:

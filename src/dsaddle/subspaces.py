@@ -191,10 +191,12 @@ def _restricted_kernel(values, vectors, others, shape, scale,
     ``values`` are ||M1 q|| for the orthonormal columns q of ``vectors``
     (|eigenvalues| with the eigenvectors of a symmetric M1).  With Q the
     columns whose value is at or below the cut, the intersection is
-    Q ker([diag(values_Q); M2 Q; ...]), since ker M1 ∩ ker M2 = Q ker(M2 Q)
-    for an orthonormal basis Q of ker M1.  The cut is that of the stacked
-    matrix [M1; M2; ...]: its ``shape`` and ``scale``, the largest sigma_max
-    of its blocks.
+    Q ker([M2 Q; ...]), since ker M1 ∩ ker M2 = Q ker(M2 Q) for an
+    orthonormal basis Q of ker M1.  A kept answer has every value of Q at or
+    below cut / ``_RESTRICT_MARGIN``, so leaving diag(values_Q) out of the
+    restricted matrix moves none of its singular values by more than that.
+    The cut is that of the stacked matrix [M1; M2; ...]: its ``shape`` and
+    ``scale``, the largest sigma_max of its blocks.
 
     Returns None when a value of M1 or a singular value of the restricted
     matrix lies within ``_RESTRICT_MARGIN`` of the cut; the caller then takes
@@ -211,8 +213,9 @@ def _restricted_kernel(values, vectors, others, shape, scale,
     Q = vectors[:, small]
     if not Q.shape[1]:
         return SubspaceBasis.trivial(vectors.shape[0])
-    restricted = np.vstack([np.diag(values[small]), *(M @ Q for M in others)])
-    _, s, vh = np.linalg.svd(restricted, full_matrices=False)
+    # the full vh keeps the kernel directions that a restricted matrix with
+    # fewer rows than columns has beyond its singular values
+    _, s, vh = np.linalg.svd(np.vstack([M @ Q for M in others]), full_matrices=True)
     if _near_cut(s, cut, 1.0 + scale / values[~small].min(initial=np.inf)):
         return None
     return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T)
@@ -266,21 +269,23 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
     return matrix_rank(np.hstack([U.basis, W.basis]), tol) == d
 
 
+# Relative Frobenius slack of the symmetry test, ||M - M^T|| <= _SYM_RTOL ||M||,
+# which validates input blocks; no decision reads it otherwise.
+_SYM_RTOL = 1e-10
+
+
 class _SymEig:
     """One eigendecomposition of a symmetric matrix, read under the rank cut.
 
     Gives the definiteness tag, nullity, kernel, lambda_max, the 2-norm,
     nonsingularity and the inverse.  The decomposition is of the symmetric
     part, and it runs only when a fact needs it: an asymmetric matrix is
-    tagged without one.  With ``values_first`` the eigenvalues come from
-    ``eigvalsh`` until a fact needs eigenvectors; whichever decomposition runs
-    first fixes the eigenvalues, so nullity cannot change between reads.
+    tagged without one.
     """
 
-    def __init__(self, M, tol: ToleranceConfig | None = None, values_first: bool = False):
+    def __init__(self, M, tol: ToleranceConfig | None = None):
         self.tol = resolve(tol)
         self.matrix = _as_matrix(M)
-        self.values_first = values_first
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"definiteness needs a square matrix, got {self.matrix.shape}")
 
@@ -296,31 +301,28 @@ class _SymEig:
     @cached_property
     def _spectrum(self):
         """Eigenvalues (ascending) and the mask of those past the rank cut."""
-        lazy = self.values_first and "_eigh" not in self.__dict__
-        lam = np.linalg.eigvalsh(self._sym()) if lazy else self._eigh[0]
+        lam = self._eigh[0]
         return lam, _above_cut(np.abs(lam), self.matrix.shape, self.tol)
 
     @property
     def symmetric(self) -> bool:
         M = self.matrix
-        return np.linalg.norm(M - M.T, "fro") <= self.tol.sym_rtol * np.linalg.norm(M, "fro")
+        return np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * np.linalg.norm(M, "fro")
 
     @cached_property
     def definiteness(self) -> Definiteness:
-        """Strongest true tag among PD, PSD, indefinite, not-symmetric."""
-        M, tol = self.matrix, self.tol
-        if M.shape[0] == 0:
+        """Strongest true tag among PD, PSD, indefinite, not-symmetric.  An
+        eigenvalue is zero when its modulus fails the rank cut, as for nullity."""
+        if self.matrix.shape[0] == 0:
             return Definiteness.POSITIVE_DEFINITE
         if not self.symmetric:
             return Definiteness.NOT_SYMMETRIC
-        eigs = self._spectrum[0]
-        scale = float(np.max(np.abs(eigs)))
-        lam_min = float(eigs[0])
-        if lam_min > tol.psd_rtol * scale:
+        lam, nonzero = self._spectrum
+        if (lam[nonzero] < 0.0).any():
+            return Definiteness.INDEFINITE
+        if nonzero.all():
             return Definiteness.POSITIVE_DEFINITE
-        if lam_min >= -tol.psd_rtol * scale:
-            return Definiteness.POSITIVE_SEMIDEFINITE
-        return Definiteness.INDEFINITE
+        return Definiteness.POSITIVE_SEMIDEFINITE
 
     @property
     def nullity(self) -> int:

@@ -1,10 +1,11 @@
-"""One tolerance policy for every rank, symmetry, definiteness and residual
-decision in the package.
+"""One tolerance policy for every rank, definiteness and residual decision in
+the package.
 
 All thresholds are relative.  Rank decisions compare singular values against
 ``rank_rtol * max(shape) * sigma_max``; the dimension factor makes the policy
 stable across block sizes so that composed checks (stacked kernels, assembled
-matrices) cannot disagree with their ingredients.
+matrices) cannot disagree with their ingredients.  Definiteness reads the
+same cut: an eigenvalue counts as zero exactly when its modulus fails it.
 """
 
 import dataclasses
@@ -16,19 +17,15 @@ class ToleranceConfig:
     """Relative tolerances, each in the open interval (0, 1).
 
     rank_rtol      singular values below rank_rtol * max(shape) * sigma_max
-                   count as zero
-    sym_rtol       symmetry test ||M - M^T|| <= sym_rtol * ||M||
-    psd_rtol       eigenvalue slack for definiteness classification
+                   count as zero (eigenvalues of a symmetric block likewise)
     residual_rtol  acceptance threshold for identity and witness residuals
     """
 
     rank_rtol: float = 1e-10
-    sym_rtol: float = 1e-10
-    psd_rtol: float = 1e-10
     residual_rtol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rtol", "sym_rtol", "psd_rtol", "residual_rtol"):
+        for name in ("rank_rtol", "residual_rtol"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")

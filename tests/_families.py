@@ -7,7 +7,7 @@ reproduce exactly.
 
 import numpy as np
 
-from dsaddle import BlockSystem, GeneratorSpec, gen_instance
+from dsaddle import BlockSystem, GenerationError, GeneratorSpec, gen_instance
 
 # dims cycled through by the families; kept small so the suite stays fast
 DIM_CYCLE = (
@@ -75,3 +75,38 @@ def direct_sum_singular(seed):
                          require_ds1=True, require_ds2=True,
                          force_overlap_r=True, seed=seed)
     return gen_instance(spec)
+
+
+def random_systems(count, seed):
+    """Seeded small gen_instance specs with random nullities, ranks and flags."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n, m, p = (int(d) for d in rng.integers(1, 8, size=3, endpoint=True))
+        rank_b = int(rng.integers(0, min(m, n), endpoint=True))
+        rank_c = int(rng.integers(0, min(p, m), endpoint=True))
+        ds1, ds2 = rng.random(2) < 1 / 3
+        spec = GeneratorSpec(
+            n, m, p, rank_b=rank_b, rank_c=rank_c,
+            null_a=rank_b if ds1 else int(rng.integers(0, n, endpoint=True)),
+            null_d=int(rng.integers(0, m, endpoint=True)),
+            null_e=rank_c if ds2 else int(rng.integers(0, p, endpoint=True)),
+            require_ds1=bool(ds1), require_ds2=bool(ds2),
+            force_overlap_r=bool(rng.random() < 0.2 and rank_b and rank_c),
+            def_a=str(rng.choice(["psd", "psd", "indefinite"])),
+            def_d=str(rng.choice(["psd", "psd", "indefinite"])),
+            seed=made)
+        try:
+            yield gen_instance(spec)[0]
+        except (ValueError, GenerationError):  # an infeasible draw
+            continue
+        made += 1
+
+
+def noisy(system, rng):
+    """A, D and E each plus symmetric noise of size 10^U(-13, -7)."""
+    def perturbed(M):
+        G = rng.standard_normal(M.shape)
+        return M + 10.0 ** rng.uniform(-13, -7) * 0.5 * (G + G.T)
+    return BlockSystem(perturbed(system.A), system.B, system.C, perturbed(system.D),
+                       perturbed(system.E))

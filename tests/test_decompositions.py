@@ -7,10 +7,10 @@ analysis, so later calls on the same system decompose no block again.  The
 congruence route reads the same analysis, so it decomposes D once per call,
 and the inverse constructors read the decompositions it holds instead of
 factoring again.
-The assembled matrix K is one more fact of that analysis: one decomposition
-of K (eigvalsh, or eigh where the kernel of K is needed) answers the oracle,
-the witness scale, the kernel of K and ||K^{-1}||_2.  N1-N3 restrict blocks
-to kernels the analysis holds, so no stacked SVD runs on clean inputs.
+The assembled matrix K is one more fact of that analysis: one eigvalsh of K
+answers the oracle, the witness scale and ||K^{-1}||_2, and no eigenvectors
+of K are ever needed.  N1-N3 restrict blocks to kernels the analysis holds,
+so no stacked SVD runs on clean inputs.
 """
 
 import os
@@ -50,9 +50,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def counts(monkeypatch):
     """Count svd / eigh / eigvalsh / norm(., 2) calls, those of them on an
     input of shape ``counts["square"]``, and condition reports; list the
-    decomposed shapes in ``counts["shapes"]``."""
+    decomposed shapes in ``counts["shapes"]``, and those decomposed by the
+    restricted kernel intersection in ``counts["restricted"]``."""
     counts = {"decompositions": 0, "on_square": 0, "square": None, "shapes": [],
-              "condition_report": 0}
+              "restricted": [], "condition_report": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -64,6 +65,8 @@ def counts(monkeypatch):
         counts["decompositions"] += 1
         counts["shapes"].append(np.shape(x))
         counts["on_square"] += np.shape(x) == counts["square"]
+        if sys._getframe(2).f_code.co_name == "_restricted_kernel":  # past the wrapper
+            counts["restricted"].append(np.shape(x))
 
     def counting_decomposition(fn):
         def wrapper(x, *args, **kwargs):
@@ -199,22 +202,43 @@ def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
         assert counts["on_square"] <= 1, counts
 
 
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_diagnose_takes_no_eigenvectors_of_k(monkeypatch, targets, rule):
+    """Every exit, the singular e_iff one included, reads K through its
+    eigenvalues alone: no eigh runs on an ell x ell input."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        shapes.clear()
+        assert diagnose(system, with_oracle=True).rule == rule
+        assert (system.ell, system.ell) not in shapes, shapes
+
+
 def test_session_decomposes_each_block_once(counts):
     """diagnose, both inverses and verify on one system read the analysis the
-    system holds: A, B, D, E, K and the restricted [Lambda_0; B V_0] of N1
-    (V_0 the null(A) = m kernel eigenvectors of A) are each decomposed once
-    in the whole session, and the stacked [A; B] never."""
+    system holds: A, B, D, E, K and the restricted B V_0 of N1 (V_0 the
+    null(A) = m kernel eigenvectors of A) are each decomposed once in the
+    whole session, B V_0 is the only restricted matrix decomposed, and the
+    stacked [A; B] never is."""
     n, m, _ = DIMS
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
                                                null_d=seed % 2, seed=seed))
         system = cold_copy(system)
-        counts.update(decompositions=0, shapes=[])
+        counts.update(decompositions=0, shapes=[], restricted=[])
         for name in SESSION:
             getattr(dsaddle, name)(system)
         assert counts["decompositions"] <= SESSION_BUDGET, counts
         assert counts["shapes"].count((n + m, n)) == 0, counts
-        assert counts["shapes"].count((2 * m, m)) == 1, counts
+        assert counts["restricted"] == [(m, m)], counts
 
 
 def test_alpha_and_a_tilde_read_held_decompositions(counts):

@@ -10,6 +10,7 @@ import dsaddle.invertibility as invertibility
 from dsaddle import (
     DEFAULT_TOL,
     BlockSystem,
+    Definiteness,
     GeneratorSpec,
     Verdict,
     assemble,
@@ -36,8 +37,11 @@ from _families import (
     direct_sum_singular,
     fixture_three_block,
     max_deficient,
+    noisy,
     psd_disjoint_ranges,
+    random_systems,
 )
+from dsaddle.subspaces import nullity, rank_threshold
 
 
 def scalar_system(a, b, c, d, e):
@@ -129,6 +133,18 @@ class TestPsdLadder:
     def test_indefinite_d_is_undetermined(self):
         sys = scalar_system(1.0, 1.0, 1.0, -1.0, 1.0)
         assert psd_ladder(sys).verdict is Verdict.UNDETERMINED
+
+    def test_a_with_kernel_below_the_cut_is_not_definite(self):
+        """An eigenvalue of A that fails the N1 cut is zero for the tags too:
+        A is semidefinite, N1 fails and case 1 does not fire."""
+        sys = BlockSystem(np.diag([1.0, 1.5e-10]), np.array([[1.0, 0.0]]),
+                          np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+        report = condition_report(sys)
+        assert report.definiteness["A"] is Definiteness.POSITIVE_SEMIDEFINITE
+        assert not report.holds("N1")
+        assert psd_ladder(sys).verdict is not Verdict.INVERTIBLE
+        assert diagnose(sys).rule == "necessary:N1"
+        assert not oracle_invertible(sys)
 
 
 class TestCorollaries:
@@ -300,6 +316,23 @@ class TestEIffRule:
             diag = e_iff_rule(sys)
             assert diag.verdict is Verdict.SINGULAR
             assert witness_is_sound(sys, diag)
+
+
+def test_tags_read_the_rank_cut_on_noisy_systems():
+    """With noise near the rank cut on A, D and E, a positive definite tag
+    still means nullity 0 and an indefinite tag a negative eigenvalue that
+    passes the cut, as decided from each block independently."""
+    rng = np.random.default_rng(2)
+    for system in (noisy(s, rng) for s in random_systems(200, seed=2)):
+        tags = condition_report(system).definiteness
+        for name in "ADE":
+            M = getattr(system, name)
+            lam = np.linalg.eigvalsh(M)
+            cut = rank_threshold(np.abs(lam).max(), M.shape)
+            if tags[name] is Definiteness.POSITIVE_DEFINITE:
+                assert nullity(M) == 0, (name, lam)
+            elif tags[name] is Definiteness.INDEFINITE:
+                assert (lam < -cut).any(), (name, lam)
 
 
 class TestOracle:

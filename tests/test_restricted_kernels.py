@@ -14,9 +14,8 @@ import pytest
 
 import dsaddle.invertibility as invertibility
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
-    psd_disjoint_ranges
-from dsaddle import BlockSystem, GenerationError, GeneratorSpec, Verdict, assemble, diagnose, \
-    gen_instance, intersection_kernels
+    noisy, psd_disjoint_ranges, random_systems
+from dsaddle import BlockSystem, Verdict, assemble, diagnose, intersection_kernels
 from dsaddle.invertibility import _Analysis, _analysis
 from dsaddle.subspaces import rank_threshold
 
@@ -59,40 +58,6 @@ def _family_systems():
         yield direct_sum_singular(seed)[0]
 
 
-def _random_systems(count, seed):
-    """Seeded small gen_instance specs with random nullities, ranks and flags."""
-    rng = np.random.default_rng(seed)
-    made = 0
-    while made < count:
-        n, m, p = (int(d) for d in rng.integers(1, 8, size=3, endpoint=True))
-        rank_b = int(rng.integers(0, min(m, n), endpoint=True))
-        rank_c = int(rng.integers(0, min(p, m), endpoint=True))
-        ds1, ds2 = rng.random(2) < 1 / 3
-        spec = GeneratorSpec(
-            n, m, p, rank_b=rank_b, rank_c=rank_c,
-            null_a=rank_b if ds1 else int(rng.integers(0, n, endpoint=True)),
-            null_d=int(rng.integers(0, m, endpoint=True)),
-            null_e=rank_c if ds2 else int(rng.integers(0, p, endpoint=True)),
-            require_ds1=bool(ds1), require_ds2=bool(ds2),
-            force_overlap_r=bool(rng.random() < 0.2 and rank_b and rank_c),
-            def_a=str(rng.choice(["psd", "psd", "indefinite"])),
-            def_d=str(rng.choice(["psd", "psd", "indefinite"])),
-            seed=made)
-        try:
-            yield gen_instance(spec)[0]
-        except (ValueError, GenerationError):  # an infeasible draw
-            continue
-        made += 1
-
-
-def _noisy(system, rng):
-    """A, D and E each plus symmetric noise of size 10^U(-13, -7)."""
-    def noisy(M):
-        G = rng.standard_normal(M.shape)
-        return M + 10.0 ** rng.uniform(-13, -7) * 0.5 * (G + G.T)
-    return BlockSystem(noisy(system.A), system.B, system.C, noisy(system.D), noisy(system.E))
-
-
 def _assert_same_outcomes(systems):
     for i, system in enumerate(systems):
         assert _outcome(cold_copy(system)) == _stacked_outcome(system), (i, system)
@@ -103,12 +68,12 @@ def test_families_match_stacked():
 
 
 def test_random_specs_match_stacked():
-    _assert_same_outcomes(_random_systems(150, seed=0))
+    _assert_same_outcomes(random_systems(150, seed=0))
 
 
 def test_noisy_systems_match_stacked():
     rng = np.random.default_rng(1)
-    _assert_same_outcomes(_noisy(s, rng) for s in _random_systems(150, seed=1))
+    _assert_same_outcomes(noisy(s, rng) for s in random_systems(150, seed=1))
 
 
 def _stacked_calls(monkeypatch, system):

@@ -129,6 +129,14 @@ class TestDefiniteness:
     def test_zero_matrix_is_psd(self):
         assert classify_definiteness(np.zeros((2, 2))) is Definiteness.POSITIVE_SEMIDEFINITE
 
+    @pytest.mark.parametrize("small", [1.5e-10, -1.5e-10])
+    def test_eigenvalue_below_rank_cut_is_zero(self, small):
+        # the rank cut of a 2 x 2 matrix with norm 1 is 2e-10: small is a zero
+        # eigenvalue for the definiteness tag exactly as for the nullity
+        M = np.diag([1.0, small])
+        assert nullity(M) == 1
+        assert classify_definiteness(M) is Definiteness.POSITIVE_SEMIDEFINITE
+
     def test_asymmetric(self):
         assert classify_definiteness(np.array([[1.0, 2.0], [0.0, 1.0]])) \
             is Definiteness.NOT_SYMMETRIC
@@ -221,11 +229,9 @@ def test_direct_sum_is_symmetric(seed, dim, data):
     assert is_direct_sum(U, W) == is_direct_sum(W, U)
 
 
-@pytest.mark.parametrize("values_first, calls", [(True, ["eigvalsh", "eigh"]),
-                                                 (False, ["eigh"])])
-def test_first_decomposition_fixes_eigenvalues(monkeypatch, values_first, calls):
-    """values_first reads nullity and the 2-norm from eigvalsh and runs eigh
-    only for the kernel; the eigenvalues the nullity was read from stay."""
+def test_first_decomposition_fixes_eigenvalues(monkeypatch):
+    """Nullity, the 2-norm and the kernel all read the one eigh; the
+    eigenvalues the nullity was read from stay."""
     seen = []
     for name in ("eigh", "eigvalsh"):
         def counting(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -234,10 +240,10 @@ def test_first_decomposition_fixes_eigenvalues(monkeypatch, values_first, calls)
         monkeypatch.setattr(np.linalg, name, counting)
     rng = np.random.default_rng(0)
     M = random_rank_matrix(rng, 6, 4, 4)
-    sym = _SymEig(M @ M.T, values_first=values_first)
+    sym = _SymEig(M @ M.T)
     spectrum = sym._spectrum
     nullity_first, norm = sym.nullity, sym.norm
     assert nullity_first == 2 and norm == pytest.approx(np.linalg.norm(M, 2) ** 2)
     assert sym.kernel.dim == nullity_first
     assert sym._spectrum is spectrum and sym.nullity == nullity_first
-    assert seen == calls
+    assert seen == ["eigh"]
