@@ -269,9 +269,11 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
     return matrix_rank(np.hstack([U.basis, W.basis]), tol) == d
 
 
-# Relative Frobenius slack of the symmetry test, ||M - M^T|| <= _SYM_RTOL ||M||,
-# which validates input blocks; no decision reads it otherwise.
-_SYM_RTOL = 1e-10
+# Fixed slacks: the symmetry test ||M - M^T||_F <= _SYM_RTOL ||M||_F validates
+# input blocks, and an eigenvalue below -_NEG_RTOL ||M||_2 makes a block
+# indefinite even under the rank cut, which K's cut need not share (semidefinite
+# rules fired on singular K when such eigenvalues counted as zero).
+_SYM_RTOL = _NEG_RTOL = 1e-10
 
 
 class _SymEig:
@@ -311,14 +313,14 @@ class _SymEig:
 
     @cached_property
     def definiteness(self) -> Definiteness:
-        """Strongest true tag among PD, PSD, indefinite, not-symmetric.  An
-        eigenvalue is zero when its modulus fails the rank cut, as for nullity."""
+        """Strongest true tag among PD, PSD, indefinite, not-symmetric.  PD
+        needs every eigenvalue past the rank cut, as nullity 0 does."""
         if self.matrix.shape[0] == 0:
             return Definiteness.POSITIVE_DEFINITE
         if not self.symmetric:
             return Definiteness.NOT_SYMMETRIC
         lam, nonzero = self._spectrum
-        if (lam[nonzero] < 0.0).any():
+        if lam[0] < -_NEG_RTOL * np.abs(lam).max() or (lam[nonzero] < 0.0).any():
             return Definiteness.INDEFINITE
         if nonzero.all():
             return Definiteness.POSITIVE_DEFINITE

@@ -4,8 +4,8 @@ the package.
 All thresholds are relative.  Rank decisions compare singular values against
 ``rank_rtol * max(shape) * sigma_max``; the dimension factor makes the policy
 stable across block sizes so that composed checks (stacked kernels, assembled
-matrices) cannot disagree with their ingredients.  Definiteness reads the
-same cut: an eigenvalue counts as zero exactly when its modulus fails it.
+matrices) cannot disagree with their ingredients.  A positive definite tag
+reads the same cut: it needs every eigenvalue of the block past it.
 """
 
 import dataclasses

@@ -77,25 +77,37 @@ def direct_sum_singular(seed):
     return gen_instance(spec)
 
 
-def random_systems(count, seed):
-    """Seeded small gen_instance specs with random nullities, ranks and flags."""
+def random_systems(count, seed, deficient_every=0):
+    """Seeded small gen_instance specs with random nullities, ranks and flags.
+
+    With ``deficient_every`` = k > 0, every k-th system, the first included,
+    is drawn maximally deficient instead: null(A) = rank(B) = m.
+    """
     rng = np.random.default_rng(seed)
     made = 0
     while made < count:
         n, m, p = (int(d) for d in rng.integers(1, 8, size=3, endpoint=True))
-        rank_b = int(rng.integers(0, min(m, n), endpoint=True))
-        rank_c = int(rng.integers(0, min(p, m), endpoint=True))
-        ds1, ds2 = rng.random(2) < 1 / 3
-        spec = GeneratorSpec(
-            n, m, p, rank_b=rank_b, rank_c=rank_c,
-            null_a=rank_b if ds1 else int(rng.integers(0, n, endpoint=True)),
-            null_d=int(rng.integers(0, m, endpoint=True)),
-            null_e=rank_c if ds2 else int(rng.integers(0, p, endpoint=True)),
-            require_ds1=bool(ds1), require_ds2=bool(ds2),
-            force_overlap_r=bool(rng.random() < 0.2 and rank_b and rank_c),
-            def_a=str(rng.choice(["psd", "psd", "indefinite"])),
-            def_d=str(rng.choice(["psd", "psd", "indefinite"])),
-            seed=made)
+        if deficient_every and made % deficient_every == 0:
+            m = min(m, n)
+            spec = GeneratorSpec(n, m, p, null_a=m, rank_b=m,
+                                 rank_c=int(rng.integers(0, min(p, m), endpoint=True)),
+                                 null_d=int(rng.integers(0, m, endpoint=True)),
+                                 null_e=int(rng.integers(0, p, endpoint=True)),
+                                 seed=made)
+        else:
+            rank_b = int(rng.integers(0, min(m, n), endpoint=True))
+            rank_c = int(rng.integers(0, min(p, m), endpoint=True))
+            ds1, ds2 = rng.random(2) < 1 / 3
+            spec = GeneratorSpec(
+                n, m, p, rank_b=rank_b, rank_c=rank_c,
+                null_a=rank_b if ds1 else int(rng.integers(0, n, endpoint=True)),
+                null_d=int(rng.integers(0, m, endpoint=True)),
+                null_e=rank_c if ds2 else int(rng.integers(0, p, endpoint=True)),
+                require_ds1=bool(ds1), require_ds2=bool(ds2),
+                force_overlap_r=bool(rng.random() < 0.2 and rank_b and rank_c),
+                def_a=str(rng.choice(["psd", "psd", "indefinite"])),
+                def_d=str(rng.choice(["psd", "psd", "indefinite"])),
+                seed=made)
         try:
             yield gen_instance(spec)[0]
         except (ValueError, GenerationError):  # an infeasible draw

@@ -320,19 +320,20 @@ class TestEIffRule:
 
 def test_tags_read_the_rank_cut_on_noisy_systems():
     """With noise near the rank cut on A, D and E, a positive definite tag
-    still means nullity 0 and an indefinite tag a negative eigenvalue that
-    passes the cut, as decided from each block independently."""
+    still means nullity 0 and positive eigenvalues, and an indefinite tag
+    exactly an eigenvalue below -cut or below -1e-10 ||M||_2, as decided
+    from each block independently."""
     rng = np.random.default_rng(2)
     for system in (noisy(s, rng) for s in random_systems(200, seed=2)):
         tags = condition_report(system).definiteness
         for name in "ADE":
             M = getattr(system, name)
             lam = np.linalg.eigvalsh(M)
-            cut = rank_threshold(np.abs(lam).max(), M.shape)
+            norm = np.abs(lam).max()
+            negative = bool(lam[0] < -min(rank_threshold(norm, M.shape), 1e-10 * norm))
+            assert (tags[name] is Definiteness.INDEFINITE) == negative, (name, lam)
             if tags[name] is Definiteness.POSITIVE_DEFINITE:
-                assert nullity(M) == 0, (name, lam)
-            elif tags[name] is Definiteness.INDEFINITE:
-                assert (lam < -cut).any(), (name, lam)
+                assert nullity(M) == 0 and lam[0] > 0, (name, lam)
 
 
 class TestOracle:

@@ -129,13 +129,18 @@ class TestDefiniteness:
     def test_zero_matrix_is_psd(self):
         assert classify_definiteness(np.zeros((2, 2))) is Definiteness.POSITIVE_SEMIDEFINITE
 
-    @pytest.mark.parametrize("small", [1.5e-10, -1.5e-10])
-    def test_eigenvalue_below_rank_cut_is_zero(self, small):
+    @pytest.mark.parametrize("small, tag", [
+        (1.5e-10, Definiteness.POSITIVE_SEMIDEFINITE),
+        (-5e-11, Definiteness.POSITIVE_SEMIDEFINITE),
+        (-1.5e-10, Definiteness.INDEFINITE),
+    ])
+    def test_eigenvalue_below_rank_cut(self, small, tag):
         # the rank cut of a 2 x 2 matrix with norm 1 is 2e-10: small is a zero
-        # eigenvalue for the definiteness tag exactly as for the nullity
+        # eigenvalue for the nullity, so M is not positive definite; a negative
+        # one below the fixed slack of 1e-10 still makes M indefinite
         M = np.diag([1.0, small])
         assert nullity(M) == 1
-        assert classify_definiteness(M) is Definiteness.POSITIVE_SEMIDEFINITE
+        assert classify_definiteness(M) is tag
 
     def test_asymmetric(self):
         assert classify_definiteness(np.array([[1.0, 2.0], [0.0, 1.0]])) \

@@ -14,8 +14,8 @@ run it once per checkout with that checkout's ``src`` on ``PYTHONPATH``.
 The corpora:
 
 - ``family``: the instance families of ``tests/_families.py``;
-- ``spec``: small `gen_instance` specs, a third of them maximally deficient
-  (null(A) = rank(B) = m);
+- ``spec``: small `gen_instance` specs from `random_systems`, every third one
+  maximally deficient (null(A) = rank(B) = m);
 - ``hand``: small systems with entries from {0, +-1, 2, 0.5}, exact zero
   blocks and degenerate kernels included;
 - ``noisy``: generated systems with noise of 10^U(-13, -7) on A, D and E,
@@ -43,8 +43,8 @@ from _families import (  # noqa: E402
     psd_disjoint_ranges,
     random_systems,
 )
-from dsaddle import DEFAULT_TOL, BlockSystem, GenerationError, GeneratorSpec, \
-    assemble, diagnose, gen_instance, verify_identities  # noqa: E402
+from dsaddle import DEFAULT_TOL, BlockSystem, assemble, diagnose, \
+    verify_identities  # noqa: E402
 
 FAMILY_SEEDS = 12
 SPEC_COUNT = 300
@@ -66,35 +66,7 @@ def family_corpus(seed):
 
 
 def spec_corpus(seed):
-    """Random small specs; every third one is maximally deficient."""
-    rng = np.random.default_rng([seed, 1])
-    made = 0
-    while made < SPEC_COUNT:
-        n, m, p = (int(d) for d in rng.integers(1, 8, size=3, endpoint=True))
-        if made % 3 == 0:
-            m = min(m, n)
-            spec = GeneratorSpec(n, m, p, null_a=m, rank_b=m,
-                                 rank_c=int(rng.integers(0, min(p, m), endpoint=True)),
-                                 null_d=int(rng.integers(0, m, endpoint=True)),
-                                 null_e=int(rng.integers(0, p, endpoint=True)),
-                                 seed=made)
-        else:
-            spec = GeneratorSpec(
-                n, m, p,
-                null_a=int(rng.integers(0, n, endpoint=True)),
-                null_d=int(rng.integers(0, m, endpoint=True)),
-                null_e=int(rng.integers(0, p, endpoint=True)),
-                rank_b=int(rng.integers(0, min(m, n), endpoint=True)),
-                rank_c=int(rng.integers(0, min(p, m), endpoint=True)),
-                def_a=str(rng.choice(["psd", "indefinite"])),
-                def_d=str(rng.choice(["psd", "indefinite"])),
-                seed=made)
-        try:
-            system = gen_instance(spec)[0]
-        except (ValueError, GenerationError):  # an infeasible draw
-            continue
-        made += 1
-        yield system
+    return random_systems(SPEC_COUNT, [seed, 1], deficient_every=3)
 
 
 def hand_corpus(seed):
