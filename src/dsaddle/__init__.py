@@ -48,6 +48,7 @@ from .invertibility import (
     is_nonsingular,
     necessary_conditions,
     oracle_invertible,
+    psd_iff,
     psd_ladder,
     rank_b_iff,
     rank_c_iff,
@@ -112,7 +113,7 @@ __all__ = [
     "inverse_via_factorization", "is_direct_sum", "is_nonsingular",
     "kernel_basis", "lambda_max_sym", "load_block_system", "matrix_rank",
     "necessary_conditions", "nullity", "oracle_invertible", "permute_similar",
-    "projector_complement_residual", "psd_ladder", "range_basis",
+    "projector_complement_residual", "psd_iff", "psd_ladder", "range_basis",
     "range_intersection_trivial", "rank_b_iff", "rank_c_iff", "read_matrix",
     "reduced_hessian_projector", "reduced_projector_residual",
     "rescale_middle", "save_block_system", "save_inverse_blocks",

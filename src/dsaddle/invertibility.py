@@ -146,7 +146,7 @@ class _Analysis:
     B = _fact(lambda s, tol: _SVD(s.B, tol))
     Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
     K = _fact(lambda s, tol: assemble(s).matrix)
-    # |eigenvalues| of K from one eigvalsh: the oracle, ||K||_2 and ||K^{-1}||_2
+    # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
     a_tilde = _fact(lambda s, tol: _SymEig(_a_tilde(s), tol))
@@ -166,6 +166,17 @@ class _Analysis:
         [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C]))
     n3 = cached_property(lambda an: an._intersection(
         an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T]))
+
+    @cached_property
+    def overlap(self):
+        """ker(A (+) E) ∩ ker[B | C^T] in R^(n+p): each (x, z) in it has A x = 0,
+        E z = 0 and B x + C^T z = 0, so [x; 0; z] is a kernel vector of K."""
+        s, a, e = self.sys, self.A.pairs, self.E.pairs
+        pairs = None if a is None or e is None else (
+            np.concatenate([a[0], e[0]]), _direct_sum(a[1], e[1]))
+        couple = np.hstack([s.B, s.C.T])
+        return self._intersection(pairs, (self.A.norm, self.E.norm, self.B.norm, self.Ct.norm),
+                                  [_direct_sum(s.A, s.E), couple], [couple])
 
     @cached_property
     def r_witness(self):
@@ -191,6 +202,13 @@ class _Analysis:
         return ConditionEntry(cond_id, w is None, None if w is None else w.copy())
 
 
+def _direct_sum(M1, M2):
+    """The block diagonal matrix diag(M1, M2)."""
+    out = np.zeros(np.add(M1.shape, M2.shape))
+    out[:M1.shape[0], :M1.shape[1]], out[M1.shape[0]:, M1.shape[1]:] = M1, M2
+    return out
+
+
 def _analysis(sys, tol) -> _Analysis:
     """The analysis a BlockSystem holds for tol (made on first use), else a fresh one."""
     tol = resolve(tol)
@@ -209,14 +227,15 @@ def _facts(sys, tol, report):
 
 
 def _singular(an, rule, witness, report):
-    """Build a singular diagnosis, insisting the witness is genuine."""
+    """A singular diagnosis when the witness is a kernel vector of K, else
+    undetermined: no witness, or ||K u|| above residual_rtol times the largest
+    block norm (at most ||K||_2), marks an input at the rank threshold."""
+    if witness is None:
+        return _undetermined(report)
     u = _unit(witness)
-    residual = np.linalg.norm(an.K @ u)
-    if residual > an.tol.residual_rtol * max(an.k_moduli.max(), 1e-300):
-        raise RuntimeError(
-            f"rule {rule} constructed a witness with residual {residual:.3e} "
-            f"above tolerance; this indicates an input at the rank threshold"
-        )
+    scale = max(an.A.norm, an.D.norm, an.E.norm, an.B.norm, an.Ct.norm, 1e-300)
+    if np.linalg.norm(an.K @ u) > an.tol.residual_rtol * scale:
+        return _undetermined(report)
     return Diagnosis(Verdict.SINGULAR, rule, report, witness=u)
 
 
@@ -236,10 +255,6 @@ def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
     return matrix_rank(M, tol) == M.shape[0]
 
 
-def _is_zero_block(M) -> bool:
-    return not np.any(M)
-
-
 def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> ConditionReport:
     """Evaluate every condition the rules consult, in one pass."""
     an = _analysis(sys, tol)
@@ -250,15 +265,10 @@ def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Co
     )
 
 
-def _embed(sys, x=None, y=None, z=None):
+def _embed(sys, x=0.0, y=0.0, z=0.0):
     """Place block-space vectors into a full-length vector [x; y; z]."""
-    u = np.zeros(sys.ell)
-    if x is not None:
-        u[:sys.n] = x
-    if y is not None:
-        u[sys.n:sys.n + sys.m] = y
-    if z is not None:
-        u[sys.n + sys.m:] = z
+    u = np.empty(sys.ell)
+    u[:sys.n], u[sys.n:sys.n + sys.m], u[sys.n + sys.m:] = x, y, z
     return u
 
 
@@ -274,7 +284,8 @@ def necessary_conditions(sys: BlockSystem, tol: ToleranceConfig | None = None) -
 
 
 def _necessary_failure(an, report):
-    """Singular diagnosis from the first failed necessary condition, if any."""
+    """The singular (or, past the witness check, undetermined) diagnosis of
+    the first failed necessary condition; None when all three hold."""
     for cond_id, embed in (("N1", "x"), ("N2", "y"), ("N3", "z")):
         if not report.holds(cond_id):
             u = _embed(an.sys, **{embed: report.witness(cond_id)})
@@ -329,6 +340,36 @@ def psd_ladder(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     return _undetermined(report)
 
 
+def _overlap_witness(an):
+    """The first overlap vector (x, z) as the kernel vector [x; 0; z]; None for {0}."""
+    v = _first(an.overlap)
+    return None if v is None else _embed(an.sys, x=v[:an.sys.n], z=v[an.sys.n:])
+
+
+def _semidefinite_verdict(an, rule, report):
+    """Decide K for A, D and E positive semidefinite.
+
+    A kernel vector (x, y, z) of K then has A x = 0, D y = 0 and E z = 0: the
+    three quadratic forms add up to zero.  So null(K) = dim N2 + dim of the
+    overlap ker(A (+) E) ∩ ker[B | C^T], and K is invertible exactly when N2
+    holds and the overlap is {0}; a singular verdict carries [0; y; 0] or the
+    first overlap vector [x; 0; z].
+    """
+    if not report.holds("N2"):
+        return _singular(an, rule, _embed(an.sys, y=report.witness("N2")), report)
+    if an.overlap.is_trivial:
+        return _invertible(rule, report)
+    return _singular(an, rule, _overlap_witness(an), report)
+
+
+# name, zero block, positive definite blocks, size test
+_COROLLARIES = (
+    ("corollary_b_full_rank", "A", "DE", lambda sys: sys.m >= sys.n),
+    ("corollary_c_full_rank", "E", "AD", lambda sys: sys.m >= sys.p),
+    ("corollary_middle_kernels", "D", "AE", lambda sys: True),
+)
+
+
 def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
                     report: ConditionReport | None = None) -> Diagnosis:
     """Three if-and-only-if special cases with one zero diagonal block.
@@ -338,58 +379,16 @@ def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
       D = 0, A and E positive definite:          invertible iff
                                                  ker(B^T) ∩ ker(C) = {0}
 
-    When a corollary applies the verdict is definitive; singular verdicts
-    carry the witness from the corresponding kernel.
+    Each is the semidefinite verdict, with overlap ker(B), ker(C^T) or {0}:
+    a singular one carries [x; 0; 0], [0; 0; z] or N2's [0; y; 0].
     """
     report, an = _facts(sys, tol, report)
     pd = Definiteness.POSITIVE_DEFINITE
-
-    if _is_zero_block(sys.A) and sys.m >= sys.n \
-            and report.definiteness["D"] is pd and report.definiteness["E"] is pd:
-        if report.ranks["B"] == sys.n:
-            return _invertible("corollary_b_full_rank", report)
-        x = an.B.kernel.basis[:, 0]
-        return _singular(an, "corollary_b_full_rank", _embed(sys, x=x), report)
-
-    if _is_zero_block(sys.E) and sys.m >= sys.p \
-            and report.definiteness["A"] is pd and report.definiteness["D"] is pd:
-        if report.ranks["C"] == sys.p:
-            return _invertible("corollary_c_full_rank", report)
-        z = an.Ct.kernel.basis[:, 0]
-        return _singular(an, "corollary_c_full_rank", _embed(sys, z=z), report)
-
-    if _is_zero_block(sys.D) \
-            and report.definiteness["A"] is pd and report.definiteness["E"] is pd:
-        # with D = 0 the middle condition is N2 itself
-        if report.holds("N2"):
-            return _invertible("corollary_middle_kernels", report)
-        return _singular(an, "corollary_middle_kernels",
-                         _embed(sys, y=report.witness("N2")), report)
-
+    for name, zero, definite, size in _COROLLARIES:
+        if not getattr(sys, zero).any() and size(sys) \
+                and all(report.definiteness[k] is pd for k in definite):
+            return _semidefinite_verdict(an, name, report)
     return _undetermined(report)
-
-
-def _first_part(vector, part_one: np.ndarray, part_two: np.ndarray):
-    """u1 of vector = u1 + u2 with u_i in span(part_i) of a direct sum."""
-    coeff = np.linalg.solve(np.hstack([part_one, part_two]), vector)
-    return part_one @ coeff[:part_one.shape[1]]
-
-
-def _overlap_witness(an, split_x: bool, split_z: bool):
-    """Kernel vector [x; 0; -z] from the shared direction w = B x = C^T z of R.
-
-    Row two vanishes for any such pair.  Rows one and three need A x = 0 and
-    E z = 0: a side that is split keeps only its ker(A) part along DS1 (ker(E)
-    part along DS2), which leaves B x (C^T z) unchanged; a side left whole
-    must face a zero diagonal block.
-    """
-    w = an.r_witness
-    x, z = an.B.solve(w), an.Ct.solve(w)
-    if split_x:
-        x = _first_part(x, an.A.kernel.basis, an.B.kernel.basis)
-    if split_z:
-        z = _first_part(z, an.E.kernel.basis, an.Ct.kernel.basis)
-    return _embed(an.sys, x=x, z=-z)
 
 
 def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -398,9 +397,9 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Hypotheses: A, D, E positive semidefinite with N1, N3 and N2 holding.
     R then implies invertibility.  When R fails while both DS1 and DS2 hold,
-    the system is singular: for a shared direction w = B x = C^T z, splitting
-    x along ker(A) (+) ker(B) and z along ker(E) (+) ker(C^T) leaves
-    w = B x1 = C^T z1, and [x1; 0; -z1] is a kernel vector.
+    the system is singular: B maps ker(A) onto ran(B) and C^T maps ker(E)
+    onto ran(C^T), so a shared direction B x = -C^T z has x in ker(A) and z
+    in ker(E).  The witness is the first overlap vector [x; 0; z].
     """
     report, an = _facts(sys, tol, report)
     if not _all_psd(report, "A", "D", "E"):
@@ -411,8 +410,7 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
         return _invertible("direct_sum_iff", report)
     if not (report.holds("DS1") and report.holds("DS2")):
         return _undetermined(report)
-    witness = _overlap_witness(an, split_x=True, split_z=True)
-    return _singular(an, "direct_sum_iff", witness, report)
+    return _singular(an, "direct_sum_iff", _overlap_witness(an), report)
 
 
 def _full_row_rank_rule(sys, tol, report, mirrored):
@@ -430,10 +428,9 @@ def _full_row_rank_rule(sys, tol, report, mirrored):
         return _undetermined(report)
     if report.holds("R"):
         return _invertible(name, report)
-    if not _is_zero_block(getattr(sys, e)):
+    if getattr(sys, e).any():
         return _undetermined(report)
-    witness = _overlap_witness(an, split_x=not mirrored, split_z=mirrored)
-    return _singular(an, name, witness, report)
+    return _singular(an, name, _overlap_witness(an), report)
 
 
 def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
@@ -442,8 +439,8 @@ def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Hypotheses: N3, n >= m, rank(B) = m, DS1, and A positive semidefinite.
     R implies invertibility.  When E is the zero block and R fails, the
-    system is singular with witness [x1; 0; -z] built from a shared range
-    direction w = B x = C^T z and the ker(A) component x1 of x.
+    system is singular: by DS1 a shared direction B x = -C^T z has x in
+    ker(A), and the witness is the first overlap vector [x; 0; z].
     """
     return _full_row_rank_rule(sys, tol, report, mirrored=False)
 
@@ -454,8 +451,7 @@ def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Applies the full-row-rank rule to the reversed system (hypotheses become
     N1, p >= m, rank(C) = m, DS2, E positive semidefinite; the zero block is
-    A).  Its witness pulls back through the permutation as [x; 0; -z1], with
-    z1 the ker(E) component of z.
+    A).  Its witness is the first overlap vector [x; 0; z], z in ker(E) by DS2.
     """
     return _full_row_rank_rule(sys, tol, report, mirrored=True)
 
@@ -466,10 +462,9 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
 
     Hypotheses: A and D positive semidefinite, N1, N2, N3, null(A) = m and
     lambda_max(D) < 2.  The system is then invertible exactly when E is
-    nonsingular.  A singular verdict's witness is [x; 0; z] with z in ker(E),
-    Q the null(A) = m kernel basis of A and x = Q c for the c solving
-    B Q c = -C^T z; B Q is nonsingular by N1.  When lambda_max(D) >= 2,
-    rescale the system first (see :func:`dsaddle.core.rescale_middle`).
+    nonsingular.  By N1, B maps ker(A) onto R^m, so the witness of a
+    singular verdict is the first overlap vector [x; 0; z].  When
+    lambda_max(D) >= 2, rescale first (see :func:`dsaddle.core.rescale_middle`).
     """
     report, an = _facts(sys, tol, report)
     hypotheses = (report.definiteness["A"].is_psd and report.definiteness["D"].is_psd
@@ -479,10 +474,19 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
         return _undetermined(report)
     if an.E.nonsingular:
         return _invertible("e_iff", report)
-    z = an.E.kernel.basis[:, 0]
-    Q = an.A.kernel.basis
-    x = Q @ np.linalg.solve(sys.B @ Q, -sys.C.T @ z)
-    return _singular(an, "e_iff", _embed(sys, x=x, z=z), report)
+    return _singular(an, "e_iff", _overlap_witness(an), report)
+
+
+def psd_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
+            report: ConditionReport | None = None) -> Diagnosis:
+    """The semidefinite if-and-only-if: with A, D and E positive
+    semidefinite, K is invertible exactly when N2 holds and
+    ker(A (+) E) ∩ ker[B | C^T] = {0}, since null(K) is the sum of their
+    dimensions.  Anything else is undetermined."""
+    report, an = _facts(sys, tol, report)
+    if not _all_psd(report, "A", "D", "E"):
+        return _undetermined(report)
+    return _semidefinite_verdict(an, "psd_iff", report)
 
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
@@ -491,7 +495,7 @@ def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> b
 
 
 _RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
-          rank_c_iff, direct_sum_iff, psd_ladder)
+          rank_c_iff, direct_sum_iff, psd_ladder, psd_iff)
 
 
 def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
@@ -499,23 +503,18 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
     """Run the whole ladder and return the first definitive verdict.
 
     Order: the necessary conditions (any failure short-circuits to
-    singular), then schur_sufficient, e_iff_rule, corollary_rules,
-    rank_b_iff, rank_c_iff, direct_sum_iff, psd_ladder.  The order is fixed
-    so reports are reproducible.  Every rule, and every later call on the
-    same system and tolerance, reads the one analysis the system holds.
+    singular, or undetermined when its witness fails), then schur_sufficient,
+    e_iff_rule, corollary_rules, rank_b_iff, rank_c_iff, direct_sum_iff,
+    psd_ladder, psd_iff.  The order is fixed so reports are reproducible.
+    Every rule, and every later call on the same system and tolerance, reads
+    the one analysis the system holds.
     With ``with_oracle`` the dense ground truth is attached to the diagnosis.
     """
     an = _analysis(sys, tol)
     report = condition_report(sys, an.tol)
-    result = _necessary_failure(an, report)
-    if result is None:
-        for rule in _RULES:
-            candidate = rule(sys, an.tol, report=report)
-            if candidate.verdict is not Verdict.UNDETERMINED:
-                result = candidate
-                break
-        else:
-            result = _undetermined(report)
+    verdicts = (rule(sys, an.tol, report=report) for rule in _RULES)
+    result = _necessary_failure(an, report) or next(
+        (d for d in verdicts if d.verdict is not Verdict.UNDETERMINED), _undetermined(report))
     if with_oracle:
         result = replace(result, oracle_check=an.k_nonsingular)
     return result

@@ -129,11 +129,6 @@ class _SVD:
         min(shape): ||M^T u_i|| for each column u_i of ``u``."""
         return np.pad(self.s, (0, self.u.shape[0] - self.s.size)), self.u
 
-    def solve(self, w) -> np.ndarray:
-        """Minimum-norm x with M x = w, for w in the numerical range of M."""
-        r = self.rank
-        return self.vh[:r].T @ ((self.u[:, :r].T @ w) / self.s[:r])
-
 
 def kernel_basis(M, tol: ToleranceConfig | None = None) -> SubspaceBasis:
     """Orthonormal basis of ker(M) for a d2 x d1 matrix M.

@@ -60,6 +60,17 @@ class TestDiagnose:
         code, _, _ = run_cli(capsys, "diagnose", str(tmp_path / "u"))
         assert code == 2
 
+    def test_witness_failing_its_check_exits_two(self, tmp_path, capsys):
+        # N1 fails under --tol-rank 1e-6, but its witness is no kernel vector of K
+        from dsaddle import BlockSystem
+        sys = BlockSystem(np.diag([1.0, 1e-7]), np.array([[1.0, 0.0]]), np.array([[1.0]]),
+                          np.array([[0.0]]), np.array([[1.0]]))
+        save_block_system(tmp_path / "t", sys)
+        code, out, err = run_cli(capsys, "diagnose", str(tmp_path / "t"), "--tol-rank", "1e-6")
+        assert code == 2
+        assert "verdict: undetermined" in out and "condition N1: fails" in out
+        assert err == ""
+
     def test_missing_directory_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "diagnose", str(tmp_path / "nope"))
         assert code == 65

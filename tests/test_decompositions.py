@@ -8,8 +8,9 @@ congruence route reads the same analysis, so it decomposes D once per call,
 and the inverse constructors read the decompositions it holds instead of
 factoring again.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
-answers the oracle, the witness scale and ||K^{-1}||_2, and no eigenvectors
-of K are ever needed.  N1-N3 restrict blocks to kernels the analysis holds,
+answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
+needed.  Witnesses are checked against the largest block norm, so diagnose
+decomposes K only for the oracle.  N1-N3 restrict blocks to kernels the analysis holds,
 so no stacked SVD runs on clean inputs.
 """
 
@@ -220,6 +221,18 @@ def test_diagnose_takes_no_eigenvectors_of_k(monkeypatch, targets, rule):
         shapes.clear()
         assert diagnose(system, with_oracle=True).rule == rule
         assert (system.ell, system.ell) not in shapes, shapes
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_diagnose_decomposes_no_assembled_matrix(counts, targets, rule):
+    """Without the oracle no exit, the singular ones included, runs an svd,
+    eigh or eigvalsh on an ell x ell input."""
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        counts.update(on_square=0, square=(system.ell, system.ell), shapes=[])
+        assert diagnose(system).rule == rule
+        assert counts["on_square"] == 0, counts["shapes"]
 
 
 def test_session_decomposes_each_block_once(counts):

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsaddle.invertibility as invertibility
 from dsaddle import (
@@ -23,6 +25,7 @@ from dsaddle import (
     necessary_conditions,
     oracle_invertible,
     permute_similar,
+    psd_iff,
     psd_ladder,
     rank_b_iff,
     rank_c_iff,
@@ -316,6 +319,71 @@ class TestEIffRule:
             diag = e_iff_rule(sys)
             assert diag.verdict is Verdict.SINGULAR
             assert witness_is_sound(sys, diag)
+
+
+class TestPsdIff:
+    def test_decides_a_system_the_other_rules_leave_open(self):
+        # hand-valued, A, D and E semidefinite, R fails and neither direct sum holds
+        sys = BlockSystem(np.array([[0.5, 0.0, -1.0], [0.0, 0.5, 0.0], [-1.0, 0.0, 2.0]]),
+                          np.array([[-1.0, 0.0, 2.0], [0.0, 0.0, -1.0]]),
+                          np.array([[2.0, -1.0]]), np.diag([0.0, 1.0]), np.zeros((1, 1)))
+        report = condition_report(sys)
+        assert all(report.definiteness[k].is_psd for k in "ADE") and not report.holds("R")
+        for rule in invertibility._RULES[:-1]:
+            assert rule(sys).verdict is Verdict.UNDETERMINED, rule.__name__
+        diag = diagnose(sys, with_oracle=True)
+        assert (diag.verdict, diag.rule, diag.oracle_check) == \
+            (Verdict.INVERTIBLE, "psd_iff", True)
+
+    def test_singular_witness_is_the_first_overlap_vector(self):
+        # ker(A) = ker(E) = span(e1) and B e1 = C^T e1: the overlap is (e1, -e1)
+        sys = BlockSystem(np.diag([0.0, 1.0]), np.array([[1.0, 0.0]]),
+                          np.array([[1.0], [0.0]]), np.array([[0.0]]), np.diag([0.0, 1.0]))
+        diag = psd_iff(sys)
+        assert diag.verdict is Verdict.SINGULAR and diag.rule == "psd_iff"
+        assert witness_is_sound(sys, diag)
+        got = diag.witness * np.sign(diag.witness[0])
+        np.testing.assert_allclose(got, np.array([1.0, 0.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0),
+                                   atol=1e-12)
+
+    def test_indefinite_block_is_undetermined(self):
+        sys = BlockSystem(np.diag([0.0, -1.0]), np.array([[1.0, 0.0]]),
+                          np.array([[1.0], [0.0]]), np.array([[1.0]]), np.diag([0.0, -1.0]))
+        assert psd_iff(sys).verdict is Verdict.UNDETERMINED
+
+
+def _oracle_nullity(sys):
+    """null(K) from an SVD of the assembled matrix under the default rank cut."""
+    s = np.linalg.svd(assemble(sys).matrix, compute_uv=False)
+    return int((s <= DEFAULT_TOL.rank_rtol * sys.ell * s.max()).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_semidefinite_nullity_is_n2_plus_overlap(seed):
+    """With A, D and E semidefinite, null(K) = dim N2 + dim(ker(A (+) E) ∩
+    ker[B | C^T]), psd_iff decides K, and every singular witness is sound."""
+    for sys in random_systems(4, seed):
+        if not all(tag.is_psd for tag in condition_report(sys).definiteness.values()):
+            continue
+        an = invertibility._analysis(sys, None)
+        nullity_k = _oracle_nullity(sys)
+        assert an.n2.dim + an.overlap.dim == nullity_k
+        for diag in (psd_iff(sys), diagnose(sys)):
+            assert diag.verdict is (Verdict.SINGULAR if nullity_k else Verdict.INVERTIBLE)
+            if nullity_k:
+                assert witness_is_sound(sys, diag)
+
+
+def test_witness_failing_its_check_is_undetermined():
+    # under rank_rtol 1e-6, A's eigenvalue 1e-7 counts as zero, so N1 fails, but
+    # ||K u|| = 1e-7 for its witness u = e2, above residual_rtol times every block norm
+    sys = BlockSystem(np.diag([1.0, 1e-7]), np.array([[1.0, 0.0]]), np.array([[1.0]]),
+                      np.array([[0.0]]), np.array([[1.0]]))
+    tol = DEFAULT_TOL.replace(rank_rtol=1e-6)
+    assert not condition_report(sys, tol).holds("N1")
+    diag = diagnose(sys, tol)
+    assert (diag.verdict, diag.rule, diag.witness) == (Verdict.UNDETERMINED, None, None)
 
 
 def test_tags_read_the_rank_cut_on_noisy_systems():

@@ -6,10 +6,11 @@ prints one line per system: corpus and index, a digest of the five blocks,
 the `diagnose` verdict and rule, the conditions, definiteness tags and ranks
 it decided on, the dense oracle, whether the two agree, and the status of
 every `verify_identities` entry.  The last lines give, per corpus and for
-the whole table, a sha256 of the lines and the number of contradictions (a
-definite verdict the oracle disagrees with).  Two runs with the same seed
-print the same bytes, so the table of one commit diffs against another's:
-run it once per checkout with that checkout's ``src`` on ``PYTHONPATH``.
+the whole table, a sha256 of the lines; per corpus also the number of
+contradictions (a definite verdict the oracle disagrees with) and of
+undetermined verdicts.  Two runs with the same seed print the same bytes, so
+the table of one commit diffs against another's: run it once per checkout
+with that checkout's ``src`` on ``PYTHONPATH``.
 
 The corpora:
 
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
     table = hashlib.sha256()
     summary = []
     for name, corpus in CORPORA:
-        digest, count, contradictions = hashlib.sha256(), 0, 0
+        digest, count, contradictions, undetermined = hashlib.sha256(), 0, 0, 0
         for i, system in enumerate(corpus(args.seed)):
             fields, contradiction = answer(system)
             line = " ".join([f"{name}:{i}", *fields]) + "\n"
@@ -145,8 +146,9 @@ def main(argv=None) -> int:
             table.update(line.encode())
             count += 1
             contradictions += contradiction
+            undetermined += fields[2] == "undetermined"
         summary.append(f"corpus {name} systems {count} contradictions {contradictions} "
-                       f"sha256 {digest.hexdigest()}\n")
+                       f"undetermined {undetermined} sha256 {digest.hexdigest()}\n")
     sys.stdout.writelines(summary)
     sys.stdout.write(f"table sha256 {table.hexdigest()}\n")
     return 0
