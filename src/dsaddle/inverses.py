@@ -9,7 +9,6 @@ All identity helpers return relative residuals and raise
 violated hypothesis can never masquerade as a small number.
 """
 
-import functools
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -90,10 +89,12 @@ def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
 
 def _projector(an, *hypotheses) -> ReducedHessianProjector:
     """The projector over Z = ker(B) from B's SVD, once A is semidefinite and
-    the named hypotheses hold."""
+    the named hypotheses hold; the analysis holds it after the first build."""
     _require(an, "A psd", *hypotheses)
-    Z = an.B.kernel
-    return ReducedHessianProjector(_projector_from_basis(an.sys.A, Z, an.tol), Z)
+    if an.projector is None:
+        Z = an.B.kernel
+        an.projector = ReducedHessianProjector(_projector_from_basis(an.sys.A, Z, an.tol), Z)
+    return an.projector
 
 
 def reduced_hessian_projector(A, B, tol: ToleranceConfig | None = None) -> ReducedHessianProjector:
@@ -190,10 +191,11 @@ def projector_complement_residual(B, Z: SubspaceBasis,
 
 
 def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
+    """||Z^T A V - Z^T||_2, which equals ||Z Z^T A V - Z Z^T||_2 for orthonormal Z."""
     if proj.Z.dim == 0:
         return 0.0
-    ZZt = proj.Z.basis @ proj.Z.basis.T
-    return float(np.linalg.norm(ZZt @ A @ proj.V - ZZt, 2))
+    Zt = proj.Z.basis.T
+    return float(np.linalg.norm(Zt @ A @ proj.V - Zt, 2))
 
 
 def reduced_projector_residual(A, proj: ReducedHessianProjector,
@@ -454,7 +456,10 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
         K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3
 
     with a_tilde^{-1} from the eigendecomposition that decides its
-    nonsingularity.  Requires the factorization hypotheses plus nonsingular E.
+    nonsingularity.  G1 = [I, B^T, 0] makes the first term
+    [[a_tilde^{-1}, T], [T^T, B T]] with T = a_tilde^{-1} B^T, and G2 is zero
+    past its first n + m columns, so only the G3 term is a full product.
+    Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
     a_tilde, _, L21, L31 = _factor_blocks(an)
@@ -462,17 +467,18 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     n, m, p = sys.dims
     B, C = sys.B, sys.C
     L3 = -C @ L21 - L31  # L32 L21 - L31
-    G1 = np.hstack([np.eye(n), B.T, np.zeros((n, p))])
-    G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T, np.zeros((m, p))])
+    G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T])
     G3 = np.hstack([L3, L3 @ B.T + C, np.eye(p)])
-    K_inv = (G1.T @ a_tilde.inverse @ G1
-             - G2.T @ (2.0 * np.eye(m) - sys.D) @ G2
-             + G3.T @ an.E.inverse @ G3)
+    T = a_tilde.inverse @ B.T
+    K_inv = G3.T @ an.E.inverse @ G3
+    K_inv[:n + m, :n + m] += (np.block([[a_tilde.inverse, T], [T.T, B @ T]])
+                              - G2.T @ (2.0 * np.eye(m) - sys.D) @ G2)
     return InverseBlocks.from_full(K_inv, sys.dims)
 
 
 def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:
-    """Reference inverse by dense LU of the assembled matrix."""
+    """Reference inverse by dense LU of the assembled matrix, every block of
+    it; :func:`verify_identities` solves for Z22 alone with the same LU."""
     K = assemble(sys).matrix
     return InverseBlocks.from_full(np.linalg.inv(K), sys.dims)
 
@@ -524,16 +530,16 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
                        tol: ToleranceConfig | None = None) -> NullityBoundReport:
     """Verify the nullity bounds of the middle inverse block.
 
-    ``inv`` may come from any constructor or from dense inversion.  The
-    nullity of Z22 follows the global rank policy measured against its own
-    largest singular value, except that a block vanishing relative to the
-    whole inverse (``inverse_norm`` = ||K^{-1}||_2 = 1 / min |lambda(K)|, from
-    the eigenvalues of K) counts as nullity m.
+    ``inv`` may come from any constructor or from dense inversion; only its
+    Z22 is read.  The nullity of Z22 follows the global rank policy measured
+    against its own largest singular value, except that a block vanishing
+    relative to the whole inverse (``inverse_norm`` = ||K^{-1}||_2 =
+    1 / min |lambda(K)|, from the eigenvalues of K) counts as nullity m.
     """
-    return _z22_bounds(_analysis(sys, tol), inv)
+    return _z22_bounds(_analysis(sys, tol), inv.z22)
 
 
-def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
+def _z22_bounds(an, z22) -> NullityBoundReport:
     _require(an, "K invertible")
     tol = an.tol
     null_a = an.A.nullity
@@ -542,12 +548,12 @@ def _z22_bounds(an, inv: InverseBlocks) -> NullityBoundReport:
 
     inverse_norm = float(1.0 / an.k_moduli.min())
     # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
-    s = np.linalg.svd(inv.z22, compute_uv=False)
+    s = np.linalg.svd(z22, compute_uv=False)
     z22_norm = float(s.max(initial=0.0))
     if z22_norm <= tol.rank_rtol * max(m, 1) * inverse_norm:
         null_z22 = m
     else:
-        null_z22 = m - int(_above_cut(s, inv.z22.shape, tol).sum())
+        null_z22 = m - int(_above_cut(s, z22.shape, tol).sum())
 
     lower = min(max(null_a, null_e), m)
     upper = null_a + null_e
@@ -584,10 +590,14 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     Returns a list of entries {"id", "status", ...} where status is "ok"
     (residual within ``residual_rtol``), "failed", or "skipped" with a
     reason when the identity's hypotheses do not hold for this system.
+    Each identity works on its blocks: the projector is the one the analysis
+    holds, W^T K W adds two thin products to K, and Z22 comes from one LU
+    solve of K against its m middle unit columns.
     """
     an = _analysis(sys, tol)
     tol = an.tol
     alpha = _checked_alpha(an.D, alpha)
+    n, m = sys.n, sys.m
     entries = []
 
     def residual_entry(name, fn):
@@ -599,29 +609,32 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         status = "ok" if res <= tol.residual_rtol else "failed"
         entries.append({"id": name, "status": status, "residual": float(res)})
 
-    @functools.cache
-    def projector():
-        return _projector(an, "N1")
-
     def congruence():
+        # W = I + N with N = alpha B in block (2, 1): K W adds K[:, mid] N to the
+        # first n columns of K, and W^T (K W) adds N^T (K W)[mid] to its first n rows
         Kt, W = _congruence(sys, alpha)
-        return float(np.linalg.norm(W.matrix.T @ an.K @ W.matrix - Kt.matrix)
-                     / max(np.linalg.norm(Kt.matrix), 1e-300))
+        N = W.block(1, 0)
+        KW = an.K.copy()
+        KW[:, :n] += an.K[:, n:n + m] @ N
+        KW[:n] += N.T @ KW[n:n + m]
+        KW -= Kt.matrix
+        return float(np.linalg.norm(KW) / max(np.linalg.norm(Kt.matrix), 1e-300))
 
     # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form
     residual_entry("weight_recovery", lambda: _weight_recovery(
-        an, _m_inverse(an.D, alpha) / alpha, alpha * (2.0 * np.eye(sys.m) - alpha * sys.D) @ sys.B))
+        an, _m_inverse(an.D, alpha) / alpha, alpha * (2.0 * np.eye(m) - alpha * sys.D) @ sys.B))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1
-    residual_entry("inner_inverse", lambda: _inner_inverse(an, projector(), an.ds1))
+    residual_entry("inner_inverse", lambda: _inner_inverse(an, _projector(an, "N1"), an.ds1))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))
     residual_entry("reduced_projector",
-                   lambda: _fixed_point_residual(sys.A, projector()))
+                   lambda: _fixed_point_residual(sys.A, _projector(an, "N1")))
     residual_entry("congruence", congruence)
 
     try:
         _require(an, "K invertible")
-        bounds = _z22_bounds(an, dense_inverse_blocks(sys))
+        z22 = np.linalg.solve(an.K, np.eye(sys.ell, m, -n))[n:n + m]
+        bounds = _z22_bounds(an, 0.5 * (z22 + z22.T))
         entries.append({"id": "nullity_bounds",
                         "status": "ok" if bounds.satisfied else "failed",
                         "detail": bounds.to_dict()})

@@ -150,6 +150,8 @@ class _Analysis:
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
     a_tilde = _fact(lambda s, tol: _SymEig(_a_tilde(s), tol))
+    # the reduced-Hessian projector over ker(B), built once by dsaddle.inverses
+    projector = None
 
     # N1..N3 restrict the other blocks to the near-kernel of the first, read
     # from the decomposition held for it; near the rank cut the stacked SVD decides

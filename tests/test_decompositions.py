@@ -6,12 +6,15 @@ takes, and builds the condition report once.  The system holds that
 analysis, so later calls on the same system decompose no block again.  The
 congruence route reads the same analysis, so it decomposes D once per call,
 and the inverse constructors read the decompositions it holds instead of
-factoring again.
+factoring again; the reduced-Hessian projector is held there too, built
+once for both the three-block inverse and verify.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
-needed.  Witnesses are checked against the largest block norm, so diagnose
-decomposes K only for the oracle.  N1-N3 restrict blocks to kernels the analysis holds,
-so no stacked SVD runs on clean inputs.
+needed.  verify inverts no matrix: it reads Z22 from one LU solve of K
+against its m middle unit columns.  Witnesses are checked against the
+largest block norm, so diagnose decomposes K only for the oracle.  N1-N3
+restrict blocks to kernels the analysis holds, so no stacked SVD runs on
+clean inputs.
 """
 
 import os
@@ -43,7 +46,7 @@ CLASSES = (
 )
 BUDGET = 10
 SESSION = ("diagnose", "three_block_inverse", "inverse_via_factorization", "verify_identities")
-SESSION_BUDGET = 18
+SESSION_BUDGET = 15
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -106,33 +109,31 @@ def test_diagnose_stays_within_budget(counts, targets, rule):
 @pytest.mark.parametrize("name", ("inverse_via_factorization", "verify_identities",
                                   "factorize_transformed", "transformed_schur_complement"))
 def test_congruence_route_decomposes_d_once(monkeypatch, name):
-    """One eigh of the m x m block D per call, and one Cholesky factor of
-    A + B^T (2I - D) B per factorization inverse."""
-    counts = {"eigh_m": 0, "cho_factor": 0}
-    eigh, cho_factor = np.linalg.eigh, sla.cho_factor
+    """One eigh of the m x m block D per call on a fresh system, and per
+    factorization inverse at most two eigh of an n x n input: A and
+    A + B^T (2I - D) B."""
+    counts = {"eigh_m": 0, "eigh_n": 0}
+    eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
         counts["eigh_m"] += np.shape(a) == (DIMS[1], DIMS[1])  # n, m, p differ
+        counts["eigh_n"] += np.shape(a) == (DIMS[0], DIMS[0])
         return eigh(a, *args, **kwargs)
 
-    def counting_cho_factor(*args, **kwargs):
-        counts["cho_factor"] += 1
-        return cho_factor(*args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(sla, "cho_factor", counting_cho_factor)
     call = getattr(dsaddle, name)
     for seed in range(3):
         # max_deficient-style: null(A) = rank(B) = m, so every call applies;
         # D's spectrum lies below 2, so alpha = 0.5 is admissible
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
                                                null_d=seed % 2, seed=seed))
+        system = cold_copy(system)
         args = (system, 0.5) if name == "transformed_schur_complement" else (system,)
-        counts.update(eigh_m=0, cho_factor=0)
+        counts.update(eigh_m=0, eigh_n=0)
         call(*args)
         assert counts["eigh_m"] <= 1, counts
         if name == "inverse_via_factorization":
-            assert counts["cho_factor"] <= 1, counts
+            assert counts["eigh_n"] <= 2, counts
 
 
 # numpy and scipy kernels a call can run; the spectral norm is an SVD
@@ -237,10 +238,11 @@ def test_diagnose_decomposes_no_assembled_matrix(counts, targets, rule):
 
 def test_session_decomposes_each_block_once(counts):
     """diagnose, both inverses and verify on one system read the analysis the
-    system holds: A, B, D, E, K and the restricted B V_0 of N1 (V_0 the
-    null(A) = m kernel eigenvectors of A) are each decomposed once in the
-    whole session, B V_0 is the only restricted matrix decomposed, and the
-    stacked [A; B] never is."""
+    system holds: A, B, D, E, K, the reduced Hessian Z^T A Z of the held
+    projector and the restricted B V_0 of N1 (V_0 the null(A) = m kernel
+    eigenvectors of A) are each decomposed once in the whole session, B V_0
+    is the only restricted matrix decomposed, and the stacked [A; B] never
+    is."""
     n, m, _ = DIMS
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
@@ -252,6 +254,35 @@ def test_session_decomposes_each_block_once(counts):
         assert counts["decompositions"] <= SESSION_BUDGET, counts
         assert counts["shapes"].count((n + m, n)) == 0, counts
         assert counts["restricted"] == [(m, m)], counts
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_verify_solves_for_z22_alone(monkeypatch, targets, rule):
+    """verify_identities inverts no matrix: Z22 is read from one solve with K
+    against its m middle unit columns, and no other solve with K runs."""
+    calls = {"inv": 0, "k_columns": []}
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def counting_inv(a, *args, **kwargs):
+        calls["inv"] += 1
+        return inv(a, *args, **kwargs)
+
+    def recording_solve(a, b, *args, **kwargs):
+        if np.shape(a) == (sum(DIMS), sum(DIMS)):  # n, m, p and ell differ
+            calls["k_columns"].append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        system = cold_copy(system)
+        calls.update(inv=0, k_columns=[])
+        entries = {e["id"]: e for e in verify_identities(system)}
+        assert calls["inv"] == 0, calls
+        solved = entries["nullity_bounds"]["status"] != "skipped"
+        assert calls["k_columns"] == ([DIMS[1]] if solved else []), calls
 
 
 def test_alpha_and_a_tilde_read_held_decompositions(counts):

@@ -9,6 +9,7 @@ from dsaddle import (
     PreconditionError,
     assemble,
     congruence_transform,
+    default_alpha,
     dense_inverse_blocks,
     factorize_transformed,
     haar_orthogonal,
@@ -29,7 +30,8 @@ from dsaddle import (
     z22_nullity_bounds,
 )
 
-from _families import fixture_three_block, fixture_three_block_inverse, max_deficient
+from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
+    max_deficient, psd_disjoint_ranges, random_systems
 
 A2 = np.diag([0.0, 1.0])
 B2 = np.array([[1.0, 0.0]])
@@ -436,3 +438,54 @@ class TestVerifyIdentities:
         assert by_id["weight_recovery"]["status"] == "skipped"
         assert "null" in by_id["weight_recovery"]["reason"]
         assert by_id["congruence"]["status"] == "ok"
+
+
+def _guarded_systems():
+    """The instance families and 30 seeded gen_instance specs, every third
+    one maximally deficient."""
+    yield fixture_three_block()
+    for seed in range(6):
+        yield max_deficient(seed)[0]
+        yield max_deficient(seed, null_e=1)[0]
+        yield max_deficient(seed, null_d=1, rank_c=1)[0]
+        yield psd_disjoint_ranges(seed)[0]
+        yield direct_sum_singular(seed)[0]
+    yield from random_systems(30, 13, deficient_every=3)
+
+
+def test_blockwise_identities_match_dense_formulas():
+    """verify's Z22 solve, thin congruence products and (n - m) x n projector
+    residual, and the blockwise factorization inverse, agree with the dense
+    formulas they replace: the LU inverse, W^T K W with the assembled W,
+    ||Z Z^T A V - Z Z^T||_2, and K^{-1} by dense LU."""
+    compared = dict.fromkeys(("nullity_bounds", "congruence", "reduced_projector",
+                              "factorization"), 0)
+    for sys in _guarded_systems():
+        by_id = {e["id"]: e for e in verify_identities(sys)}
+        K = assemble(sys).matrix
+        if by_id["nullity_bounds"]["status"] != "skipped":
+            detail = dict(by_id["nullity_bounds"]["detail"])
+            dense = z22_nullity_bounds(sys, dense_inverse_blocks(sys)).to_dict()
+            assert detail.pop("z22_norm") == pytest.approx(dense.pop("z22_norm"), rel=1e-8)
+            assert detail == dense
+            compared["nullity_bounds"] += 1
+        Kt, W = congruence_transform(sys, default_alpha(sys))
+        residual = (np.linalg.norm(W.matrix.T @ K @ W.matrix - Kt.matrix)
+                    / np.linalg.norm(Kt.matrix))
+        assert by_id["congruence"]["residual"] == pytest.approx(residual, rel=0, abs=1e-13)
+        compared["congruence"] += 1
+        if by_id["reduced_projector"]["status"] != "skipped":
+            proj = reduced_hessian_projector(sys.A, sys.B)
+            ZZt = proj.Z.basis @ proj.Z.basis.T
+            residual = np.linalg.norm(ZZt @ sys.A @ proj.V - ZZt, 2)
+            assert by_id["reduced_projector"]["residual"] == \
+                pytest.approx(residual, rel=0, abs=1e-13)
+            compared["reduced_projector"] += 1
+        try:
+            X = inverse_via_factorization(sys).full
+        except PreconditionError:
+            continue
+        reference = dense_inverse_blocks(sys).full
+        assert np.linalg.norm(X - reference) <= 1e-10 * np.linalg.norm(reference)
+        compared["factorization"] += 1
+    assert min(compared.values()) >= 10, compared
