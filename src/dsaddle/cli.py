@@ -29,6 +29,7 @@ from .inverses import dense_inverse_blocks, three_block_inverse, verify_identiti
 from .invertibility import Verdict, diagnose
 from .mmio import canonical_json, load_block_system, save_block_system, \
     save_inverse_blocks, write_json
+from .subspaces import _spectral_norm
 from .tolerances import DEFAULT_TOL
 
 EXIT_INVERTIBLE = 0
@@ -182,7 +183,7 @@ def _cmd_invert(config: RunConfig) -> int:
         constructor = "dense"
 
     misfit = assemble(system).matrix @ inv.full - np.eye(system.ell)
-    residual = np.linalg.norm(misfit, 2)
+    residual = _spectral_norm(misfit)
     max_entry = float(np.max(np.abs(misfit)))
     manifest = {
         "schema": "dsaddle.inverse-manifest/1",

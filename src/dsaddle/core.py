@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .subspaces import _SymEig, _above_cut, _as_matrix
+from .subspaces import _SymEig, _above_cut, _as_matrix, _symmetric
 from .tolerances import ToleranceConfig
-
-
-def _check_symmetric(M, name):
-    if not _SymEig(M).symmetric:
-        raise ValueError(f"block {name} is not symmetric within tolerance")
 
 
 class BlockSystem:
@@ -59,9 +54,9 @@ class BlockSystem:
             raise ValueError(f"D must be {m} x {m}, got {D.shape}")
         if E.shape != (p, p):
             raise ValueError(f"E must be {p} x {p}, got {E.shape}")
-        _check_symmetric(A, "A")
-        _check_symmetric(D, "D")
-        _check_symmetric(E, "E")
+        for name, block in (("A", A), ("D", D), ("E", E)):
+            if not _symmetric(block):
+                raise ValueError(f"block {name} is not symmetric within tolerance")
         for name, block in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
             block = np.array(block, order="C")
             block.setflags(write=False)
@@ -243,21 +238,22 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     partition.  alpha must lie strictly inside (0, 2/lambda_max(D)); for
     D = 0 any positive alpha is admissible.
     """
-    return _congruence(sys, _checked_alpha(_held_d(sys, tol), alpha))
-
-
-def _congruence(sys: BlockSystem, alpha: float):
-    """:func:`congruence_transform` for an alpha the caller has checked."""
+    alpha = _checked_alpha(_held_d(sys, tol), alpha)
     n, m, _ = sys.dims
-    B, D = sys.B, sys.D
     Kt = assemble(sys).matrix.copy()
-    Kt[:n, :n] += alpha * B.T @ (2.0 * np.eye(m) - alpha * D) @ B
-    Kt[n:n + m, :n] -= alpha * D @ B
-    Kt[n + m:, :n] = alpha * sys.C @ B
+    Kt[:, :n] = _congruence(sys, alpha)
     Kt[:n, n:] = Kt[n:, :n].T
     W = np.eye(sys.ell)
-    W[n:n + m, :n] = alpha * B
+    W[n:n + m, :n] = alpha * sys.B
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
+
+
+def _congruence(sys: BlockSystem, alpha: float) -> np.ndarray:
+    """The first n columns of W^T K W for an alpha the caller has checked:
+    past them and their mirror, W^T K W equals K."""
+    B, D = sys.B, sys.D
+    return np.vstack([sys.A + alpha * B.T @ (2.0 * np.eye(sys.m) - alpha * D) @ B,
+                      B - alpha * D @ B, alpha * sys.C @ B])
 
 
 def rescale_middle(sys: BlockSystem, beta: float) -> BlockSystem:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
-from .invertibility import _analysis, is_nonsingular
-from .subspaces import SubspaceBasis, _above_cut, _as_matrix, is_direct_sum
+from .invertibility import _analysis
+from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _nonsingular, _singular_values, \
+    _spectral_norm, is_direct_sum
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -78,7 +79,7 @@ def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
     if Z.dim == 0:
         return np.zeros((A.shape[0], A.shape[0]))
     H = Z.basis.T @ A @ Z.basis
-    if not is_nonsingular(H, tol):
+    if not _nonsingular(H, tol):
         raise PreconditionError(
             "reduced Hessian Z^T A Z is numerically singular; "
             "ker(A) and ker(B) must intersect trivially with A semidefinite"
@@ -143,11 +144,11 @@ def _weight_recovery(an, W, winv_b=None) -> float:
     _require(an, "null(A) = m", "N1")
     A, B = an.sys.A, an.sys.B
     if winv_b is None:
-        if not is_nonsingular(W, an.tol):
+        if not _nonsingular(W, an.tol):
             raise PreconditionError("W must be invertible")
         winv_b = np.linalg.solve(W, B)
     X = A + B.T @ winv_b
-    if not is_nonsingular(X, an.tol):
+    if not _nonsingular(X, an.tol):
         raise PreconditionError(
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
         )
@@ -173,11 +174,12 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
         raise PreconditionError("B must have full row rank")
     if Z.ambient_dim != n or Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
-    if Z.dim and np.linalg.norm(B @ Z.basis, 2) > an.tol.residual_rtol * an.B.s[0]:
+    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails
+    BZ, cut = B @ Z.basis, an.tol.residual_rtol * an.B.norm
+    if np.linalg.norm(BZ) > cut and np.linalg.norm(BZ, 2) > cut:
         raise PreconditionError("Z is not a kernel basis of B")
     row_proj = B.T @ np.linalg.solve(B @ B.T, B)
-    complement = np.eye(n) - Z.basis @ Z.basis.T
-    return float(np.linalg.norm(row_proj - complement, 2))
+    return _spectral_norm(row_proj - (np.eye(n) - Z.basis @ Z.basis.T), symmetric=True)
 
 
 def projector_complement_residual(B, Z: SubspaceBasis,
@@ -195,7 +197,7 @@ def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
     if proj.Z.dim == 0:
         return 0.0
     Zt = proj.Z.basis.T
-    return float(np.linalg.norm(Zt @ A @ proj.V - Zt, 2))
+    return _spectral_norm(Zt @ A @ proj.V - Zt)
 
 
 def reduced_projector_residual(A, proj: ReducedHessianProjector,
@@ -204,8 +206,8 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
     tol = resolve(tol)
     A = _as_matrix(A, "A")
     V_check = _projector_from_basis(A, proj.Z, tol)
-    scale = max(np.linalg.norm(proj.V, 2), 1e-300)
-    if np.linalg.norm(V_check - proj.V, 2) > tol.residual_rtol * max(scale, 1.0):
+    scale = max(_spectral_norm(proj.V, symmetric=True), 1.0)
+    if _spectral_norm(V_check - proj.V, symmetric=True) > tol.residual_rtol * scale:
         raise PreconditionError("projector was not built from this A")
     return _fixed_point_residual(A, proj)
 
@@ -547,8 +549,7 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
     m = an.sys.m
 
     inverse_norm = float(1.0 / an.k_moduli.min())
-    # one SVD of Z22 gives its 2-norm (the largest singular value) and its rank
-    s = np.linalg.svd(z22, compute_uv=False)
+    s = _singular_values(z22)
     z22_norm = float(s.max(initial=0.0))
     if z22_norm <= tol.rank_rtol * max(m, 1) * inverse_norm:
         null_z22 = m
@@ -591,8 +592,9 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     (residual within ``residual_rtol``), "failed", or "skipped" with a
     reason when the identity's hypotheses do not hold for this system.
     Each identity works on its blocks: the projector is the one the analysis
-    holds, W^T K W adds two thin products to K, and Z22 comes from one LU
-    solve of K against its m middle unit columns.
+    holds, W^T K W and K~ are compared on the first n rows and columns, where
+    alone they differ from K, Z22 comes from one LU solve of K against its m
+    middle unit columns, and no SVD runs on a symmetric matrix.
     """
     an = _analysis(sys, tol)
     tol = an.tol
@@ -610,15 +612,17 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         entries.append({"id": name, "status": status, "residual": float(res)})
 
     def congruence():
-        # W = I + N with N = alpha B in block (2, 1): K W adds K[:, mid] N to the
-        # first n columns of K, and W^T (K W) adds N^T (K W)[mid] to its first n rows
-        Kt, W = _congruence(sys, alpha)
-        N = W.block(1, 0)
-        KW = an.K.copy()
-        KW[:, :n] += an.K[:, n:n + m] @ N
-        KW[:n] += N.T @ KW[n:n + m]
-        KW -= Kt.matrix
-        return float(np.linalg.norm(KW) / max(np.linalg.norm(Kt.matrix), 1e-300))
+        # W = I + N with N = alpha B in block (2, 1): K W adds K[:, mid] N to the first n
+        # columns of K and W^T (K W) adds N^T (K W)[mid] to its first n rows, nothing else
+        K, N, Kt = an.K, alpha * sys.B, _congruence(sys, alpha)
+        cols = K[:, :n] + K[:, n:n + m] @ N
+        rows = np.hstack([cols[:n], K[:n, n:]]) + N.T @ np.hstack([cols[n:n + m], K[n:n + m, n:]])
+        rows -= np.hstack([Kt[:n], Kt[n:].T])
+        # ||K~||_F: its first n columns, their mirror and the trailing block of K
+        scale = np.linalg.norm([np.linalg.norm(Kt), np.linalg.norm(Kt[n:]),
+                                np.linalg.norm(K[n:, n:])])
+        return float(np.hypot(np.linalg.norm(rows), np.linalg.norm(cols[n:] - Kt[n:]))
+                     / max(scale, 1e-300))
 
     # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form
     residual_entry("weight_recovery", lambda: _weight_recovery(

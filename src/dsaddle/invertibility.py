@@ -182,7 +182,11 @@ class _Analysis:
 
     @cached_property
     def r_witness(self):
-        """Shared unit direction of ran(B) and ran(C^T); None when R holds."""
+        """Shared unit direction of ran(B) and ran(C^T); None when R holds.  When
+        one range is R^m, the witness is the first basis vector of the other."""
+        for full, other in ((self.B, self.Ct), (self.Ct, self.B)):
+            if full.rank == self.sys.B.shape[0]:
+                return _first(other.range)
         return _shared_direction(self.B.range, self.Ct.range, self.tol)
 
     # A sum of two subspaces is direct exactly when they meet only in {0}, and

@@ -5,9 +5,10 @@ classification, all driven by the single rank policy in
 :mod:`dsaddle.tolerances`.  A general matrix is read through one full SVD
 and a symmetric one through one eigendecomposition; the singular values of a
 symmetric matrix are the moduli of its eigenvalues, so both go through the
-same rank cut.  Kernel and range bases are orthonormal by construction; the
-trivial subspace is represented explicitly as a basis with zero columns,
-never as ``None``.
+same rank cut.  Where only those values are needed, one ``eigvalsh`` reads a
+symmetric matrix, and a spectral norm needs no SVD.  Kernel and range bases
+are orthonormal by construction; the trivial subspace is represented
+explicitly as a basis with zero columns, never as ``None``.
 """
 
 from dataclasses import dataclass
@@ -271,6 +272,30 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
 _SYM_RTOL = _NEG_RTOL = 1e-10
 
 
+def _symmetric(M) -> bool:
+    return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * np.linalg.norm(M, "fro"))
+
+
+def _singular_values(M, symmetric=False) -> np.ndarray:
+    """Singular values of M, unordered: for M symmetric by construction or by
+    the symmetry test, the |eigenvalues| of one eigvalsh of its symmetric
+    part, at half the cost of the SVD that reads any other M."""
+    if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
+        return np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def _nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
+    return bool(_above_cut(_singular_values(M), M.shape, tol).all())
+
+
+def _spectral_norm(M, symmetric=False) -> float:
+    """||M||_2 with no SVD: an asymmetric M as sqrt ||G||_2, G its smaller Gram matrix."""
+    if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
+        return float(_singular_values(M, True).max(initial=0.0))
+    return float(np.sqrt(_spectral_norm(M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M, True)))
+
+
 class _SymEig:
     """One eigendecomposition of a symmetric matrix, read under the rank cut.
 
@@ -301,18 +326,13 @@ class _SymEig:
         lam = self._eigh[0]
         return lam, _above_cut(np.abs(lam), self.matrix.shape, self.tol)
 
-    @property
-    def symmetric(self) -> bool:
-        M = self.matrix
-        return np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * np.linalg.norm(M, "fro")
-
     @cached_property
     def definiteness(self) -> Definiteness:
         """Strongest true tag among PD, PSD, indefinite, not-symmetric.  PD
         needs every eigenvalue past the rank cut, as nullity 0 does."""
         if self.matrix.shape[0] == 0:
             return Definiteness.POSITIVE_DEFINITE
-        if not self.symmetric:
+        if not _symmetric(self.matrix):
             return Definiteness.NOT_SYMMETRIC
         lam, nonzero = self._spectrum
         if lam[0] < -_NEG_RTOL * np.abs(lam).max() or (lam[nonzero] < 0.0).any():
@@ -347,7 +367,7 @@ class _SymEig:
     def pairs(self):
         """|eigenvalues| with their eigenvectors, ||M q|| for each column q;
         None for an asymmetric M, whose eigenvectors do not give ||M q||."""
-        return (np.abs(self._spectrum[0]), self._eigh[1]) if self.symmetric else None
+        return (np.abs(self._spectrum[0]), self._eigh[1]) if _symmetric(self.matrix) else None
 
     @cached_property
     def inverse(self) -> np.ndarray:

@@ -11,10 +11,12 @@ once for both the three-block inverse and verify.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
 needed.  verify inverts no matrix: it reads Z22 from one LU solve of K
-against its m middle unit columns.  Witnesses are checked against the
+against its m middle unit columns, and reads every spectral norm and
+nonsingularity test of an n x n or ell x ell matrix through eigenvalues, so
+it runs no SVD on such a matrix.  Witnesses are checked against the
 largest block norm, so diagnose decomposes K only for the oracle.  N1-N3
 restrict blocks to kernels the analysis holds, so no stacked SVD runs on
-clean inputs.
+clean inputs, and R needs no SVD when B or C has rank m.
 """
 
 import os
@@ -46,7 +48,7 @@ CLASSES = (
 )
 BUDGET = 10
 SESSION = ("diagnose", "three_block_inverse", "inverse_via_factorization", "verify_identities")
-SESSION_BUDGET = 15
+SESSION_BUDGET = 13
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -144,7 +146,7 @@ KERNEL_BUDGETS = {
     "inverse_via_factorization": 5,
     "factorize_transformed": 4,
     "two_block_inverse": 5,
-    "verify_identities": 18,
+    "verify_identities": 16,
 }
 
 
@@ -283,6 +285,34 @@ def test_verify_solves_for_z22_alone(monkeypatch, targets, rule):
         assert calls["inv"] == 0, calls
         solved = entries["nullity_bounds"]["status"] != "skipped"
         assert calls["k_columns"] == ([DIMS[1]] if solved else []), calls
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_verify_runs_no_svd_on_square_matrices(monkeypatch, targets, rule):
+    """verify_identities reads the spectral norms and nonsingularity tests of
+    its n x n and ell x ell matrices through eigenvalues: no svd and no
+    norm(., 2) runs on such an input."""
+    n, ell = DIMS[0], sum(DIMS)  # n, m, p and ell differ
+    shapes = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        shapes.clear()
+        verify_identities(cold_copy(system))
+        assert not {(n, n), (ell, ell)} & set(shapes), shapes
 
 
 def test_alpha_and_a_tilde_read_held_decompositions(counts):

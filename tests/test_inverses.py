@@ -7,7 +7,9 @@ from dsaddle import (
     BlockSystem,
     InverseBlocks,
     PreconditionError,
+    SubspaceBasis,
     assemble,
+    condition_report,
     congruence_transform,
     default_alpha,
     dense_inverse_blocks,
@@ -19,7 +21,10 @@ from dsaddle import (
     matrix_rank,
     nullity,
     oracle_invertible,
+    permute_similar,
     projector_complement_residual,
+    range_basis,
+    range_intersection_trivial,
     reduced_hessian_projector,
     reduced_projector_residual,
     three_block_inverse,
@@ -141,6 +146,10 @@ class TestProjectorComplement:
         Z_wrong = kernel_basis(np.array([[0.0, 1.0]]))
         with pytest.raises(PreconditionError, match="kernel"):
             projector_complement_residual(B2, Z_wrong)
+
+    def test_empty_b_has_zero_residual(self):
+        # both projectors vanish: B^T (B B^T)^{-1} B and I - Z Z^T with Z = I
+        assert projector_complement_residual(np.zeros((0, 3)), SubspaceBasis(np.eye(3))) == 0.0
 
 
 class TestReducedProjector:
@@ -454,12 +463,13 @@ def _guarded_systems():
 
 
 def test_blockwise_identities_match_dense_formulas():
-    """verify's Z22 solve, thin congruence products and (n - m) x n projector
-    residual, and the blockwise factorization inverse, agree with the dense
-    formulas they replace: the LU inverse, W^T K W with the assembled W,
-    ||Z Z^T A V - Z Z^T||_2, and K^{-1} by dense LU."""
-    compared = dict.fromkeys(("nullity_bounds", "congruence", "reduced_projector",
-                              "factorization"), 0)
+    """verify's Z22 solve, congruence strips, eigenvalue and Gram spectral
+    norms, and the blockwise factorization inverse, agree with the dense
+    formulas they replace: the LU inverse, W^T K W with the assembled W, the
+    SVD norms of B^T (B B^T)^{-1} B - (I - Z Z^T) and Z Z^T A V - Z Z^T, and
+    K^{-1} by dense LU."""
+    compared = dict.fromkeys(("nullity_bounds", "congruence", "projector_complement",
+                              "reduced_projector", "factorization"), 0)
     for sys in _guarded_systems():
         by_id = {e["id"]: e for e in verify_identities(sys)}
         K = assemble(sys).matrix
@@ -474,6 +484,13 @@ def test_blockwise_identities_match_dense_formulas():
                     / np.linalg.norm(Kt.matrix))
         assert by_id["congruence"]["residual"] == pytest.approx(residual, rel=0, abs=1e-13)
         compared["congruence"] += 1
+        if by_id["projector_complement"]["status"] != "skipped":
+            B, Z = sys.B, kernel_basis(sys.B).basis
+            residual = np.linalg.norm(B.T @ np.linalg.solve(B @ B.T, B)
+                                      - (np.eye(sys.n) - Z @ Z.T), 2)
+            assert by_id["projector_complement"]["residual"] == \
+                pytest.approx(residual, rel=0, abs=1e-12)
+            compared["projector_complement"] += 1
         if by_id["reduced_projector"]["status"] != "skipped":
             proj = reduced_hessian_projector(sys.A, sys.B)
             ZZt = proj.Z.basis @ proj.Z.basis.T
@@ -489,3 +506,26 @@ def test_blockwise_identities_match_dense_formulas():
         assert np.linalg.norm(X - reference) <= 1e-10 * np.linalg.norm(reference)
         compared["factorization"] += 1
     assert min(compared.values()) >= 10, compared
+
+
+def test_r_with_a_full_row_rank_block_matches_the_stacked_test():
+    """When rank(B) = m or rank(C) = m, R is decided without an SVD of the two
+    range bases side by side, as the stacked test decides it, and a failing R
+    carries a unit witness in both ranges."""
+    decided = {True: 0, False: 0}
+    for system in _guarded_systems():
+        for sys in (system, permute_similar(system)):
+            report = condition_report(sys)
+            if sys.m not in (report.ranks["B"], report.ranks["C"]):
+                continue
+            holds, _ = range_intersection_trivial(sys.B, sys.C.T)
+            assert report.holds("R") == holds
+            decided[holds] += 1
+            w = report.witness("R")
+            assert (w is None) == holds
+            if w is not None:
+                assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+                for M in (sys.B, sys.C.T):
+                    U = range_basis(M).basis
+                    assert np.linalg.norm(w - U @ (U.T @ w)) <= 1e-12
+    assert min(decided.values()) >= 10, decided

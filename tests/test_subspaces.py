@@ -12,13 +12,14 @@ from dsaddle import (
     classify_definiteness,
     intersection_kernels,
     is_direct_sum,
+    is_nonsingular,
     kernel_basis,
     matrix_rank,
     nullity,
     range_basis,
     range_intersection_trivial,
 )
-from dsaddle.subspaces import _SymEig
+from dsaddle.subspaces import _SymEig, _nonsingular, _spectral_norm
 
 
 def random_rank_matrix(rng, rows, cols, rank):
@@ -252,3 +253,71 @@ def test_first_decomposition_fixes_eigenvalues(monkeypatch):
     assert sym.kernel.dim == nullity_first
     assert sym._spectrum is spectrum and sym.nullity == nullity_first
     assert seen == ["eigh"]
+
+
+def _seeded_matrices():
+    """Thin, wide, square, symmetric, zero and empty matrices, seeded."""
+    rng = np.random.default_rng(7)
+    for rows, cols in ((9, 4), (4, 9), (7, 7), (30, 12), (12, 30), (25, 25)):
+        yield rng.standard_normal((rows, cols))
+        yield random_rank_matrix(rng, rows, cols, min(rows, cols) // 2)
+    for dim in (1, 6, 40):
+        G = rng.standard_normal((dim, dim))
+        yield G + G.T
+        yield G @ G.T
+    for shape in ((5, 3), (3, 5), (4, 4), (0, 3), (3, 0), (0, 0)):
+        yield np.zeros(shape)
+
+
+def test_spectral_norm_matches_the_svd():
+    """||M||_2 read from eigenvalues, or from the smaller Gram matrix, is the
+    largest singular value."""
+    for M in _seeded_matrices():
+        assert _spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12), M.shape
+        if M.shape[0] == M.shape[1] and (M == M.T).all():
+            assert _spectral_norm(M, symmetric=True) == \
+                pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+
+def _counting_kernels(monkeypatch):
+    seen = []
+    for name in ("svd", "eigvalsh"):
+        def counting(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append(_name)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return seen
+
+
+def test_symmetric_nonsingularity_agrees_with_the_svd(monkeypatch):
+    """Away from the rank cut (a factor 100 either side), the eigenvalue test
+    of a symmetric matrix gives the SVD's verdict, and runs no SVD."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for trial in range(60):
+        dim = int(rng.integers(1, 12))
+        lam = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(0.5, 2.0, size=dim)
+        cut = ToleranceConfig().rank_rtol * dim * np.abs(lam).max()
+        if trial % 3 == 1:
+            lam[0] = 0.0 if trial % 2 else cut / 100.0 * 10.0 ** rng.uniform(-4, 0)
+        elif trial % 3 == 2:
+            lam[0] = 100.0 * cut * 10.0 ** rng.uniform(0, 3)
+        Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        M = (Q * lam) @ Q.T
+        M = 0.5 * (M + M.T)
+        expected = is_nonsingular(M)
+        seen = _counting_kernels(monkeypatch)
+        assert _nonsingular(M) == expected, (lam, cut)
+        assert seen == ["eigvalsh"]
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_asymmetric_input_takes_the_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    for M in (rng.standard_normal((6, 6)), np.triu(np.ones((4, 4))),
+              np.diag([1.0, 0.0]) + np.eye(2, k=1)):
+        expected = is_nonsingular(M)
+        seen = _counting_kernels(monkeypatch)
+        assert _nonsingular(M) == expected
+        assert seen == ["svd"]
