@@ -16,41 +16,24 @@ import numpy as np
 
 from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
-from .invertibility import _analysis
+from .invertibility import _analysis, _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _nonsingular, _singular_values, \
     _spectral_norm, is_direct_sum
 from .tolerances import ToleranceConfig, resolve
 
 
-# ---------------------------------------------------------------------------
-# hypotheses, each checked in one place
-# ---------------------------------------------------------------------------
-
-_HYPOTHESES = {
-    "A psd": lambda an: (an.A.definiteness.is_psd, "A must be positive semidefinite"),
-    "null(A) = m": lambda an: (
-        an.A.nullity == an.sys.B.shape[0],
-        f"null(A) = {an.A.nullity} must equal the row count m = {an.sys.B.shape[0]} of B"),
-    "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
-    "DS1": lambda an: (an.ds1,
-                       "ker(A) and ker(B) must form a direct sum of the whole space"),
-    "E nonsingular": lambda an: (an.E.nonsingular, "E must be nonsingular"),
-    "K invertible": lambda an: (an.k_nonsingular,
-                                "nullity bounds apply to invertible systems only"),
-}
-
-
-def _require(an, *names):
-    """Raise PreconditionError naming the first hypothesis that fails."""
-    for name in names:
-        holds, message = _HYPOTHESES[name](an)
-        if not holds:
-            raise PreconditionError(message)
-
-
 def _blocks(tol, **blocks):
-    """Analysis of loose blocks, passed by name, outside a BlockSystem."""
+    """Analysis of loose blocks, passed by name, outside a BlockSystem; the named
+    hypotheses of dsaddle.invertibility read m from B, so they apply to it."""
     return _analysis(SimpleNamespace(**{k: _as_matrix(v, k) for k, v in blocks.items()}), tol)
+
+
+def _finite(alpha, *values):
+    """The values, each checked finite when a scale alpha is given: a value that
+    alpha overflows makes an identity inapplicable at that alpha."""
+    if alpha is not None and not all(np.isfinite(v).all() for v in values):
+        raise PreconditionError(f"alpha={float(alpha)!r} overflows the scaled blocks")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +118,11 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     return _inner_inverse(an, proj, is_direct_sum(an.A.kernel, proj.Z, an.tol))
 
 
-def _weight_recovery(an, W, winv_b=None) -> float:
-    """Residual of the identity, solving with W unless W^{-1} B is given."""
+def _weight_recovery(an, W, winv_b=None, alpha=None) -> float:
+    """Residual of the identity, solving with W unless W^{-1} B is given; for W
+    scaled by ``alpha``, each value it reads is checked finite."""
     m = an.sys.B.shape[0]
+    _finite(alpha, W, winv_b)
     W = _as_matrix(W, "W")
     if W.shape != (m, m):
         raise ValueError(f"W must be {m} x {m}, got {W.shape}")
@@ -147,13 +132,14 @@ def _weight_recovery(an, W, winv_b=None) -> float:
         if not _nonsingular(W, an.tol):
             raise PreconditionError("W must be invertible")
         winv_b = np.linalg.solve(W, B)
-    X = A + B.T @ winv_b
+    X = _finite(alpha, A + B.T @ winv_b)[0]
     if not _nonsingular(X, an.tol):
         raise PreconditionError(
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
         )
     recovered = B @ np.linalg.solve(X, B.T)
-    return float(np.linalg.norm(recovered - W, "fro") / np.linalg.norm(W, "fro"))
+    residual = np.linalg.norm(recovered - W, "fro") / np.linalg.norm(W, "fro")
+    return float(_finite(alpha, residual)[0])
 
 
 def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> float:
@@ -170,14 +156,14 @@ def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> flo
 def _projector_complement(an, Z: SubspaceBasis) -> float:
     B = an.sys.B
     m, n = B.shape
-    if an.B.rank != m:
-        raise PreconditionError("B must have full row rank")
+    _require(an, "rank(B) = m")
     if Z.ambient_dim != n or Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
     # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails
     BZ, cut = B @ Z.basis, an.tol.residual_rtol * an.B.norm
     if np.linalg.norm(BZ) > cut and np.linalg.norm(BZ, 2) > cut:
         raise PreconditionError("Z is not a kernel basis of B")
+    # a fresh solve: B^T (B B^T)^{-1} B from B's held SVD would only check that SVD
     row_proj = B.T @ np.linalg.solve(B @ B.T, B)
     return _spectral_norm(row_proj - (np.eye(n) - Z.basis @ Z.basis.T), symmetric=True)
 
@@ -287,8 +273,7 @@ def _factor_blocks(an):
     """a_tilde's held eigendecomposition (nonsingularity and inverse), b_one,
     and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
     alpha = 1."""
-    _require(an, "A psd", "null(A) = m")
-    _checked_alpha(an.D, 1.0)  # lambda_max(D) < 2
+    _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2")
     # with A psd and 2I - D positive definite, ker(a_tilde) = ker(A) ∩ ker(B),
     # so a nonsingular a_tilde is the condition N1
     a_tilde = an.a_tilde
@@ -339,18 +324,9 @@ class InverseBlocks:
 
     @property
     def full(self) -> np.ndarray:
-        n, m, p = self.dims
-        X = np.zeros((n + m + p, n + m + p))
-        X[:n, :n] = self.z11
-        X[:n, n:n + m] = self.z12
-        X[:n, n + m:] = self.z13
-        X[n:n + m, :n] = self.z12.T
-        X[n:n + m, n:n + m] = self.z22
-        X[n:n + m, n + m:] = self.z23
-        X[n + m:, :n] = self.z13.T
-        X[n + m:, n:n + m] = self.z23.T
-        X[n + m:, n + m:] = self.z33
-        return X
+        return np.block([[self.z11, self.z12, self.z13],
+                         [self.z12.T, self.z22, self.z23],
+                         [self.z13.T, self.z23.T, self.z33]])
 
     def blocks(self) -> dict:
         return {"Z11": self.z11, "Z12": self.z12, "Z13": self.z13,
@@ -371,13 +347,7 @@ class TwoBlockInverse:
 
     @property
     def full(self) -> np.ndarray:
-        n, m = self.dims
-        X = np.zeros((n + m, n + m))
-        X[:n, :n] = self.x11
-        X[:n, n:] = self.x12
-        X[n:, :n] = self.x12.T
-        X[n:, n:] = self.x22
-        return X
+        return np.block([[self.x11, self.x12], [self.x12.T, self.x22]])
 
 
 def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockInverse:
@@ -412,7 +382,7 @@ def _two_block(an, D):
     A, m = an.sys.A, an.sys.B.shape[0]
     proj = _projector(an, "null(A) = m", "DS1")
     u, s, vh = an.B.u, an.B.s, an.B.vh
-    R = (u / s[:m]) @ (vh[:m] @ (np.eye(A.shape[0]) - A @ proj.V))
+    R = (u / s[:m]) @ (vh[:m] - (vh[:m] @ A) @ proj.V)
     x11 = R.T @ D @ R + proj.V
     return 0.5 * (x11 + x11.T), R
 
@@ -621,19 +591,24 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         # ||K~||_F: its first n columns, their mirror and the trailing block of K
         scale = np.linalg.norm([np.linalg.norm(Kt), np.linalg.norm(Kt[n:]),
                                 np.linalg.norm(K[n:, n:])])
-        return float(np.hypot(np.linalg.norm(rows), np.linalg.norm(cols[n:] - Kt[n:]))
-                     / max(scale, 1e-300))
+        res, scale = _finite(alpha, np.hypot(np.linalg.norm(rows),
+                                             np.linalg.norm(cols[n:] - Kt[n:])), scale)
+        return float(res / max(scale, 1e-300))
 
-    # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form
-    residual_entry("weight_recovery", lambda: _weight_recovery(
-        an, _m_inverse(an.D, alpha) / alpha, alpha * (2.0 * np.eye(m) - alpha * sys.D) @ sys.B))
+    # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form; alpha scales W and
+    # K~, and _finite turns a value it overflows into a skip, not a warning
+    with np.errstate(all="ignore"):
+        residual_entry("weight_recovery", lambda: _weight_recovery(
+            an, _m_inverse(an.D, alpha) / alpha,
+            alpha * (2.0 * np.eye(m) - alpha * sys.D) @ sys.B, alpha))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1
     residual_entry("inner_inverse", lambda: _inner_inverse(an, _projector(an, "N1"), an.ds1))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))
     residual_entry("reduced_projector",
                    lambda: _fixed_point_residual(sys.A, _projector(an, "N1")))
-    residual_entry("congruence", congruence)
+    with np.errstate(all="ignore"):
+        residual_entry("congruence", congruence)
 
     try:
         _require(an, "K invertible")

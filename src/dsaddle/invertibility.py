@@ -1,10 +1,12 @@
 """Invertibility decision ladder for double saddle-point systems.
 
-Each rule checks its own hypotheses numerically and returns a
+Each rule is a row of one table: named hypotheses, read from the one
+analysis a system holds, and a decide step.  A rule returns a
 :class:`Diagnosis`: a definitive verdict (invertible with the rule that
 fired, or singular with a unit kernel witness) or "undetermined" when the
 hypotheses do not apply.  Rules never raise on inapplicable input, so the
-ladder always terminates with a report.
+ladder always terminates with a report.  The inverse constructors check the
+same named hypotheses.
 
 Condition identifiers used throughout:
 
@@ -19,6 +21,7 @@ N1, N2, N3 are necessary for invertibility; a failure of any of them yields
 an explicit kernel vector of the assembled matrix.
 """
 
+import re
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -26,9 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BlockSystem, assemble
-from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _restricted_kernel, \
-    _shared_direction, intersection_kernels, matrix_rank
+from .core import BlockSystem, _alpha_bound, assemble
+from .errors import PreconditionError
+from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _nonsingular, \
+    _restricted_kernel, _shared_direction, intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -226,12 +230,6 @@ def _analysis(sys, tol) -> _Analysis:
     return an
 
 
-def _facts(sys, tol, report):
-    """The report a rule decides on and this system's analysis."""
-    an = _analysis(sys, tol)
-    return (condition_report(sys, an.tol) if report is None else report), an
-
-
 def _singular(an, rule, witness, report):
     """A singular diagnosis when the witness is a kernel vector of K, else
     undetermined: no witness, or ||K u|| above residual_rtol times the largest
@@ -243,10 +241,6 @@ def _singular(an, rule, witness, report):
     if np.linalg.norm(an.K @ u) > an.tol.residual_rtol * scale:
         return _undetermined(report)
     return Diagnosis(Verdict.SINGULAR, rule, report, witness=u)
-
-
-def _invertible(rule, report):
-    return Diagnosis(Verdict.INVERTIBLE, rule, report)
 
 
 def _undetermined(report):
@@ -299,32 +293,154 @@ def _necessary_failure(an, report):
     return None
 
 
-def schur_sufficient(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-                     report: ConditionReport | None = None) -> Diagnosis:
+# ---------------------------------------------------------------------------
+# named hypotheses, each checked in one place: the ladder rows and the
+# constructors of dsaddle.inverses read the same entries
+# ---------------------------------------------------------------------------
+
+def _schur_nonsingular(an):
+    """S1 = D + B A^{-1} B^T and then S2 = E + C S1^{-1} C^T nonsingular, with
+    A^{-1} read from A's held eigh and S1 tested and inverted through one eigh."""
+    s, (lam, Q) = an.sys, an.A._eigh
+    BQ = s.B @ Q
+    s1 = _SymEig(s.D + (BQ / lam) @ BQ.T, an.tol)
+    return s1.nonsingular and _nonsingular(s.E + s.C @ s1.inverse @ s.C.T, an.tol)
+
+
+def _block_hypotheses(k):
+    """The definiteness, nonsingularity and zero tests of the diagonal block k."""
+    return {
+        f"{k} psd": lambda an: (getattr(an, k).definiteness.is_psd,
+                                f"{k} must be positive semidefinite"),
+        f"{k} pd": lambda an: (getattr(an, k).definiteness is Definiteness.POSITIVE_DEFINITE,
+                               f"{k} must be positive definite"),
+        f"{k} nonsingular": lambda an: (getattr(an, k).nonsingular, f"{k} must be nonsingular"),
+        f"{k} = 0": lambda an: (not getattr(an.sys, k).any(), f"{k} must be the zero block"),
+    }
+
+
+# name -> predicate on an analysis, giving whether the hypothesis holds and the
+# reason a constructor gives when it fails; m is read from B, so analyses of
+# loose blocks work too
+_HYPOTHESES = {
+    **_block_hypotheses("A"), **_block_hypotheses("D"), **_block_hypotheses("E"),
+    "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
+    "N2": lambda an: (an.n2.is_trivial, "ker(B^T), ker(D) and ker(C) must intersect only in {0}"),
+    "N3": lambda an: (an.n3.is_trivial, "ker(C^T) and ker(E) must intersect only in {0}"),
+    "R": lambda an: (an.r_witness is None, "ran(B) and ran(C^T) must intersect only in {0}"),
+    "DS1": lambda an: (an.ds1, "ker(A) and ker(B) must form a direct sum of the whole space"),
+    "DS2": lambda an: (an.ds2, "ker(E) and ker(C^T) must form a direct sum of the whole space"),
+    "overlap = {0}": lambda an: (an.overlap.is_trivial,
+                                 "ker(A (+) E) and ker[B | C^T] must intersect only in {0}"),
+    "null(A) = m": lambda an: (
+        an.A.nullity == an.sys.B.shape[0],
+        f"null(A) = {an.A.nullity} must equal the row count m = {an.sys.B.shape[0]} of B"),
+    "rank(B) = m": lambda an: (an.B.rank == an.sys.B.shape[0], "B must have full row rank"),
+    "rank(C) = m": lambda an: (an.Ct.rank == an.sys.B.shape[0], "C^T must have full row rank"),
+    **{f"{a} >= {b}": lambda an, a=a, b=b: (getattr(an.sys, a) >= getattr(an.sys, b),
+                                            f"{a} must be at least {b}")
+       for a, b in ("nm", "pm", "mn", "mp")},
+    "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
+                                     "lambda_max(D) must be below 2, so that alpha = 1 is "
+                                     "admissible"),
+    "S1, S2 nonsingular": lambda an: (_schur_nonsingular(an), "the Schur complements "
+                                      "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
+    "K invertible": lambda an: (an.k_nonsingular,
+                                "nullity bounds apply to invertible systems only"),
+}
+
+
+def _hold(an, names) -> bool:
+    return all(_HYPOTHESES[name](an)[0] for name in names)
+
+
+def _require(an, *names):
+    """Raise PreconditionError naming the first hypothesis that fails."""
+    for name in names:
+        holds, reason = _HYPOTHESES[name](an)
+        if not holds:
+            raise PreconditionError(reason)
+
+
+# The block reversal Q K Q^T (see dsaddle.core.permute_similar) swaps these
+# names and fixes D, m, N2, R and the overlap, so a rule read on the reversed
+# system is its row with the names swapped, read on the system itself.
+_SWAP = {"A": "E", "B": "C", "n": "p", "N1": "N3", "DS1": "DS2"}
+_SWAP.update({v: k for k, v in _SWAP.items()})
+_SWAP_WORD = re.compile(r"\b(?:%s)\b" % "|".join(_SWAP))
+
+
+def _reversed(row, name):
+    """The row ``row`` applied to the block reversal, named ``name``."""
+    swap = lambda h: _SWAP_WORD.sub(lambda w: _SWAP[w[0]], h)
+    return (name, *(names and tuple(map(swap, names)) for names in row[1:]))
+
+
+_PSD = ("A psd", "D psd", "E psd")
+# with A, D and E semidefinite, null(K) = dim N2 + dim of the overlap
+_PSD_IFF = ("N2", "overlap = {0}")
+_COROLLARY_B = ("corollary_b_full_rank", ("A = 0", "m >= n", "D pd", "E pd"), _PSD_IFF, ())
+_RANK_B = ("rank_b_iff", ("N3", "n >= m", "rank(B) = m", "DS1", "A psd"), ("R",), ("E = 0",))
+_CASE_1 = ("psd_ladder:case1", (*_PSD, "N2"), ("A pd", "N3"), None)
+
+# The ladder in diagnose order.  A row is a rule name, the hypotheses that make
+# it apply and its decide step: invertible when the third names hold, else
+# singular when the fourth hold (never when None), else undetermined.
+_LADDER = (
+    ("schur_sufficient", ("A nonsingular",), ("S1, S2 nonsingular",), None),
+    ("e_iff", ("A psd", "D psd", "N1", "N2", "N3", "null(A) = m", "lambda_max(D) < 2"),
+     ("E nonsingular",), ()),
+    _COROLLARY_B, _reversed(_COROLLARY_B, "corollary_c_full_rank"),
+    ("corollary_middle_kernels", ("D = 0", "A pd", "E pd"), _PSD_IFF, ()),
+    _RANK_B, _reversed(_RANK_B, "rank_c_iff"),
+    ("direct_sum_iff", (*_PSD, "N1", "N3", "N2"), ("R",), ("DS1", "DS2")),
+    _CASE_1, _reversed(_CASE_1, "psd_ladder:case2"),
+    ("psd_ladder:case3", (*_PSD, "N2"), ("R", "N3", "N1"), None),
+    ("psd_iff", _PSD, _PSD_IFF, ()),
+)
+
+
+def _kernel_witness(an):
+    """N2's [0; y; 0] when N2 fails, else the first overlap vector [x; 0; z]
+    (None for {0}), which has A x = 0, E z = 0 and B x + C^T z = 0."""
+    if not an.n2.is_trivial:
+        return _embed(an.sys, y=_first(an.n2))
+    v = _first(an.overlap)
+    return None if v is None else _embed(an.sys, x=v[:an.sys.n], z=v[an.sys.n:])
+
+
+def _walk(an, report, prefix=""):
+    """The first definite verdict of the ladder rows whose names start with
+    ``prefix``, or undetermined when none decides."""
+    for name, hypotheses, invertible_if, singular_if in _LADDER:
+        if not name.startswith(prefix) or not _hold(an, hypotheses):
+            continue
+        if _hold(an, invertible_if):
+            return Diagnosis(Verdict.INVERTIBLE, name, report)
+        if singular_if is not None and _hold(an, singular_if):
+            diagnosis = _singular(an, name, _kernel_witness(an), report)
+            if diagnosis.verdict is Verdict.SINGULAR:
+                return diagnosis
+    return _undetermined(report)
+
+
+def _view(sys, tol, prefix):
+    """A public rule: its ladder rows, decided on this system's report."""
+    an = _analysis(sys, tol)
+    return _walk(an, condition_report(sys, an.tol), prefix)
+
+
+def schur_sufficient(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Sufficient test through the two Schur complements.
 
     When A is numerically nonsingular, forms S1 = D + B A^{-1} B^T and, when
     S1 is nonsingular, S2 = E + C S1^{-1} C^T.  Both nonsingular certifies
     invertibility.  The rule is one-sided: anything else is undetermined.
     """
-    report, an = _facts(sys, tol, report)
-    if not an.A.nonsingular:
-        return _undetermined(report)
-    s1 = sys.D + sys.B @ np.linalg.solve(sys.A, sys.B.T)
-    if not is_nonsingular(s1, an.tol):
-        return _undetermined(report)
-    s2 = sys.E + sys.C @ np.linalg.solve(s1, sys.C.T)
-    if not is_nonsingular(s2, an.tol):
-        return _undetermined(report)
-    return _invertible("schur_sufficient", report)
+    return _view(sys, tol, "schur_sufficient")
 
 
-def _all_psd(report, *names):
-    return all(report.definiteness[name].is_psd for name in names)
-
-
-def psd_ladder(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-               report: ConditionReport | None = None) -> Diagnosis:
+def psd_ladder(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Sufficient conditions under semidefinite diagonal blocks.
 
     Requires A, D, E positive semidefinite and N2.  Fires the first case
@@ -334,50 +450,10 @@ def psd_ladder(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
       case 2: E positive definite and N1        -> invertible
       case 3: R together with N3 and N1         -> invertible
     """
-    report, _ = _facts(sys, tol, report)
-    if not _all_psd(report, "A", "D", "E") or not report.holds("N2"):
-        return _undetermined(report)
-    if report.definiteness["A"] is Definiteness.POSITIVE_DEFINITE and report.holds("N3"):
-        return _invertible("psd_ladder:case1", report)
-    if report.definiteness["E"] is Definiteness.POSITIVE_DEFINITE and report.holds("N1"):
-        return _invertible("psd_ladder:case2", report)
-    if report.holds("R") and report.holds("N3") and report.holds("N1"):
-        return _invertible("psd_ladder:case3", report)
-    return _undetermined(report)
+    return _view(sys, tol, "psd_ladder:")
 
 
-def _overlap_witness(an):
-    """The first overlap vector (x, z) as the kernel vector [x; 0; z]; None for {0}."""
-    v = _first(an.overlap)
-    return None if v is None else _embed(an.sys, x=v[:an.sys.n], z=v[an.sys.n:])
-
-
-def _semidefinite_verdict(an, rule, report):
-    """Decide K for A, D and E positive semidefinite.
-
-    A kernel vector (x, y, z) of K then has A x = 0, D y = 0 and E z = 0: the
-    three quadratic forms add up to zero.  So null(K) = dim N2 + dim of the
-    overlap ker(A (+) E) ∩ ker[B | C^T], and K is invertible exactly when N2
-    holds and the overlap is {0}; a singular verdict carries [0; y; 0] or the
-    first overlap vector [x; 0; z].
-    """
-    if not report.holds("N2"):
-        return _singular(an, rule, _embed(an.sys, y=report.witness("N2")), report)
-    if an.overlap.is_trivial:
-        return _invertible(rule, report)
-    return _singular(an, rule, _overlap_witness(an), report)
-
-
-# name, zero block, positive definite blocks, size test
-_COROLLARIES = (
-    ("corollary_b_full_rank", "A", "DE", lambda sys: sys.m >= sys.n),
-    ("corollary_c_full_rank", "E", "AD", lambda sys: sys.m >= sys.p),
-    ("corollary_middle_kernels", "D", "AE", lambda sys: True),
-)
-
-
-def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-                    report: ConditionReport | None = None) -> Diagnosis:
+def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Three if-and-only-if special cases with one zero diagonal block.
 
       A = 0, D and E positive definite, m >= n:  invertible iff rank(B) = n
@@ -388,17 +464,10 @@ def corollary_rules(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     Each is the semidefinite verdict, with overlap ker(B), ker(C^T) or {0}:
     a singular one carries [x; 0; 0], [0; 0; z] or N2's [0; y; 0].
     """
-    report, an = _facts(sys, tol, report)
-    pd = Definiteness.POSITIVE_DEFINITE
-    for name, zero, definite, size in _COROLLARIES:
-        if not getattr(sys, zero).any() and size(sys) \
-                and all(report.definiteness[k] is pd for k in definite):
-            return _semidefinite_verdict(an, name, report)
-    return _undetermined(report)
+    return _view(sys, tol, "corollary_")
 
 
-def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-                   report: ConditionReport | None = None) -> Diagnosis:
+def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Range-overlap test that becomes definitive under direct sums.
 
     Hypotheses: A, D, E positive semidefinite with N1, N3 and N2 holding.
@@ -407,40 +476,10 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     onto ran(C^T), so a shared direction B x = -C^T z has x in ker(A) and z
     in ker(E).  The witness is the first overlap vector [x; 0; z].
     """
-    report, an = _facts(sys, tol, report)
-    if not _all_psd(report, "A", "D", "E"):
-        return _undetermined(report)
-    if not (report.holds("N1") and report.holds("N3") and report.holds("N2")):
-        return _undetermined(report)
-    if report.holds("R"):
-        return _invertible("direct_sum_iff", report)
-    if not (report.holds("DS1") and report.holds("DS2")):
-        return _undetermined(report)
-    return _singular(an, "direct_sum_iff", _overlap_witness(an), report)
+    return _view(sys, tol, "direct_sum_iff")
 
 
-def _full_row_rank_rule(sys, tol, report, mirrored):
-    """:func:`rank_b_iff`, or with ``mirrored`` the same rule on the block
-    reversal Q K Q^T, read from this system's facts: the reversal swaps N1
-    with N3, DS1 with DS2, rank(B) with rank(C), A with E and n with p."""
-    report, an = _facts(sys, tol, report)
-    name, n3, ds1, a, e, outer, rank = (
-        ("rank_c_iff", "N1", "DS2", "E", "A", sys.p, "C") if mirrored else
-        ("rank_b_iff", "N3", "DS1", "A", "E", sys.n, "B"))
-    applicable = (report.holds(n3) and outer >= sys.m
-                  and report.ranks[rank] == sys.m and report.holds(ds1)
-                  and report.definiteness[a].is_psd)
-    if not applicable:
-        return _undetermined(report)
-    if report.holds("R"):
-        return _invertible(name, report)
-    if getattr(sys, e).any():
-        return _undetermined(report)
-    return _singular(an, name, _overlap_witness(an), report)
-
-
-def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-               report: ConditionReport | None = None) -> Diagnosis:
+def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Range-overlap rule for full-row-rank B, definitive when E = 0.
 
     Hypotheses: N3, n >= m, rank(B) = m, DS1, and A positive semidefinite.
@@ -448,22 +487,20 @@ def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     system is singular: by DS1 a shared direction B x = -C^T z has x in
     ker(A), and the witness is the first overlap vector [x; 0; z].
     """
-    return _full_row_rank_rule(sys, tol, report, mirrored=False)
+    return _view(sys, tol, "rank_b_iff")
 
 
-def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-               report: ConditionReport | None = None) -> Diagnosis:
+def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Mirror of :func:`rank_b_iff` acting through the block reversal.
 
     Applies the full-row-rank rule to the reversed system (hypotheses become
     N1, p >= m, rank(C) = m, DS2, E positive semidefinite; the zero block is
     A).  Its witness is the first overlap vector [x; 0; z], z in ker(E) by DS2.
     """
-    return _full_row_rank_rule(sys, tol, report, mirrored=True)
+    return _view(sys, tol, "rank_c_iff")
 
 
-def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-               report: ConditionReport | None = None) -> Diagnosis:
+def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """For a maximally rank-deficient leading block, E decides.
 
     Hypotheses: A and D positive semidefinite, N1, N2, N3, null(A) = m and
@@ -472,36 +509,20 @@ def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
     singular verdict is the first overlap vector [x; 0; z].  When
     lambda_max(D) >= 2, rescale first (see :func:`dsaddle.core.rescale_middle`).
     """
-    report, an = _facts(sys, tol, report)
-    hypotheses = (report.definiteness["A"].is_psd and report.definiteness["D"].is_psd
-                  and report.holds("N1") and report.holds("N2") and report.holds("N3")
-                  and an.A.nullity == sys.m and an.D.lambda_max < 2.0)
-    if not hypotheses:
-        return _undetermined(report)
-    if an.E.nonsingular:
-        return _invertible("e_iff", report)
-    return _singular(an, "e_iff", _overlap_witness(an), report)
+    return _view(sys, tol, "e_iff")
 
 
-def psd_iff(sys: BlockSystem, tol: ToleranceConfig | None = None, *,
-            report: ConditionReport | None = None) -> Diagnosis:
+def psd_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """The semidefinite if-and-only-if: with A, D and E positive
     semidefinite, K is invertible exactly when N2 holds and
     ker(A (+) E) ∩ ker[B | C^T] = {0}, since null(K) is the sum of their
     dimensions.  Anything else is undetermined."""
-    report, an = _facts(sys, tol, report)
-    if not _all_psd(report, "A", "D", "E"):
-        return _undetermined(report)
-    return _semidefinite_verdict(an, "psd_iff", report)
+    return _view(sys, tol, "psd_iff")
 
 
 def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> bool:
     """Ground truth from the eigenvalues of the assembled matrix."""
     return _analysis(sys, tol).k_nonsingular
-
-
-_RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff,
-          rank_c_iff, direct_sum_iff, psd_ladder, psd_iff)
 
 
 def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
@@ -518,9 +539,7 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
     """
     an = _analysis(sys, tol)
     report = condition_report(sys, an.tol)
-    verdicts = (rule(sys, an.tol, report=report) for rule in _RULES)
-    result = _necessary_failure(an, report) or next(
-        (d for d in verdicts if d.verdict is not Verdict.UNDETERMINED), _undetermined(report))
+    result = _necessary_failure(an, report) or _walk(an, report)
     if with_oracle:
         result = replace(result, oracle_check=an.k_nonsingular)
     return result

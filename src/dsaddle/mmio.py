@@ -138,7 +138,7 @@ def save_inverse_blocks(directory, inv: InverseBlocks, manifest: dict) -> None:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON encoding (sorted keys, fixed separators)."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -5,6 +5,9 @@ hypothesis set of the decision rules.  Seeds are plain integers so failures
 reproduce exactly.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from dsaddle import BlockSystem, GenerationError, GeneratorSpec, gen_instance
@@ -122,3 +125,13 @@ def noisy(system, rng):
         return M + 10.0 ** rng.uniform(-13, -7) * 0.5 * (G + G.T)
     return BlockSystem(perturbed(system.A), system.B, system.C, perturbed(system.D),
                        perturbed(system.E))
+
+
+def answers_tool():
+    """tools/answers.py as a module: its seeded corpora (``CORPORA``) and the
+    table line of one system (``answer``)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "answers.py"
+    spec = importlib.util.spec_from_file_location("answers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

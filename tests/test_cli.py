@@ -206,6 +206,22 @@ class TestVerify:
         assert status["nullity_bounds"] == "skipped"
         assert status["weight_recovery"] == "ok"
 
+    @pytest.mark.parametrize("alpha", ["1e155", "1e200", "1e308"])
+    def test_alpha_that_overflows_prints_strict_json(self, tmp_path, capsys, alpha):
+        from dsaddle import GeneratorSpec, gen_instance
+        sys, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, null_d=3, require_ds1=True,
+                                            seed=1))
+        save_block_system(tmp_path / "blk", sys)
+        code, out, err = run_cli(capsys, "verify", str(tmp_path / "blk"), "--alpha", alpha,
+                                 "--format", "json")
+
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        status = {e["id"]: e["status"] for e in payload["identities"]}
+        assert (code, err, status["congruence"]) == (0, "", "skipped")
+
     def test_degenerate_system_keeps_congruence_only(self, tmp_path, capsys):
         from dsaddle import BlockSystem
         # indefinite singular A defeats every projector hypothesis; only the

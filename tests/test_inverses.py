@@ -5,6 +5,7 @@ import pytest
 
 from dsaddle import (
     BlockSystem,
+    GeneratorSpec,
     InverseBlocks,
     PreconditionError,
     SubspaceBasis,
@@ -14,6 +15,7 @@ from dsaddle import (
     default_alpha,
     dense_inverse_blocks,
     factorize_transformed,
+    gen_instance,
     haar_orthogonal,
     inner_inverse_residual,
     inverse_via_factorization,
@@ -447,6 +449,27 @@ class TestVerifyIdentities:
         assert by_id["weight_recovery"]["status"] == "skipped"
         assert "null" in by_id["weight_recovery"]["reason"]
         assert by_id["congruence"]["status"] == "ok"
+
+    @pytest.mark.parametrize("alpha", [1e155, 1e200, 1e308])
+    def test_alpha_that_overflows_skips_the_scaled_identities(self, alpha):
+        # D = 0 admits every alpha > 0; ||K~||_F overflows at 1e155, its entries at
+        # 1e200 and W^{-1} B at 1e308, each then skipped with alpha in the reason
+        sys, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, null_d=3, require_ds1=True,
+                                            seed=1))
+        by_id = {e["id"]: e for e in verify_identities(sys, alpha=alpha)}
+        assert by_id["congruence"]["status"] == "skipped"
+        assert f"alpha={alpha!r}" in by_id["congruence"]["reason"]
+        assert by_id["weight_recovery"]["status"] == "skipped"
+        assert all(np.isfinite(e["residual"]) for e in by_id.values() if "residual" in e)
+        assert {e["status"] for e in verify_identities(sys, alpha=1e100)} == {"ok", "skipped"}
+
+    def test_weight_recovery_whose_scale_underflows_is_skipped(self):
+        # A = 0 and B = I give W = I / (2 alpha), whose norm underflows to 0 at 1e200
+        sys = BlockSystem(np.zeros((2, 2)), np.eye(2), np.array([[1.0, 0.0]]), None,
+                          np.array([[1.0]]))
+        entry = verify_identities(sys, alpha=1e200)[0]
+        assert (entry["id"], entry["status"]) == ("weight_recovery", "skipped")
+        assert "alpha=1e+200" in entry["reason"]
 
 
 def _guarded_systems():

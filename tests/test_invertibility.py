@@ -1,13 +1,17 @@
 """Rule-by-rule tests for the invertibility decision ladder."""
 
+import ast
 import gc
 import weakref
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsaddle.inverses as inverses
 import dsaddle.invertibility as invertibility
 from dsaddle import (
     DEFAULT_TOL,
@@ -36,6 +40,7 @@ from dsaddle import (
 )
 
 from _families import (
+    answers_tool,
     cold_copy,
     direct_sum_singular,
     fixture_three_block,
@@ -57,6 +62,11 @@ def witness_is_sound(sys, diag, rtol=1e-8):
     u = diag.witness
     assert u is not None and np.linalg.norm(u) == pytest.approx(1.0)
     return np.linalg.norm(K @ u) <= rtol * np.linalg.norm(K, 2)
+
+
+# the public rules in the order diagnose tries them, after the necessary conditions
+PUBLIC_RULES = (schur_sufficient, e_iff_rule, corollary_rules, rank_b_iff, rank_c_iff,
+                direct_sum_iff, psd_ladder, psd_iff)
 
 
 class TestNecessaryConditions:
@@ -329,7 +339,7 @@ class TestPsdIff:
                           np.array([[2.0, -1.0]]), np.diag([0.0, 1.0]), np.zeros((1, 1)))
         report = condition_report(sys)
         assert all(report.definiteness[k].is_psd for k in "ADE") and not report.holds("R")
-        for rule in invertibility._RULES[:-1]:
+        for rule in PUBLIC_RULES[:-1]:
             assert rule(sys).verdict is Verdict.UNDETERMINED, rule.__name__
         diag = diagnose(sys, with_oracle=True)
         assert (diag.verdict, diag.rule, diag.oracle_check) == \
@@ -350,6 +360,46 @@ class TestPsdIff:
         sys = BlockSystem(np.diag([0.0, -1.0]), np.array([[1.0, 0.0]]),
                           np.array([[1.0], [0.0]]), np.array([[1.0]]), np.diag([0.0, -1.0]))
         assert psd_iff(sys).verdict is Verdict.UNDETERMINED
+
+
+class TestLadderTable:
+    def test_diagnose_is_the_first_definite_public_rule(self):
+        """Where N1-N3 hold, diagnose answers as the first public rule, in the
+        documented order, with a definite verdict, or undetermined when none
+        has one: on random_systems specs, the test families and hand-valued
+        systems (entries from {0, +-1, 2, 0.5})."""
+        checked = 0
+        for name, corpus in answers_tool().CORPORA:
+            if name == "noisy":
+                continue
+            for system in islice(corpus(1), 150):
+                if not all(necessary_conditions(system).holds(c) for c in ("N1", "N2", "N3")):
+                    continue
+                views = [rule(system).to_dict() for rule in PUBLIC_RULES]
+                expected = next((v for v in views if v["verdict"] != "undetermined"), views[-1])
+                assert diagnose(system).to_dict() == expected, name
+                checked += 1
+        assert checked >= 200
+
+    def test_every_hypothesis_name_is_in_the_table(self):
+        used = {h for _, *groups in invertibility._LADDER for names in groups if names
+                for h in names}
+        calls = [node for node in ast.walk(ast.parse(Path(inverses.__file__).read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) in ("_require", "_projector")]
+        required = {arg.value for call in calls for arg in call.args
+                    if isinstance(arg, ast.Constant)}
+        assert {"rank(B) = m", "lambda_max(D) < 2", "K invertible"} <= required
+        assert used | required <= set(invertibility._HYPOTHESES)
+
+    def test_block_reversal_renames_rows(self):
+        rows = {row[0]: row[1:] for row in invertibility._LADDER}
+        assert rows["rank_c_iff"] == (("N1", "p >= m", "rank(C) = m", "DS2", "E psd"),
+                                      ("R",), ("A = 0",))
+        assert rows["corollary_c_full_rank"] == (("E = 0", "m >= p", "D pd", "A pd"),
+                                                 ("N2", "overlap = {0}"), ())
+        assert rows["psd_ladder:case2"] == (("E psd", "D psd", "A psd", "N2"),
+                                            ("E pd", "N1"), None)
 
 
 def _oracle_nullity(sys):
@@ -488,13 +538,6 @@ class TestHeldAnalysis:
         seen = [diagnose(held, tol).to_dict() for tol in tols]
         assert seen == [diagnose(BlockSystem(*blocks), tol).to_dict() for tol in tols]
         assert (seen[0]["rule"], seen[1]["rule"]) == ("schur_sufficient", "necessary:N1")
-
-    def test_rules_given_a_report_read_their_own_system(self):
-        invertible, _ = max_deficient(seed=2)
-        singular, _ = max_deficient(seed=2, null_e=1)
-        diag = e_iff_rule(singular, report=condition_report(invertible))
-        assert diag.verdict is Verdict.SINGULAR
-        assert witness_is_sound(singular, diag)
 
     def test_editing_results_leaves_later_calls_unchanged(self):
         sys = direct_sum_singular(1)[0]
