@@ -226,7 +226,7 @@ def _measure(sys: BlockSystem, tol: ToleranceConfig, seed, attempt) -> InstanceC
         n3=an.n3.is_trivial,
         ds1=an.ds1,
         ds2=an.ds2,
-        range_disjoint=an.r_witness is None,
+        range_disjoint=an.r.is_trivial,
         seed=seed,
         attempt=attempt,
     )

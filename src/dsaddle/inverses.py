@@ -18,7 +18,7 @@ from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
 from .errors import PreconditionError
 from .invertibility import _analysis, _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _nonsingular, _singular_values, \
-    _spectral_norm, is_direct_sum
+    _spectral_norm, is_direct_sum, rank_threshold
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -29,10 +29,11 @@ def _blocks(tol, **blocks):
 
 
 def _finite(alpha, *values):
-    """The values, each checked finite when a scale alpha is given: a value that
-    alpha overflows makes an identity inapplicable at that alpha."""
-    if alpha is not None and not all(np.isfinite(v).all() for v in values):
-        raise PreconditionError(f"alpha={float(alpha)!r} overflows the scaled blocks")
+    """The values, each checked finite (None passes): a value that overflows or
+    is 0/0 makes an identity inapplicable, at the scale alpha when one is given."""
+    if not all(v is None or np.isfinite(v).all() for v in values):
+        raise PreconditionError("the identity overflows floating point" if alpha is None
+                                else f"alpha={float(alpha)!r} overflows the scaled blocks")
     return values
 
 
@@ -118,12 +119,17 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     return _inner_inverse(an, proj, is_direct_sum(an.A.kernel, proj.Z, an.tol))
 
 
-def _weight_recovery(an, W, winv_b=None, alpha=None) -> float:
-    """Residual of the identity, solving with W unless W^{-1} B is given; for W
-    scaled by ``alpha``, each value it reads is checked finite."""
+@np.errstate(all="ignore")
+def _weight_recovery(an, W=None, alpha=None) -> float:
+    """Residual of the identity for W, or, given alpha, for W = M^{-1} / alpha
+    with M = 2I - alpha D and W^{-1} B = alpha M B in closed form.  A value that
+    overflows makes the identity inapplicable, not a NaN or a warning."""
     m = an.sys.B.shape[0]
+    winv_b = None
+    if alpha is not None:
+        W = _m_inverse(an.D, alpha) / alpha
+        winv_b = alpha * (2.0 * np.eye(m) - alpha * an.sys.D) @ an.sys.B
     _finite(alpha, W, winv_b)
-    W = _as_matrix(W, "W")
     if W.shape != (m, m):
         raise ValueError(f"W must be {m} x {m}, got {W.shape}")
     _require(an, "null(A) = m", "N1")
@@ -150,7 +156,7 @@ def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> flo
     A + B^T W^{-1} B is invertible and compressing its inverse by B recovers
     W exactly.
     """
-    return _weight_recovery(_blocks(tol, A=A, B=B), W)
+    return _weight_recovery(_blocks(tol, A=A, B=B), _as_matrix(W, "W"))
 
 
 def _projector_complement(an, Z: SubspaceBasis) -> float:
@@ -521,7 +527,7 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
     inverse_norm = float(1.0 / an.k_moduli.min())
     s = _singular_values(z22)
     z22_norm = float(s.max(initial=0.0))
-    if z22_norm <= tol.rank_rtol * max(m, 1) * inverse_norm:
+    if z22_norm <= rank_threshold(inverse_norm, (m, m), tol):
         null_z22 = m
     else:
         null_z22 = m - int(_above_cut(s, z22.shape, tol).sum())
@@ -530,7 +536,7 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
     upper = null_a + null_e
     eq_base = lower <= null_z22 <= upper
 
-    range_disjoint = an.r_witness is None
+    range_disjoint = an.r.is_trivial
     refined = min(null_a + null_e, m) if range_disjoint else None
     eq_refined = (refined <= null_z22) if range_disjoint else None
 
@@ -581,6 +587,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         status = "ok" if res <= tol.residual_rtol else "failed"
         entries.append({"id": name, "status": status, "residual": float(res)})
 
+    @np.errstate(all="ignore")  # _finite turns a value alpha overflows into a skip
     def congruence():
         # W = I + N with N = alpha B in block (2, 1): K W adds K[:, mid] N to the first n
         # columns of K and W^T (K W) adds N^T (K W)[mid] to its first n rows, nothing else
@@ -595,20 +602,14 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
                                              np.linalg.norm(cols[n:] - Kt[n:])), scale)
         return float(res / max(scale, 1e-300))
 
-    # W = M^{-1} / alpha, so W^{-1} B = alpha M B in closed form; alpha scales W and
-    # K~, and _finite turns a value it overflows into a skip, not a warning
-    with np.errstate(all="ignore"):
-        residual_entry("weight_recovery", lambda: _weight_recovery(
-            an, _m_inverse(an.D, alpha) / alpha,
-            alpha * (2.0 * np.eye(m) - alpha * sys.D) @ sys.B, alpha))
+    residual_entry("weight_recovery", lambda: _weight_recovery(an, alpha=alpha))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1
     residual_entry("inner_inverse", lambda: _inner_inverse(an, _projector(an, "N1"), an.ds1))
     residual_entry("projector_complement",
                    lambda: _projector_complement(an, an.B.kernel))
     residual_entry("reduced_projector",
                    lambda: _fixed_point_residual(sys.A, _projector(an, "N1")))
-    with np.errstate(all="ignore"):
-        residual_entry("congruence", congruence)
+    residual_entry("congruence", congruence)
 
     try:
         _require(an, "K invertible")

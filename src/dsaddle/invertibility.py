@@ -32,7 +32,7 @@ import numpy as np
 from .core import BlockSystem, _alpha_bound, assemble
 from .errors import PreconditionError
 from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _nonsingular, \
-    _restricted_kernel, _shared_direction, intersection_kernels, matrix_rank
+    _range_intersection, _restricted_kernel, intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -185,13 +185,11 @@ class _Analysis:
                                   [_direct_sum(s.A, s.E), couple], [couple])
 
     @cached_property
-    def r_witness(self):
-        """Shared unit direction of ran(B) and ran(C^T); None when R holds.  When
-        one range is R^m, the witness is the first basis vector of the other."""
-        for full, other in ((self.B, self.Ct), (self.Ct, self.B)):
-            if full.rank == self.sys.B.shape[0]:
-                return _first(other.range)
-        return _shared_direction(self.B.range, self.Ct.range, self.tol)
+    def r(self):
+        """ran(B) ∩ ran(C^T), with U⊥ from the block of larger rank (B on a tie),
+        so a full-rank block gives the other's range with no SVD."""
+        M, N = (self.B, self.Ct) if self.B.rank >= self.Ct.rank else (self.Ct, self.B)
+        return _range_intersection(M, N, self.tol)
 
     # A sum of two subspaces is direct exactly when they meet only in {0}, and
     # then it fills R^n exactly when the dimensions add up to n:
@@ -207,9 +205,8 @@ class _Analysis:
     def entry(self, cond_id: str) -> ConditionEntry:
         if cond_id in ("DS1", "DS2"):
             return ConditionEntry(cond_id, getattr(self, cond_id.lower()))
-        w = self.r_witness if cond_id == "R" else _first(getattr(self, cond_id.lower()))
-        # a copy, so that editing a report cannot reach the analysis it was read from
-        return ConditionEntry(cond_id, w is None, None if w is None else w.copy())
+        w = _first(getattr(self, cond_id.lower()))
+        return ConditionEntry(cond_id, w is None, w)
 
 
 def _direct_sum(M1, M2):
@@ -327,7 +324,7 @@ _HYPOTHESES = {
     "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
     "N2": lambda an: (an.n2.is_trivial, "ker(B^T), ker(D) and ker(C) must intersect only in {0}"),
     "N3": lambda an: (an.n3.is_trivial, "ker(C^T) and ker(E) must intersect only in {0}"),
-    "R": lambda an: (an.r_witness is None, "ran(B) and ran(C^T) must intersect only in {0}"),
+    "R": lambda an: (an.r.is_trivial, "ran(B) and ran(C^T) must intersect only in {0}"),
     "DS1": lambda an: (an.ds1, "ker(A) and ker(B) must form a direct sum of the whole space"),
     "DS2": lambda an: (an.ds2, "ker(E) and ker(C^T) must form a direct sum of the whole space"),
     "overlap = {0}": lambda an: (an.overlap.is_trivial,

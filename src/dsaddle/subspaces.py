@@ -217,38 +217,38 @@ def _restricted_kernel(values, vectors, others, shape, scale,
     return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T)
 
 
-def _shared_direction(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | None = None):
-    """Unit vector in span(U) ∩ span(W), or None when they meet only in {0}.
-
-    U a = W b with (a, b) != 0 forces both sides nonzero because the bases
-    have independent columns, so one kernel of [U | -W] both decides the
-    question and yields the shared direction.
-    """
-    if U.is_trivial or W.is_trivial:
-        return None
-    null = kernel_basis(np.hstack([U.basis, -W.basis]), tol)
-    if null.is_trivial:
-        return None
-    w = U.basis @ null.basis[:U.dim, 0]
-    return w / np.linalg.norm(w)
+def _range_intersection(M: _SVD, N: _SVD, tol: ToleranceConfig | None = None) -> SubspaceBasis:
+    """ran(M) ∩ ran(N) = W ker(U⊥^T W) from two held SVDs: W is N's range basis
+    and U⊥ the left singular vectors of M past its rank, so ran(M) = ker(U⊥^T).
+    The singular values of U⊥^T W are the sines of the principal angles between
+    the ranges; both factors are orthonormal, so the cut is taken at sigma_max
+    = 1, never at the restricted matrix's own, which would call every direction
+    independent when all angles are at rounding level.  No SVD runs when U⊥ or
+    W is empty: the intersection is then ran(N)."""
+    W, U_perp = N.range.basis, M.u[:, M.rank:]
+    if not (U_perp.shape[1] and W.shape[1]):
+        return N.range
+    _, s, vh = np.linalg.svd(U_perp.T @ W, full_matrices=True)
+    cut = rank_threshold(1.0, (W.shape[0], M.rank + N.rank), tol)
+    return SubspaceBasis(W @ vh[int((s > cut).sum()):].T)
 
 
 def range_intersection_trivial(Bmat, Ct, tol: ToleranceConfig | None = None):
     """Decide whether ran(B) and ran(C^T) intersect only in {0}.
 
     Both arguments must have the same number of rows (they map into the same
-    space).  Returns ``(True, None)`` when the orthonormal range bases are
-    jointly independent; otherwise ``(False, w)`` with a unit vector w lying
-    in both ranges.
+    space).  As ran(M) = ker(U⊥^T), U⊥ the left singular vectors of M past its
+    rank, the intersection is the stacked kernel intersection of the two
+    complements.  Returns ``(True, None)`` when it is {0}; otherwise
+    ``(False, w)`` with a unit vector w lying in both ranges.
     """
     Bmat = _as_matrix(Bmat, "first matrix")
     Ct = _as_matrix(Ct, "second matrix")
     if Bmat.shape[0] != Ct.shape[0]:
-        raise ValueError(
-            f"row count mismatch: {Bmat.shape[0]} vs {Ct.shape[0]}"
-        )
-    w = _shared_direction(range_basis(Bmat, tol), range_basis(Ct, tol), tol)
-    return w is None, w
+        raise ValueError(f"row count mismatch: {Bmat.shape[0]} vs {Ct.shape[0]}")
+    complements = [svd.u[:, svd.rank:].T for svd in (_SVD(Bmat, tol), _SVD(Ct, tol))]
+    shared = intersection_kernels(complements, tol)
+    return shared.is_trivial, None if shared.is_trivial else shared.basis[:, 0].copy()
 
 
 def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | None = None) -> bool:

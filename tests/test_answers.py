@@ -1,12 +1,14 @@
 """The clean corpora of tools/answers.py at seed 0, run in process.
 
-No definite verdict contradicts the dense oracle, and neither diagnose nor
-verify raises.  The noisy corpus stays out: its inputs sit within a few
-orders of magnitude of the rank cut, where the Schur and semidefinite rules
-still contradict the oracle (ROADMAP items 2 and 3).
+No definite verdict contradicts the dense oracle, neither diagnose nor
+verify raises, and R agrees with its stacked reference.  The noisy corpus
+stays out: its inputs sit within a few orders of magnitude of the rank cut,
+where the Schur and semidefinite rules still contradict the oracle (ROADMAP
+items 2 and 3).
 """
 
 from _families import answers_tool
+from dsaddle import condition_report, range_intersection_trivial
 
 
 def test_clean_corpora_agree_with_the_oracle():
@@ -22,3 +24,15 @@ def test_clean_corpora_agree_with_the_oracle():
                 (name, i, fields)
             lines += 1
     assert lines == 661  # 61 family, 300 spec and 300 hand-valued systems
+
+
+def test_r_matches_its_stacked_reference_on_the_clean_corpora():
+    """R as diagnose reads it decides as the stacked test of the two range
+    complements, also on the hand corpus's exactly coincident integer ranges."""
+    answers = answers_tool()
+    for name, corpus in answers.CORPORA:
+        if name == "noisy":
+            continue
+        for i, system in enumerate(corpus(0)):
+            holds, _ = range_intersection_trivial(system.B, system.C.T)
+            assert condition_report(system).holds("R") == holds, (name, i)

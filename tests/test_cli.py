@@ -222,6 +222,17 @@ class TestVerify:
         status = {e["id"]: e["status"] for e in payload["identities"]}
         assert (code, err, status["congruence"]) == (0, "", "skipped")
 
+    def test_failing_identities_exit_one(self, tmp_path, capsys):
+        from dsaddle import GeneratorSpec, gen_instance
+        sys, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, require_ds1=True, seed=1))
+        save_block_system(tmp_path / "blk", sys)
+        # no rounding-level residual passes a bound of 1e-300
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path / "blk"),
+                               "--tol-residual", "1e-300", "--format", "json")
+        payload = json.loads(out)
+        status = [e["status"] for e in payload["identities"]]
+        assert (code, payload["all_passed"], status.count("failed")) == (1, False, 4)
+
     def test_degenerate_system_keeps_congruence_only(self, tmp_path, capsys):
         from dsaddle import BlockSystem
         # indefinite singular A defeats every projector hypothesis; only the

@@ -15,8 +15,10 @@ against its m middle unit columns, and reads every spectral norm and
 nonsingularity test of an n x n or ell x ell matrix through eigenvalues, so
 it runs no SVD on such a matrix.  Witnesses are checked against the
 largest block norm, so diagnose decomposes K only for the oracle.  N1-N3
-restrict blocks to kernels the analysis holds, so no stacked SVD runs on
-clean inputs, and R needs no SVD when B or C has rank m.
+restrict blocks to kernels the analysis holds, and R restricts the range of
+the block of smaller rank to the left singular vectors the other leaves out,
+so no stacked SVD runs on clean inputs, and R runs no SVD when B or C has
+rank m.
 """
 
 import os
@@ -30,6 +32,7 @@ import scipy.linalg as sla
 
 import dsaddle
 import dsaddle.invertibility as invertibility
+import dsaddle.subspaces as subspaces
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     psd_disjoint_ranges
 from dsaddle import GeneratorSpec, assemble, dense_inverse_blocks, diagnose, gen_instance, \
@@ -106,6 +109,25 @@ def test_diagnose_stays_within_budget(counts, targets, rule):
         assert counts["decompositions"] <= BUDGET, counts
         assert counts["condition_report"] == 1
 
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_diagnose_takes_no_stacked_kernel(monkeypatch, targets, rule):
+    """N1-N3, the overlap and R are read by restriction to held decompositions,
+    so on clean inputs no exit takes a kernel of a stacked matrix."""
+    calls = []
+    kernel_basis = subspaces.kernel_basis
+
+    def recording_kernel_basis(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return kernel_basis(M, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "kernel_basis", recording_kernel_basis)
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        calls.clear()
+        assert diagnose(system).rule == rule
+        assert calls == [], calls
 
 
 @pytest.mark.parametrize("name", ("inverse_via_factorization", "verify_identities",

@@ -37,6 +37,7 @@ from dsaddle import (
     z22_nullity_bounds,
 )
 
+from dsaddle.invertibility import _analysis, _first
 from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
     max_deficient, psd_disjoint_ranges, random_systems
 
@@ -130,6 +131,12 @@ class TestWeightRecovery:
     def test_singular_weight_raises(self):
         with pytest.raises(PreconditionError, match="invertible"):
             weight_recovery_residual(A2, B2, np.zeros((1, 1)))
+
+    def test_weight_whose_norm_underflows_raises(self):
+        # the identity holds exactly, but ||A + B^T W^{-1} B||_F overflows and
+        # ||W||_F underflows to 0, so the residual would be 0/0
+        with pytest.raises(PreconditionError, match="overflows"):
+            weight_recovery_residual(np.zeros((2, 2)), np.eye(2), 1e-200 * np.eye(2))
 
 
 class TestProjectorComplement:
@@ -531,24 +538,32 @@ def test_blockwise_identities_match_dense_formulas():
     assert min(compared.values()) >= 10, compared
 
 
-def test_r_with_a_full_row_rank_block_matches_the_stacked_test():
-    """When rank(B) = m or rank(C) = m, R is decided without an SVD of the two
-    range bases side by side, as the stacked test decides it, and a failing R
-    carries a unit witness in both ranges."""
+def test_r_matches_the_stacked_test():
+    """R read from the held singular vectors decides as the stacked test of the
+    two range complements does, and a failing R carries a unit witness in both
+    ranges; with rank(B) = m or rank(C) = m that witness is the first range
+    vector of the other block, read with no SVD."""
     decided = {True: 0, False: 0}
+    both_deficient = 0
     for system in _guarded_systems():
         for sys in (system, permute_similar(system)):
-            report = condition_report(sys)
-            if sys.m not in (report.ranks["B"], report.ranks["C"]):
-                continue
+            report, an = condition_report(sys), _analysis(sys, None)
             holds, _ = range_intersection_trivial(sys.B, sys.C.T)
             assert report.holds("R") == holds
             decided[holds] += 1
             w = report.witness("R")
             assert (w is None) == holds
+            if sys.m in (an.B.rank, an.Ct.rank):
+                other = an.Ct if an.B.rank == sys.m else an.B
+                first = _first(other.range)
+                assert (w is None) == (first is None)
+                assert w is None or w.tobytes() == first.tobytes()  # bit for bit
+            else:
+                both_deficient += 1
             if w is not None:
                 assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
                 for M in (sys.B, sys.C.T):
                     U = range_basis(M).basis
                     assert np.linalg.norm(w - U @ (U.T @ w)) <= 1e-12
     assert min(decided.values()) >= 10, decided
+    assert both_deficient >= 10, both_deficient

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import json
 import weakref
 from itertools import islice
 from pathlib import Path
@@ -49,6 +50,7 @@ from _families import (
     psd_disjoint_ranges,
     random_systems,
 )
+from dsaddle.mmio import canonical_json
 from dsaddle.subspaces import nullity, rank_threshold
 
 
@@ -487,6 +489,13 @@ class TestDiagnose:
         assert ids == ["N1", "N2", "N3", "R", "DS1", "DS2"]
         assert payload["definiteness"]["A"] == "positive_semidefinite"
         assert payload["ranks"] == {"B": 1, "C": 1}
+
+    def test_json_payload_carries_the_oracle(self):
+        for sys, truth in ((fixture_three_block(), True),
+                           (scalar_system(0.0, 0.0, 1.0, 1.0, 1.0), False)):
+            payload = diagnose(sys, with_oracle=True).to_dict()
+            assert type(payload["oracle_check"]) is bool
+            assert json.loads(canonical_json(payload))["oracle_check"] is truth
 
     def test_soundness_over_mixed_families(self):
         families = (
