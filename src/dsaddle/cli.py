@@ -26,7 +26,7 @@ from .core import assemble
 from .errors import GenerationError, PreconditionError
 from .generators import GeneratorSpec, gen_instance
 from .inverses import dense_inverse_blocks, three_block_inverse, verify_identities
-from .invertibility import Verdict, diagnose
+from .invertibility import Verdict, diagnose, oracle_invertible
 from .mmio import canonical_json, load_block_system, save_block_system, \
     save_inverse_blocks, write_json
 from .subspaces import _spectral_norm
@@ -177,6 +177,9 @@ def _cmd_invert(config: RunConfig) -> int:
             _sys.stderr.write(
                 "no structured constructor applies to this system; "
                 "rerun with --allow-dense for a dense fallback\n")
+            return EXIT_DATA
+        if not oracle_invertible(system, tol):
+            _sys.stderr.write("the system is singular: no inverse exists\n")
             return EXIT_DATA
         _sys.stderr.write("warning: falling back to dense inversion\n")
         inv = dense_inverse_blocks(system)

@@ -32,7 +32,7 @@ import numpy as np
 from .core import BlockSystem, _alpha_bound, assemble
 from .errors import PreconditionError
 from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _nonsingular, \
-    _range_intersection, _restricted_kernel, intersection_kernels, matrix_rank
+    _restricted_kernel, intersection_kernels, matrix_rank
 from .tolerances import ToleranceConfig, resolve
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -157,8 +157,8 @@ class _Analysis:
     # the reduced-Hessian projector over ker(B), built once by dsaddle.inverses
     projector = None
 
-    # N1..N3 restrict the other blocks to the near-kernel of the first, read
-    # from the decomposition held for it; near the rank cut the stacked SVD decides
+    # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
+    # first, read from its held decomposition; near the rank cut the stacked SVD decides
     def _intersection(self, pairs, norms, stacked, others):
         shape = (sum(M.shape[0] for M in stacked), stacked[0].shape[1])
         basis = None if pairs is None else _restricted_kernel(*pairs, others, shape,
@@ -186,10 +186,16 @@ class _Analysis:
 
     @cached_property
     def r(self):
-        """ran(B) ∩ ran(C^T), with U⊥ from the block of larger rank (B on a tie),
-        so a full-rank block gives the other's range with no SVD."""
-        M, N = (self.B, self.Ct) if self.B.rank >= self.Ct.rank else (self.Ct, self.B)
-        return _range_intersection(M, N, self.tol)
+        """ran(B) ∩ ran(C^T) = ker(U⊥_S^T) ∩ ker(U⊥_L^T), U⊥ a block's left singular
+        vectors past its rank, restricted to ran(S), S the block of smaller rank
+        (C^T on a tie); U⊥_L^T on ran(S) has the sines of the principal angles
+        between the ranges as singular values.  L of rank m gives ran(S), no SVD."""
+        S, L = (self.B, self.Ct) if self.B.rank < self.Ct.rank else (self.Ct, self.B)
+        m, perp = S.u.shape[0], L.u[:, L.rank:].T
+        if L.rank == m:
+            return S.range
+        return self._intersection((1.0 * (np.arange(m) >= S.rank), S.u), (1.0,),
+                                  [S.u[:, S.rank:].T, perp], [perp])
 
     # A sum of two subspaces is direct exactly when they meet only in {0}, and
     # then it fills R^n exactly when the dimensions add up to n:

@@ -65,8 +65,9 @@ class SubspaceBasis:
         if B.shape[1] > B.shape[0]:
             raise ValueError("more basis columns than ambient dimensions")
         if B.shape[1]:
-            gram = B.T @ B
-            if not np.allclose(gram, np.eye(B.shape[1]), atol=1e-8):
+            # the set np.allclose(B^T B, I, atol=1e-8) accepts, at a quarter of its cost
+            I = np.eye(B.shape[1])
+            if not (np.abs(B.T @ B - I) <= 1e-8 + 1e-5 * I).all():
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -215,22 +216,6 @@ def _restricted_kernel(values, vectors, others, shape, scale,
     if _near_cut(s, cut, 1.0 + scale / values[~small].min(initial=np.inf)):
         return None
     return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T)
-
-
-def _range_intersection(M: _SVD, N: _SVD, tol: ToleranceConfig | None = None) -> SubspaceBasis:
-    """ran(M) ∩ ran(N) = W ker(U⊥^T W) from two held SVDs: W is N's range basis
-    and U⊥ the left singular vectors of M past its rank, so ran(M) = ker(U⊥^T).
-    The singular values of U⊥^T W are the sines of the principal angles between
-    the ranges; both factors are orthonormal, so the cut is taken at sigma_max
-    = 1, never at the restricted matrix's own, which would call every direction
-    independent when all angles are at rounding level.  No SVD runs when U⊥ or
-    W is empty: the intersection is then ran(N)."""
-    W, U_perp = N.range.basis, M.u[:, M.rank:]
-    if not (U_perp.shape[1] and W.shape[1]):
-        return N.range
-    _, s, vh = np.linalg.svd(U_perp.T @ W, full_matrices=True)
-    cut = rank_threshold(1.0, (W.shape[0], M.rank + N.rank), tol)
-    return SubspaceBasis(W @ vh[int((s > cut).sum()):].T)
 
 
 def range_intersection_trivial(Bmat, Ct, tol: ToleranceConfig | None = None):

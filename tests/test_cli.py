@@ -125,6 +125,18 @@ class TestInvert:
                                "--out", str(tmp_path / "o2"), "--allow-dense")
         assert code == 0 and "dense" in err
 
+    def test_dense_fallback_refuses_a_singular_system(self, tmp_path, capsys):
+        from dsaddle import GeneratorSpec, diagnose, gen_instance
+        system, _ = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True,
+                                               null_e=1, seed=3))
+        assert diagnose(system).verdict.value == "singular"
+        save_block_system(tmp_path / "blk", system)
+        code, out, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
+                                 "--out", str(tmp_path / "o"), "--allow-dense")
+        assert code == 65 and out == ""
+        assert err.splitlines() == ["the system is singular: no inverse exists"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestGenerate:
     def write_spec(self, tmp_path, **overrides):

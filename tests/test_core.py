@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dsaddle import (
+    AssembledMatrix,
     BlockSystem,
     GeneratorSpec,
+    InverseBlocks,
     PreconditionError,
     alpha_upper_bound,
     assemble,
@@ -48,10 +50,28 @@ class TestBlockSystem:
         with pytest.raises(ValueError):
             BlockSystem(np.eye(2), np.ones((2, 2)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("blocks, match", [
+        ((np.zeros((0, 0)), np.zeros((1, 0)), np.ones((1, 1))), "positive"),
+        ((np.ones((2, 3)), np.ones((1, 2)), np.ones((1, 1))), "A must be square"),
+        ((np.eye(2), np.ones((1, 2)), np.ones((1, 1)), np.eye(2)), "D must be"),
+        ((np.eye(2), np.ones((1, 2)), np.ones((1, 1)), None, np.eye(2)), "E must be"),
+    ], ids=["empty_a", "rectangular_a", "d_shape", "e_shape"])
+    def test_rejects_malformed_blocks(self, blocks, match):
+        with pytest.raises(ValueError, match=match):
+            BlockSystem(*blocks)
+
     def test_blocks_are_read_only(self):
         s = scalar_system(2.0, 1.0, 1.0, 0.0, 3.0)
         with pytest.raises(ValueError):
             s.A[0, 0] = 5.0
+        with pytest.raises(AttributeError, match="immutable"):
+            s.A = np.eye(1)
+
+    @pytest.mark.parametrize("make", [AssembledMatrix, InverseBlocks.from_full],
+                             ids=["assembled", "inverse_blocks"])
+    def test_partition_must_match_the_matrix(self, make):
+        with pytest.raises(ValueError, match="does not match dims"):
+            make(np.eye(3), (2, 1, 1))
 
     def test_system_owns_its_blocks(self):
         """Each block is copied: the caller's array stays writeable, and

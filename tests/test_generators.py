@@ -112,9 +112,30 @@ class TestGenInstance:
             GeneratorSpec(n=4, m=4, p=2, rank_b=1, rank_c=1, require_r=True,
                           force_overlap_r=True).validate()
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(n=0), "dimensions must be positive"),
+        (dict(null_d=3), "null_d=3"),
+        (dict(null_e=3), "null_e=3"),
+        (dict(rank_b=3), "rank_b=3"),
+        (dict(rank_c=3), "rank_c=3"),
+        (dict(force_overlap_r=True, rank_b=0), "force_overlap_r needs"),
+        (dict(force_overlap_r=True, rank_c=0), "force_overlap_r needs"),
+        (dict(require_ds2=True, null_e=1, rank_c=2), "require_ds2"),
+        (dict(def_a="bad"), "def_a must be"),
+        (dict(def_d="bad"), "def_d must be"),
+        (dict(def_e="bad"), "def_e must be"),
+        (dict(seed=-1), "seed must be"),
+        (dict(def_e="indefinite", null_e=2), "indefinite E impossible"),
+    ])
+    def test_each_infeasible_field_is_named(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            GeneratorSpec(**{"n": 4, "m": 2, "p": 2, **overrides}).validate()
+
     def test_spec_roundtrip(self):
         spec = GeneratorSpec(n=4, m=2, p=3, null_e=1, rank_c=2, seed=42)
         again = GeneratorSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
         with pytest.raises(ValueError, match="unknown"):
             GeneratorSpec.from_dict({"n": 2, "m": 2, "p": 2, "bogus": 1})
+        with pytest.raises(ValueError, match="JSON object"):
+            GeneratorSpec.from_dict([2, 2, 2])

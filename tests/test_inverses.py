@@ -9,6 +9,7 @@ from dsaddle import (
     InverseBlocks,
     PreconditionError,
     SubspaceBasis,
+    alpha_upper_bound,
     assemble,
     condition_report,
     congruence_transform,
@@ -132,6 +133,10 @@ class TestWeightRecovery:
         with pytest.raises(PreconditionError, match="invertible"):
             weight_recovery_residual(A2, B2, np.zeros((1, 1)))
 
+    def test_wrong_shape_weight_raises(self):
+        with pytest.raises(ValueError, match="W must be 1 x 1"):
+            weight_recovery_residual(A2, B2, np.eye(2))
+
     def test_weight_whose_norm_underflows_raises(self):
         # the identity holds exactly, but ||A + B^T W^{-1} B||_F overflows and
         # ||W||_F underflows to 0, so the residual would be 0/0
@@ -156,6 +161,10 @@ class TestProjectorComplement:
         with pytest.raises(PreconditionError, match="kernel"):
             projector_complement_residual(B2, Z_wrong)
 
+    def test_basis_of_the_wrong_dimension_raises(self):
+        with pytest.raises(PreconditionError, match="dimensions of ker"):
+            projector_complement_residual(B2, SubspaceBasis(np.eye(2)))
+
     def test_empty_b_has_zero_residual(self):
         # both projectors vanish: B^T (B B^T)^{-1} B and I - Z Z^T with Z = I
         assert projector_complement_residual(np.zeros((0, 3)), SubspaceBasis(np.eye(3))) == 0.0
@@ -174,6 +183,12 @@ class TestReducedProjector:
         other = sys.A + np.eye(sys.n)
         with pytest.raises(PreconditionError, match="built"):
             reduced_projector_residual(other, proj)
+
+    def test_singular_reduced_hessian_raises(self):
+        sys, _ = max_deficient(seed=0)
+        proj = reduced_hessian_projector(sys.A, sys.B)
+        with pytest.raises(PreconditionError, match="reduced Hessian"):
+            reduced_projector_residual(np.zeros_like(sys.A), proj)
 
 
 class TestTransformedSchur:
@@ -227,6 +242,11 @@ class TestTransformedSchur:
             transformed_schur_complement(sys, 2.0)
         with pytest.raises(PreconditionError):
             transformed_schur_complement(sys, 0.0)
+
+    def test_alpha_at_the_bound_raises(self):
+        sys, _ = max_deficient(seed=0)
+        with pytest.raises(PreconditionError, match="2I - alpha D is numerically singular"):
+            transformed_schur_complement(sys, alpha_upper_bound(sys) * (1 - 1e-11))
 
 
 class TestFactorization:
@@ -359,6 +379,14 @@ class TestTwoBlockInverse:
     def test_precondition_errors(self):
         with pytest.raises(PreconditionError):
             two_block_inverse(np.eye(2), B2, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("A, D, match", [
+        (np.eye(3), np.zeros((1, 1)), "A must be 2 x 2"),
+        (A2, np.zeros((2, 2)), "D must be 1 x 1"),
+    ], ids=["a_shape", "d_shape"])
+    def test_mismatched_blocks_raise(self, A, D, match):
+        with pytest.raises(ValueError, match=match):
+            two_block_inverse(A, B2, D)
 
 
 class TestThreeBlockInverse:

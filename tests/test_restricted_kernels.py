@@ -1,12 +1,13 @@
 """Restricted kernel intersections against the stacked reference.
 
-The analysis reads N1, N2 and N3 from the decompositions it already holds:
-it restricts the later blocks to the near-kernel of the first one.  The
-public ``intersection_kernels`` stacks the blocks and takes one SVD; it is
-the reference, and the analysis falls back to it near the rank cut.  Patching
-the analysis back to the stacked SVD must leave every verdict, rule,
-intersection dimension and direct-sum flag unchanged, on clean systems and
-on systems with noise near the rank cut.
+The analysis reads N1, N2, N3, the overlap ker(A (+) E) ∩ ker[B | C^T] and R
+from the decompositions it already holds: it restricts the later blocks to
+the near-kernel of the first one (R as ker(U⊥_B^T) ∩ ker(U⊥_C^T), U⊥ the left
+singular vectors past the rank).  The public ``intersection_kernels`` stacks
+the blocks and takes one SVD; it is the reference, and the analysis falls
+back to it near the rank cut.  Patching the analysis back to the stacked SVD
+must leave every verdict, rule, intersection dimension and direct-sum flag
+unchanged, on clean systems and on systems with noise near the rank cut.
 """
 
 import numpy as np
@@ -15,14 +16,24 @@ import pytest
 import dsaddle.invertibility as invertibility
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     noisy, psd_disjoint_ranges, random_systems
-from dsaddle import BlockSystem, Verdict, assemble, diagnose, intersection_kernels
+from dsaddle import BlockSystem, Verdict, assemble, diagnose, intersection_kernels, \
+    range_intersection_trivial
 from dsaddle.invertibility import _Analysis, _analysis
-from dsaddle.subspaces import rank_threshold
+from dsaddle.subspaces import _SVD, rank_threshold
+
+
+def _complements(s):
+    """U⊥^T of B and of C^T: ran(B) ∩ ran(C^T) is the intersection of their kernels."""
+    return [svd.u[:, svd.rank:].T for svd in (_SVD(s.B), _SVD(s.C.T))]
+
 
 STACKED = {
     "n1": lambda s: [s.A, s.B],
     "n2": lambda s: [s.B.T, s.D, s.C],
     "n3": lambda s: [s.C.T, s.E],
+    "overlap": lambda s: [np.block([[s.A, np.zeros((s.n, s.p))], [np.zeros((s.p, s.n)), s.E]]),
+                          np.hstack([s.B, s.C.T])],
+    "r": _complements,
 }
 
 
@@ -37,7 +48,7 @@ def _outcome(system):
         assert np.linalg.norm(K @ w) <= 1e-8 * np.linalg.norm(K, 2)
     an = _analysis(system, None)
     return (diagnosis.verdict, diagnosis.rule, an.n1.dim, an.n2.dim, an.n3.dim,
-            an.ds1, an.ds2)
+            an.overlap.dim, an.r.dim, an.ds1, an.ds2)
 
 
 def _stacked_outcome(system):
@@ -116,3 +127,25 @@ def test_large_b_against_small_eigenvalue_takes_stacked_svd(monkeypatch):
     assert _stacked_calls(monkeypatch, system) >= 1
     assert diagnose(cold_copy(system)).rule == "necessary:N1"
     assert _outcome(cold_copy(system)) == _stacked_outcome(system)
+
+
+def test_range_intersection_near_its_cut_takes_stacked_svd(monkeypatch):
+    """ran(B) and ran(C^T) at an angle of 5e-10 meet under the stacked cut of
+    the two complements, [U⊥_B^T; U⊥_C^T] (4 x 3, sigma_min about
+    theta / sqrt 2): the restricted sine theta lies within the margin of the
+    cut, so R falls back to the stacked SVD and agrees with its reference."""
+    theta = 5e-10
+    system = BlockSystem(np.eye(1), np.array([[1.0], [0.0], [0.0]]),
+                         np.array([[np.cos(theta), np.sin(theta), 0.0]]), None, np.eye(1))
+    calls = []
+
+    def counting(mats, tol=None):
+        calls.append(len(mats))
+        return intersection_kernels(mats, tol)
+
+    monkeypatch.setattr("dsaddle.invertibility.intersection_kernels", counting)
+    r = _analysis(system, None).r
+    assert calls == [2]
+    holds, witness = range_intersection_trivial(system.B, system.C.T)
+    assert r.is_trivial == holds is False
+    assert witness is not None and r.dim == 1

@@ -147,10 +147,49 @@ class TestDefiniteness:
         assert classify_definiteness(np.array([[1.0, 2.0], [0.0, 1.0]])) \
             is Definiteness.NOT_SYMMETRIC
 
+    def test_empty_matrix_is_pd(self):
+        assert classify_definiteness(np.zeros((0, 0))) is Definiteness.POSITIVE_DEFINITE
+
     def test_pd_tag_implies_psd_tag(self):
         assert Definiteness.POSITIVE_DEFINITE.is_psd
         assert Definiteness.POSITIVE_SEMIDEFINITE.is_psd
         assert not Definiteness.INDEFINITE.is_psd
+
+
+@pytest.mark.parametrize("check, match", [
+    (classify_definiteness, "square matrix"),
+    (is_nonsingular, "square matrices only"),
+], ids=["definiteness", "nonsingularity"])
+def test_square_only_checks_reject_a_rectangle(check, match):
+    with pytest.raises(ValueError, match=match):
+        check(np.ones((2, 3)))
+
+
+class TestSubspaceBasis:
+    @pytest.mark.parametrize("basis, match", [
+        (np.ones(3), "2-d array"),
+        (np.eye(2, 3), "more basis columns"),
+        (np.ones((2, 1)), "not orthonormal"),
+        (np.array([[1.0, 1e-7], [0.0, 1.0]]), "not orthonormal"),
+        (np.array([[np.nan], [0.0]]), "not orthonormal"),
+        (np.array([[np.inf], [0.0]]), "not orthonormal"),
+    ], ids=["one_dimensional", "wide", "unnormalised", "oblique", "nan", "inf"])
+    def test_rejects(self, basis, match):
+        with pytest.raises(ValueError, match=match):
+            SubspaceBasis(basis)
+
+    @pytest.mark.parametrize("scale, off", [
+        (1.0 + 4e-6, 0.0), (1.0 + 6e-6, 0.0), (1.0, 5e-9), (1.0, 2e-8), (1.0, 0.0),
+    ])
+    def test_orthonormality_check_is_allclose(self, scale, off):
+        # the diagonal of the Gram matrix may miss 1 by 1e-8 + 1e-5, the rest
+        # may miss 0 by 1e-8, as np.allclose(gram, I, atol=1e-8) decides
+        basis = np.array([[scale, off], [0.0, 1.0], [0.0, 0.0]])
+        if np.allclose(basis.T @ basis, np.eye(2), atol=1e-8):
+            assert SubspaceBasis(basis).dim == 2
+        else:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                SubspaceBasis(basis)
 
 
 class TestToleranceConfig:
