@@ -1,4 +1,5 @@
-"""Block data model for symmetric double saddle-point systems.
+"""Block data model for symmetric double saddle-point systems, the block
+analysis a system holds, and the congruence transform.
 
 A system holds the five blocks A (n x n), B (m x n), C (p x m), D (m x m)
 and E (p x p).  Assembly produces the (n+m+p) square matrix
@@ -10,15 +11,29 @@ and E (p x p).  Assembly produces the (n+m+p) square matrix
 D is stored as given; the assembler applies the minus sign, which keeps the
 stored blocks aligned with how applications supply them and avoids
 double-negation mistakes.
+
+A system holds one analysis per tolerance: the facts of its blocks that the
+decisions of :mod:`dsaddle.invertibility` and :mod:`dsaddle.inverses` read.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .subspaces import _SymEig, _above_cut, _as_matrix, _symmetric
-from .tolerances import ToleranceConfig
+from .subspaces import _SVD, _SymEig, _above_cut, _as_matrix, _restricted_kernel, _symmetric, \
+    intersection_kernels
+from .tolerances import ToleranceConfig, resolve
+
+
+def _block(M, name):
+    """Block ``name`` as a float matrix; a square A, D or E must be symmetric."""
+    M = _as_matrix(M, name)
+    if name in ("A", "D", "E") and M.shape[0] == M.shape[1] and not _symmetric(M):
+        raise ValueError(f"block {name} is not symmetric within tolerance")
+    return M
 
 
 class BlockSystem:
@@ -34,9 +49,7 @@ class BlockSystem:
     __slots__ = ("A", "B", "C", "D", "E", "_analyses", "__weakref__")
 
     def __init__(self, A, B, C, D=None, E=None):
-        A = _as_matrix(A, "A")
-        B = _as_matrix(B, "B")
-        C = _as_matrix(C, "C")
+        A, B, C = _block(A, "A"), _block(B, "B"), _block(C, "C")
         n = A.shape[0]
         m = B.shape[0]
         p = C.shape[0]
@@ -48,15 +61,12 @@ class BlockSystem:
             raise ValueError(f"B must be {m} x {n} to match A, got {B.shape}")
         if C.shape != (p, m):
             raise ValueError(f"C must be {p} x {m} to match B, got {C.shape}")
-        D = np.zeros((m, m)) if D is None else _as_matrix(D, "D")
-        E = np.zeros((p, p)) if E is None else _as_matrix(E, "E")
+        D = np.zeros((m, m)) if D is None else _block(D, "D")
+        E = np.zeros((p, p)) if E is None else _block(E, "E")
         if D.shape != (m, m):
             raise ValueError(f"D must be {m} x {m}, got {D.shape}")
         if E.shape != (p, p):
             raise ValueError(f"E must be {p} x {p}, got {E.shape}")
-        for name, block in (("A", A), ("D", D), ("E", E)):
-            if not _symmetric(block):
-                raise ValueError(f"block {name} is not symmetric within tolerance")
         for name, block in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
             block = np.array(block, order="C")
             block.setflags(write=False)
@@ -168,16 +178,10 @@ def lambda_max_sym(M) -> float:
     return _SymEig(M).lambda_max
 
 
-def _held_d(sys: BlockSystem, tol: ToleranceConfig | None = None) -> _SymEig:
-    """D's eigendecomposition from the analysis the system holds for tol."""
-    from .invertibility import _analysis  # that module imports this one
-    return _analysis(sys, tol).D
-
-
 def _alpha_bound(D: _SymEig) -> float:
     """2 / lambda_max(D), or inf when no eigenvalue of D is positive past D's
     rank cut: a rounding-level lambda_max does not constrain alpha."""
-    lam, nonzero = D._spectrum
+    lam, nonzero = D.eigenvalues, D.nonzero
     return 2.0 / lam[-1] if lam[-1] > 0.0 and nonzero[-1] else np.inf
 
 
@@ -202,25 +206,23 @@ def alpha_upper_bound(sys: BlockSystem) -> float:
     constrains alpha only when D has a positive eigenvalue that passes the
     rank cut.
     """
-    return _alpha_bound(_held_d(sys))
+    return _alpha_bound(_analysis(sys, None).D)
 
 
 def default_alpha(sys: BlockSystem) -> float:
     """Midpoint of the admissible interval, or 1 when it is unbounded."""
-    return _checked_alpha(_held_d(sys))
+    return _checked_alpha(_analysis(sys, None).D)
 
 
 def _m_inverse(D: _SymEig, alpha: float) -> np.ndarray:
     """M^{-1} = (2I - alpha D)^{-1} = Q diag(1 / (2 - alpha lambda_i)) Q^T from
     D's eigenpairs; M is singular when some |2 - alpha lambda_i| fails the
     rank cut."""
-    lam, Q = D._eigh
-    mu = 2.0 - alpha * lam
+    mu = 2.0 - alpha * D.eigenvalues
     if not _above_cut(np.abs(mu), D.matrix.shape, D.tol).all():
         raise PreconditionError("2I - alpha D is numerically singular; "
                                 "alpha is too close to the interval boundary")
-    inv = (Q / mu) @ Q.T
-    return 0.5 * (inv + inv.T)
+    return D.inverse_of(mu)
 
 
 def congruence_transform(sys: BlockSystem, alpha: float,
@@ -238,7 +240,7 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     partition.  alpha must lie strictly inside (0, 2/lambda_max(D)); for
     D = 0 any positive alpha is admissible.
     """
-    alpha = _checked_alpha(_held_d(sys, tol), alpha)
+    alpha = _checked_alpha(_analysis(sys, tol).D, alpha)
     n, m, _ = sys.dims
     Kt = assemble(sys).matrix.copy()
     Kt[:, :n] = _congruence(sys, alpha)
@@ -254,6 +256,109 @@ def _congruence(sys: BlockSystem, alpha: float) -> np.ndarray:
     B, D = sys.B, sys.D
     return np.vstack([sys.A + alpha * B.T @ (2.0 * np.eye(sys.m) - alpha * D) @ B,
                       B - alpha * D @ B, alpha * sys.C @ B])
+
+
+def _fact(compute):
+    """A lazily computed fact of the analysed blocks."""
+    return cached_property(lambda an: compute(an.sys, an.tol))
+
+
+class _Analysis:
+    """Facts about one system under one tolerance, each computed on first use.
+
+    Blocks are read by attribute, so an object holding only the blocks a
+    caller asks about (such as a namespace with A and B) can be analysed too.
+    A :class:`BlockSystem` holds its analyses (see :func:`_analysis`); each refers
+    back by a weak proxy, so it is freed with the system, not by the cyclic GC.
+    """
+
+    def __init__(self, sys, tol: ToleranceConfig):
+        self.sys = sys
+        self.tol = tol
+
+    A = _fact(lambda s, tol: _SymEig(s.A, tol))
+    D = _fact(lambda s, tol: _SymEig(s.D, tol))
+    E = _fact(lambda s, tol: _SymEig(s.E, tol))
+    B = _fact(lambda s, tol: _SVD(s.B, tol))
+    Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
+    K = _fact(lambda s, tol: assemble(s).matrix)
+    # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
+    k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
+    k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
+    # the first n columns of W^T K W at alpha = 1: A + B^T (2I - D) B, B - D B and
+    # C B, and the eigh of the first of them, symmetrized
+    k_tilde = _fact(lambda s, tol: _congruence(s, 1.0))
+    a_tilde = cached_property(lambda an: _SymEig(
+        0.5 * (an.k_tilde[:an.sys.n] + an.k_tilde[:an.sys.n].T), an.tol))
+    # the reduced-Hessian projector over ker(B), built once by dsaddle.inverses
+    projector = None
+
+    # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
+    # first, read from its held decomposition; near the rank cut the stacked SVD decides
+    def _intersection(self, pairs, norms, stacked, others):
+        shape = (sum(M.shape[0] for M in stacked), stacked[0].shape[1])
+        basis = _restricted_kernel(*pairs, others, shape, max(norms), self.tol)
+        return intersection_kernels(stacked, self.tol) if basis is None else basis
+
+    n1 = cached_property(lambda an: an._intersection(
+        an.A.pairs, (an.A.norm, an.B.norm), [an.sys.A, an.sys.B], [an.sys.B]))
+    n2 = cached_property(lambda an: an._intersection(
+        an.B.cokernel_pairs, (an.B.norm, an.D.norm, an.Ct.norm),
+        [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C]))
+    n3 = cached_property(lambda an: an._intersection(
+        an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T]))
+
+    @cached_property
+    def overlap(self):
+        """ker(A (+) E) ∩ ker[B | C^T] in R^(n+p): each (x, z) in it has A x = 0,
+        E z = 0 and B x + C^T z = 0, so [x; 0; z] is a kernel vector of K."""
+        s, a, e = self.sys, self.A.pairs, self.E.pairs
+        couple = np.hstack([s.B, s.C.T])
+        return self._intersection((np.concatenate([a[0], e[0]]), _direct_sum(a[1], e[1])),
+                                  (self.A.norm, self.E.norm, self.B.norm, self.Ct.norm),
+                                  [_direct_sum(s.A, s.E), couple], [couple])
+
+    @cached_property
+    def r(self):
+        """ran(B) ∩ ran(C^T) = ker(U⊥_S^T) ∩ ker(U⊥_L^T), U⊥ a block's left singular
+        vectors past its rank, restricted to ran(S), S the block of smaller rank
+        (C^T on a tie); U⊥_L^T on ran(S) has the sines of the principal angles
+        between the ranges as singular values.  L of rank m gives ran(S), no SVD."""
+        S, L = (self.B, self.Ct) if self.B.rank < self.Ct.rank else (self.Ct, self.B)
+        m, perp = S.u.shape[0], L.u[:, L.rank:].T
+        if L.rank == m:
+            return S.range
+        return self._intersection((1.0 * (np.arange(m) >= S.rank), S.u), (1.0,),
+                                  [S.u[:, S.rank:].T, perp], [perp])
+
+    # A sum of two subspaces is direct exactly when they meet only in {0}, and
+    # then it fills R^n exactly when the dimensions add up to n:
+    # null(A) + null(B) = n is null(A) = rank(B), likewise for E and C^T.
+    @property
+    def ds1(self) -> bool:
+        return self.n1.is_trivial and self.A.nullity == self.B.rank
+
+    @property
+    def ds2(self) -> bool:
+        return self.n3.is_trivial and self.E.nullity == self.Ct.rank
+
+
+def _direct_sum(M1, M2):
+    """The block diagonal matrix diag(M1, M2)."""
+    out = np.zeros(np.add(M1.shape, M2.shape))
+    out[:M1.shape[0], :M1.shape[1]], out[M1.shape[0]:, M1.shape[1]:] = M1, M2
+    return out
+
+
+def _analysis(sys, tol) -> _Analysis:
+    """The analysis a BlockSystem holds for tol (made on first use), else a fresh one."""
+    tol = resolve(tol)
+    if not isinstance(sys, BlockSystem):
+        return _Analysis(sys, tol)
+    an = sys._analyses.get(tol)
+    if an is None:
+        an = sys._analyses[tol] = _Analysis(weakref.proxy(sys), tol)
+    return an
 
 
 def rescale_middle(sys: BlockSystem, beta: float) -> BlockSystem:

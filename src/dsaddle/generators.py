@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import BlockSystem
+from .core import BlockSystem, _Analysis
 from .errors import GenerationError
-from .invertibility import _Analysis
 from .subspaces import Definiteness
 from .tolerances import ToleranceConfig, resolve
 

@@ -14,18 +14,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import BlockSystem, assemble, _checked_alpha, _congruence, _m_inverse
+from .core import BlockSystem, _analysis, _block, _checked_alpha, _congruence, _m_inverse, \
+    assemble
 from .errors import PreconditionError
-from .invertibility import _analysis, _require
+from .invertibility import _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _nonsingular, _singular_values, \
     _spectral_norm, is_direct_sum, rank_threshold
 from .tolerances import ToleranceConfig, resolve
 
 
 def _blocks(tol, **blocks):
-    """Analysis of loose blocks, passed by name, outside a BlockSystem; the named
-    hypotheses of dsaddle.invertibility read m from B, so they apply to it."""
-    return _analysis(SimpleNamespace(**{k: _as_matrix(v, k) for k, v in blocks.items()}), tol)
+    """Analysis of loose blocks passed by name, each checked as a BlockSystem checks
+    it; the named hypotheses of dsaddle.invertibility read m from B, so they
+    apply to it."""
+    return _analysis(SimpleNamespace(**{k: _block(v, k) for k, v in blocks.items()}), tol)
 
 
 def _finite(alpha, *values):
@@ -196,7 +198,7 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
                                tol: ToleranceConfig | None = None) -> float:
     """Residual of Z Z^T A V = Z Z^T, the fixed-point property of V on ker(B)."""
     tol = resolve(tol)
-    A = _as_matrix(A, "A")
+    A = _block(A, "A")
     V_check = _projector_from_basis(A, proj.Z, tol)
     scale = max(_spectral_norm(proj.V, symmetric=True), 1.0)
     if _spectral_norm(V_check - proj.V, symmetric=True) > tol.residual_rtol * scale:
@@ -272,13 +274,15 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     mid[:n, :n] = a_tilde.matrix
     mid[n:n + m, n:n + m] = -_m_inverse(an.D, 1.0)
     mid[n + m:, n + m:] = sys.E
-    return TransformedFactorization(a_tilde.matrix, b_one, L, mid, sys.dims)
+    # the analysis keeps a_tilde and b_one for later calls
+    return TransformedFactorization(a_tilde.matrix.copy(), b_one.copy(), L, mid, sys.dims)
 
 
 def _factor_blocks(an):
     """a_tilde's held eigendecomposition (nonsingularity and inverse), b_one,
     and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
-    alpha = 1."""
+    alpha = 1; b_one = B - D B and C B are the rows of the held transform
+    past a_tilde."""
     _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2")
     # with A psd and 2I - D positive definite, ker(a_tilde) = ker(A) ∩ ker(B),
     # so a nonsingular a_tilde is the condition N1
@@ -286,9 +290,9 @@ def _factor_blocks(an):
     if not a_tilde.nonsingular:
         raise PreconditionError("ker(A) and ker(B) must intersect only in {0}: "
                                 "A + B^T (2I - D) B is numerically singular")
-    B, C, D = an.sys.B, an.sys.C, an.sys.D
-    b_one = B - D @ B
-    return a_tilde, b_one, b_one @ a_tilde.inverse, C @ B @ a_tilde.inverse
+    n, m = an.sys.n, an.sys.m
+    b_one, cb = an.k_tilde[n:n + m], an.k_tilde[n + m:]
+    return a_tilde, b_one, b_one @ a_tilde.inverse, cb @ a_tilde.inverse
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +373,14 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
     B has full row rank under these hypotheses, so (B B^T)^{-1} B is read
     from the SVD of B; the Gram matrix B B^T is never formed.
     """
-    tol = resolve(tol)
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    D = _as_matrix(D, "D")
+    an = _blocks(tol, A=A, B=B, D=D)
+    A, B, D = an.sys.A, an.sys.B, an.sys.D
     m, n = B.shape
     if A.shape != (n, n):
         raise ValueError(f"A must be {n} x {n}, got {A.shape}")
     if D.shape != (m, m):
         raise ValueError(f"D must be {m} x {m}, got {D.shape}")
-    x11, R = _two_block(_blocks(tol, A=A, B=B), D)
+    x11, R = _two_block(an, D)
     return TwoBlockInverse(x11, R.T.copy(), np.zeros((m, m)), (n, m))
 
 

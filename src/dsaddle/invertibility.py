@@ -1,9 +1,10 @@
 """Invertibility decision ladder for double saddle-point systems.
 
-Each rule is a row of one table: named hypotheses, read from the one
-analysis a system holds, and a decide step.  A rule returns a
-:class:`Diagnosis`: a definitive verdict (invertible with the rule that
-fired, or singular with a unit kernel witness) or "undetermined" when the
+This module holds the decisions only; the facts they read are those of the
+analysis a system holds (see :mod:`dsaddle.core`).  Each rule is a row of one
+table: named hypotheses, read from that analysis, and a decide step.  A rule
+returns a :class:`Diagnosis`: a definitive verdict (invertible with the rule
+that fired, or singular with a unit kernel witness) or "undetermined" when the
 hypotheses do not apply.  Rules never raise on inapplicable input, so the
 ladder always terminates with a report.  The inverse constructors check the
 same named hypotheses.
@@ -22,18 +23,15 @@ an explicit kernel vector of the assembled matrix.
 """
 
 import re
-import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .core import BlockSystem, _alpha_bound, assemble
+from .core import BlockSystem, _alpha_bound, _analysis
 from .errors import PreconditionError
-from .subspaces import Definiteness, _SVD, _SymEig, _above_cut, _nonsingular, \
-    _restricted_kernel, intersection_kernels, matrix_rank
-from .tolerances import ToleranceConfig, resolve
+from .subspaces import Definiteness, _SymEig, _nonsingular, matrix_rank
+from .tolerances import ToleranceConfig
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
 
@@ -108,11 +106,10 @@ class Diagnosis:
 
 
 def _unit(v):
+    """v / ||v||: every v is a column of an orthonormal basis, or one placed into
+    a full-length vector by :func:`_embed`, so its norm is never zero."""
     v = np.asarray(v, dtype=float).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise RuntimeError("zero vector cannot serve as a witness")
-    return v / norm
+    return v / np.linalg.norm(v)
 
 
 def _first(basis):
@@ -120,117 +117,12 @@ def _first(basis):
     return None if basis.is_trivial else _unit(basis.basis[:, 0])
 
 
-def _fact(compute):
-    """A lazily computed fact of the analysed blocks."""
-    return cached_property(lambda an: compute(an.sys, an.tol))
-
-
-def _a_tilde(s):
-    """A + B^T (2I - D) B, the leading block of the alpha = 1 congruence transform."""
-    M = s.A + s.B.T @ (2.0 * np.eye(s.B.shape[0]) - s.D) @ s.B
-    return 0.5 * (M + M.T)
-
-
-class _Analysis:
-    """Facts about one system under one tolerance, each computed on first use.
-
-    Blocks are read by attribute, so an object holding only the blocks a
-    caller asks about (such as a namespace with A and B) can be analysed too.
-    A :class:`BlockSystem` holds its analyses (see :func:`_analysis`); each refers
-    back by a weak proxy, so it is freed with the system, not by the cyclic GC.
-    """
-
-    def __init__(self, sys, tol: ToleranceConfig):
-        self.sys = sys
-        self.tol = tol
-
-    A = _fact(lambda s, tol: _SymEig(s.A, tol))
-    D = _fact(lambda s, tol: _SymEig(s.D, tol))
-    E = _fact(lambda s, tol: _SymEig(s.E, tol))
-    B = _fact(lambda s, tol: _SVD(s.B, tol))
-    Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
-    K = _fact(lambda s, tol: assemble(s).matrix)
-    # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
-    k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
-    k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
-    a_tilde = _fact(lambda s, tol: _SymEig(_a_tilde(s), tol))
-    # the reduced-Hessian projector over ker(B), built once by dsaddle.inverses
-    projector = None
-
-    # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
-    # first, read from its held decomposition; near the rank cut the stacked SVD decides
-    def _intersection(self, pairs, norms, stacked, others):
-        shape = (sum(M.shape[0] for M in stacked), stacked[0].shape[1])
-        basis = None if pairs is None else _restricted_kernel(*pairs, others, shape,
-                                                              max(norms), self.tol)
-        return intersection_kernels(stacked, self.tol) if basis is None else basis
-
-    n1 = cached_property(lambda an: an._intersection(
-        an.A.pairs, (an.A.norm, an.B.norm), [an.sys.A, an.sys.B], [an.sys.B]))
-    n2 = cached_property(lambda an: an._intersection(
-        an.B.cokernel_pairs, (an.B.norm, an.D.norm, an.Ct.norm),
-        [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C]))
-    n3 = cached_property(lambda an: an._intersection(
-        an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T]))
-
-    @cached_property
-    def overlap(self):
-        """ker(A (+) E) ∩ ker[B | C^T] in R^(n+p): each (x, z) in it has A x = 0,
-        E z = 0 and B x + C^T z = 0, so [x; 0; z] is a kernel vector of K."""
-        s, a, e = self.sys, self.A.pairs, self.E.pairs
-        pairs = None if a is None or e is None else (
-            np.concatenate([a[0], e[0]]), _direct_sum(a[1], e[1]))
-        couple = np.hstack([s.B, s.C.T])
-        return self._intersection(pairs, (self.A.norm, self.E.norm, self.B.norm, self.Ct.norm),
-                                  [_direct_sum(s.A, s.E), couple], [couple])
-
-    @cached_property
-    def r(self):
-        """ran(B) ∩ ran(C^T) = ker(U⊥_S^T) ∩ ker(U⊥_L^T), U⊥ a block's left singular
-        vectors past its rank, restricted to ran(S), S the block of smaller rank
-        (C^T on a tie); U⊥_L^T on ran(S) has the sines of the principal angles
-        between the ranges as singular values.  L of rank m gives ran(S), no SVD."""
-        S, L = (self.B, self.Ct) if self.B.rank < self.Ct.rank else (self.Ct, self.B)
-        m, perp = S.u.shape[0], L.u[:, L.rank:].T
-        if L.rank == m:
-            return S.range
-        return self._intersection((1.0 * (np.arange(m) >= S.rank), S.u), (1.0,),
-                                  [S.u[:, S.rank:].T, perp], [perp])
-
-    # A sum of two subspaces is direct exactly when they meet only in {0}, and
-    # then it fills R^n exactly when the dimensions add up to n:
-    # null(A) + null(B) = n is null(A) = rank(B), likewise for E and C^T.
-    @property
-    def ds1(self) -> bool:
-        return self.n1.is_trivial and self.A.nullity == self.B.rank
-
-    @property
-    def ds2(self) -> bool:
-        return self.n3.is_trivial and self.E.nullity == self.Ct.rank
-
-    def entry(self, cond_id: str) -> ConditionEntry:
-        if cond_id in ("DS1", "DS2"):
-            return ConditionEntry(cond_id, getattr(self, cond_id.lower()))
-        w = _first(getattr(self, cond_id.lower()))
-        return ConditionEntry(cond_id, w is None, w)
-
-
-def _direct_sum(M1, M2):
-    """The block diagonal matrix diag(M1, M2)."""
-    out = np.zeros(np.add(M1.shape, M2.shape))
-    out[:M1.shape[0], :M1.shape[1]], out[M1.shape[0]:, M1.shape[1]:] = M1, M2
-    return out
-
-
-def _analysis(sys, tol) -> _Analysis:
-    """The analysis a BlockSystem holds for tol (made on first use), else a fresh one."""
-    tol = resolve(tol)
-    if not isinstance(sys, BlockSystem):
-        return _Analysis(sys, tol)
-    an = sys._analyses.get(tol)
-    if an is None:
-        an = sys._analyses[tol] = _Analysis(weakref.proxy(sys), tol)
-    return an
+def _entry(an, cond_id: str) -> ConditionEntry:
+    """The entry of one condition, read from the analysis."""
+    if cond_id in ("DS1", "DS2"):
+        return ConditionEntry(cond_id, getattr(an, cond_id.lower()))
+    w = _first(getattr(an, cond_id.lower()))
+    return ConditionEntry(cond_id, w is None, w)
 
 
 def _singular(an, rule, witness, report):
@@ -262,7 +154,7 @@ def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Co
     """Evaluate every condition the rules consult, in one pass."""
     an = _analysis(sys, tol)
     return ConditionReport(
-        entries={c: an.entry(c) for c in CONDITION_ORDER},
+        entries={c: _entry(an, c) for c in CONDITION_ORDER},
         definiteness={k: getattr(an, k).definiteness for k in "ADE"},
         ranks={"B": an.B.rank, "C": an.Ct.rank},
     )
@@ -283,7 +175,7 @@ def necessary_conditions(sys: BlockSystem, tol: ToleranceConfig | None = None) -
     [0; y; 0], and a nonzero z in the N3 intersection gives [0; 0; z].
     """
     an = _analysis(sys, tol)
-    return ConditionReport(entries={c: an.entry(c) for c in ("N1", "N2", "N3")})
+    return ConditionReport(entries={c: _entry(an, c) for c in ("N1", "N2", "N3")})
 
 
 def _necessary_failure(an, report):
@@ -304,7 +196,7 @@ def _necessary_failure(an, report):
 def _schur_nonsingular(an):
     """S1 = D + B A^{-1} B^T and then S2 = E + C S1^{-1} C^T nonsingular, with
     A^{-1} read from A's held eigh and S1 tested and inverted through one eigh."""
-    s, (lam, Q) = an.sys, an.A._eigh
+    s, lam, Q = an.sys, an.A.eigenvalues, an.A.eigenvectors
     BQ = s.B @ Q
     s1 = _SymEig(s.D + (BQ / lam) @ BQ.T, an.tol)
     return s1.nonsingular and _nonsingular(s.E + s.C @ s1.inverse @ s.C.T, an.tol)

@@ -284,32 +284,19 @@ def _spectral_norm(M, symmetric=False) -> float:
 class _SymEig:
     """One eigendecomposition of a symmetric matrix, read under the rank cut.
 
-    Gives the definiteness tag, nullity, kernel, lambda_max, the 2-norm,
-    nonsingularity and the inverse.  The decomposition is of the symmetric
-    part, and it runs only when a fact needs it: an asymmetric matrix is
-    tagged without one.
+    Holds the ascending ``eigenvalues`` and ``eigenvectors`` of the symmetric
+    part, and the mask ``nonzero`` of the eigenvalues past the rank cut.  From
+    them come the definiteness tag, nullity, kernel, lambda_max, the 2-norm,
+    nonsingularity and inverses.
     """
 
     def __init__(self, M, tol: ToleranceConfig | None = None):
         self.tol = resolve(tol)
-        self.matrix = _as_matrix(M)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"definiteness needs a square matrix, got {self.matrix.shape}")
-
-    def _sym(self):
-        M = self.matrix
-        return 0.5 * (M + M.T)
-
-    @cached_property
-    def _eigh(self):
-        """Eigenvalues (ascending) and eigenvectors of one eigh."""
-        return np.linalg.eigh(self._sym())
-
-    @cached_property
-    def _spectrum(self):
-        """Eigenvalues (ascending) and the mask of those past the rank cut."""
-        lam = self._eigh[0]
-        return lam, _above_cut(np.abs(lam), self.matrix.shape, self.tol)
+        self.matrix = M = _as_matrix(M)
+        if M.shape[0] != M.shape[1]:
+            raise ValueError(f"definiteness needs a square matrix, got {M.shape}")
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(0.5 * (M + M.T))
+        self.nonzero = _above_cut(np.abs(self.eigenvalues), M.shape, self.tol)
 
     @cached_property
     def definiteness(self) -> Definiteness:
@@ -319,7 +306,7 @@ class _SymEig:
             return Definiteness.POSITIVE_DEFINITE
         if not _symmetric(self.matrix):
             return Definiteness.NOT_SYMMETRIC
-        lam, nonzero = self._spectrum
+        lam, nonzero = self.eigenvalues, self.nonzero
         if lam[0] < -_NEG_RTOL * np.abs(lam).max() or (lam[nonzero] < 0.0).any():
             return Definiteness.INDEFINITE
         if nonzero.all():
@@ -328,7 +315,7 @@ class _SymEig:
 
     @property
     def nullity(self) -> int:
-        return int((~self._spectrum[1]).sum())
+        return int((~self.nonzero).sum())
 
     @property
     def nonsingular(self) -> bool:
@@ -336,29 +323,30 @@ class _SymEig:
 
     @cached_property
     def kernel(self) -> SubspaceBasis:
-        return SubspaceBasis(self._eigh[1][:, ~self._spectrum[1]])
+        return SubspaceBasis(self.eigenvectors[:, ~self.nonzero])
 
     @property
     def lambda_max(self) -> float:
-        lam = self._spectrum[0]
-        return float(lam[-1]) if lam.size else 0.0
+        return float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
     @property
     def norm(self) -> float:
         """||M||_2 of the symmetric part, the largest |eigenvalue|."""
-        return float(np.abs(self._spectrum[0]).max(initial=0.0))
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
 
     @property
     def pairs(self):
-        """|eigenvalues| with their eigenvectors, ||M q|| for each column q;
-        None for an asymmetric M, whose eigenvectors do not give ||M q||."""
-        return (np.abs(self._spectrum[0]), self._eigh[1]) if _symmetric(self.matrix) else None
+        """|eigenvalues| with their eigenvectors, ||M q|| for each column q."""
+        return np.abs(self.eigenvalues), self.eigenvectors
+
+    def inverse_of(self, values) -> np.ndarray:
+        """Q diag(1 / values) Q^T over the eigenvectors Q, symmetrized."""
+        inv = (self.eigenvectors / values) @ self.eigenvectors.T
+        return 0.5 * (inv + inv.T)
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        lam, vecs = self._eigh
-        inv = (vecs / lam) @ vecs.T
-        return 0.5 * (inv + inv.T)
+        return self.inverse_of(self.eigenvalues)
 
 
 def classify_definiteness(M, tol: ToleranceConfig | None = None) -> Definiteness:

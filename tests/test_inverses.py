@@ -17,6 +17,8 @@ from dsaddle import (
     dense_inverse_blocks,
     factorize_transformed,
     gen_instance,
+    gen_psd_with_nullity,
+    gen_rank,
     haar_orthogonal,
     inner_inverse_residual,
     inverse_via_factorization,
@@ -282,6 +284,17 @@ class TestFactorization:
         with pytest.raises(PreconditionError, match="null"):
             factorize_transformed(sys)
 
+    def test_result_shares_no_array_with_the_held_analysis(self):
+        """Writing into one result leaves the next call on the system unchanged."""
+        sys, _ = max_deficient(seed=1)
+        first = factorize_transformed(sys)
+        a_tilde, b_one = first.a_tilde.copy(), first.b_one.copy()
+        first.a_tilde[:] = 0.0
+        first.b_one[:] = 0.0
+        second = factorize_transformed(sys)
+        np.testing.assert_array_equal(second.a_tilde, a_tilde)
+        np.testing.assert_array_equal(second.b_one, b_one)
+
 
 class TestInverseViaFactorization:
     def test_running_example(self):
@@ -387,6 +400,44 @@ class TestTwoBlockInverse:
     def test_mismatched_blocks_raise(self, A, D, match):
         with pytest.raises(ValueError, match=match):
             two_block_inverse(A, B2, D)
+
+
+def _loose_blocks():
+    """Maximally deficient A (6 x 6, null(A) = 3) and B (3 x 6, full row rank),
+    with a random D and a random G for an antisymmetric part."""
+    rng = np.random.default_rng(0)
+    return (gen_psd_with_nullity(6, 3, 1), gen_rank(3, 6, 3, 2),
+            rng.standard_normal((3, 3)), rng.standard_normal((6, 6)))
+
+
+def test_two_block_inverse_rejects_asymmetric_d():
+    """The closed form holds for symmetric D only: with this D it returned X
+    with ||[[A, B^T], [B, -D]] X - I||_F = 16.  Loose blocks are checked as a
+    BlockSystem checks them, so D is rejected and its symmetric part inverts."""
+    A, B, D, _ = _loose_blocks()
+    with pytest.raises(ValueError, match="block D is not symmetric within tolerance"):
+        two_block_inverse(A, B, D)
+    S = 0.5 * (D + D.T)
+    X = two_block_inverse(A, B, S).full
+    assert np.linalg.norm(np.block([[A, B.T], [B, -S]]) @ X - np.eye(9)) <= 1e-10
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, B, D: weight_recovery_residual(A, B, np.eye(3)),
+    lambda A, B, D: reduced_hessian_projector(A, B),
+    lambda A, B, D: inner_inverse_residual(A, reduced_hessian_projector(0.5 * (A + A.T), B)),
+    lambda A, B, D: reduced_projector_residual(A, reduced_hessian_projector(0.5 * (A + A.T), B)),
+    lambda A, B, D: two_block_inverse(A, B, D),
+], ids=["weight_recovery", "projector", "inner_inverse", "reduced_projector", "two_block"])
+def test_loose_functions_reject_asymmetric_a(call):
+    """An asymmetric A is rejected before any hypothesis is read: weight recovery
+    returned a residual of 0.57 for it, testing null(A) = m on A's symmetric
+    part while N1 and the identity read A itself, and the reduced projector
+    returned 0.004 for an antisymmetric part of 1e-6."""
+    A, B, D, G = _loose_blocks()
+    for scale in (0.3, 1e-6):
+        with pytest.raises(ValueError, match="block A is not symmetric within tolerance"):
+            call(A + scale * (G - G.T), B, 0.5 * (D + D.T))
 
 
 class TestThreeBlockInverse:

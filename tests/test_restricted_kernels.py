@@ -10,15 +10,16 @@ must leave every verdict, rule, intersection dimension and direct-sum flag
 unchanged, on clean systems and on systems with noise near the rank cut.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-import dsaddle.invertibility as invertibility
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     noisy, psd_disjoint_ranges, random_systems
 from dsaddle import BlockSystem, Verdict, assemble, diagnose, intersection_kernels, \
     range_intersection_trivial
-from dsaddle.invertibility import _Analysis, _analysis
+from dsaddle.core import _Analysis, _analysis
 from dsaddle.subspaces import _SVD, rank_threshold
 
 
@@ -95,7 +96,7 @@ def _stacked_calls(monkeypatch, system):
         calls.append(len(mats))
         return intersection_kernels(mats, tol)
 
-    monkeypatch.setattr(invertibility, "intersection_kernels", counting)
+    monkeypatch.setattr(sys.modules[_Analysis.__module__], "intersection_kernels", counting)
     diagnose(cold_copy(system))
     return len(calls)
 
@@ -143,7 +144,7 @@ def test_range_intersection_near_its_cut_takes_stacked_svd(monkeypatch):
         calls.append(len(mats))
         return intersection_kernels(mats, tol)
 
-    monkeypatch.setattr("dsaddle.invertibility.intersection_kernels", counting)
+    monkeypatch.setattr(sys.modules[_Analysis.__module__], "intersection_kernels", counting)
     r = _analysis(system, None).r
     assert calls == [2]
     holds, witness = range_intersection_trivial(system.B, system.C.T)

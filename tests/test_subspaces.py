@@ -286,11 +286,11 @@ def test_first_decomposition_fixes_eigenvalues(monkeypatch):
     rng = np.random.default_rng(0)
     M = random_rank_matrix(rng, 6, 4, 4)
     sym = _SymEig(M @ M.T)
-    spectrum = sym._spectrum
+    eigenvalues = sym.eigenvalues
     nullity_first, norm = sym.nullity, sym.norm
     assert nullity_first == 2 and norm == pytest.approx(np.linalg.norm(M, 2) ** 2)
     assert sym.kernel.dim == nullity_first
-    assert sym._spectrum is spectrum and sym.nullity == nullity_first
+    assert sym.eigenvalues is eigenvalues and sym.nullity == nullity_first
     assert seen == ["eigh"]
 
 
