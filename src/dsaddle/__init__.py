@@ -45,7 +45,6 @@ from .invertibility import (
     diagnose,
     direct_sum_iff,
     e_iff_rule,
-    is_nonsingular,
     necessary_conditions,
     oracle_invertible,
     psd_iff,
@@ -87,6 +86,7 @@ from .subspaces import (
     classify_definiteness,
     intersection_kernels,
     is_direct_sum,
+    is_nonsingular,
     kernel_basis,
     matrix_rank,
     nullity,

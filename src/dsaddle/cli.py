@@ -15,6 +15,7 @@ identical inputs produce byte-identical JSON.
 """
 
 import argparse
+import json
 import logging
 import sys as _sys
 from dataclasses import dataclass, fields, replace
@@ -205,8 +206,6 @@ def _cmd_invert(config: RunConfig) -> int:
 
 
 def _cmd_generate(config: RunConfig) -> int:
-    import json
-
     spec = GeneratorSpec.from_dict(json.loads(Path(config.spec_path).read_text(encoding="utf-8")))
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)

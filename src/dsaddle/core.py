@@ -12,8 +12,9 @@ D is stored as given; the assembler applies the minus sign, which keeps the
 stored blocks aligned with how applications supply them and avoids
 double-negation mistakes.
 
-A system holds one analysis per tolerance: the facts of its blocks that the
-decisions of :mod:`dsaddle.invertibility` and :mod:`dsaddle.inverses` read.
+A system holds one analysis per tolerance: every fact of its blocks, each
+decomposition included, that the decisions of :mod:`dsaddle.invertibility` and
+:mod:`dsaddle.inverses` read, so those decisions decompose no block themselves.
 """
 
 import weakref
@@ -23,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .subspaces import _SVD, _SymEig, _above_cut, _as_matrix, _restricted_kernel, _symmetric, \
-    intersection_kernels
+from .subspaces import _SVD, SubspaceBasis, _SymEig, _above_cut, _as_matrix, _restricted_kernel, \
+    _symmetric, intersection_kernels, is_nonsingular
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -258,9 +259,18 @@ def _congruence(sys: BlockSystem, alpha: float) -> np.ndarray:
                       B - alpha * D @ B, alpha * sys.C @ B])
 
 
-def _fact(compute):
-    """A lazily computed fact of the analysed blocks."""
-    return cached_property(lambda an: compute(an.sys, an.tol))
+def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized; raises when Z^T A Z is singular."""
+    if Z.dim == 0:
+        return np.zeros((A.shape[0], A.shape[0]))
+    H = Z.basis.T @ A @ Z.basis
+    if not is_nonsingular(H, tol):
+        raise PreconditionError(
+            "reduced Hessian Z^T A Z is numerically singular; "
+            "ker(A) and ker(B) must intersect trivially with A semidefinite"
+        )
+    V = Z.basis @ np.linalg.solve(H, Z.basis.T)
+    return 0.5 * (V + V.T)
 
 
 class _Analysis:
@@ -276,22 +286,31 @@ class _Analysis:
         self.sys = sys
         self.tol = tol
 
-    A = _fact(lambda s, tol: _SymEig(s.A, tol))
-    D = _fact(lambda s, tol: _SymEig(s.D, tol))
-    E = _fact(lambda s, tol: _SymEig(s.E, tol))
-    B = _fact(lambda s, tol: _SVD(s.B, tol))
-    Ct = _fact(lambda s, tol: _SVD(s.C.T, tol))
-    K = _fact(lambda s, tol: assemble(s).matrix)
+    A = cached_property(lambda an: _SymEig(an.sys.A, an.tol))
+    D = cached_property(lambda an: _SymEig(an.sys.D, an.tol))
+    E = cached_property(lambda an: _SymEig(an.sys.E, an.tol))
+    B = cached_property(lambda an: _SVD(an.sys.B, an.tol))
+    Ct = cached_property(lambda an: _SVD(an.sys.C.T, an.tol))
+    K = cached_property(lambda an: assemble(an.sys).matrix)
     # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
     # the first n columns of W^T K W at alpha = 1: A + B^T (2I - D) B, B - D B and
     # C B, and the eigh of the first of them, symmetrized
-    k_tilde = _fact(lambda s, tol: _congruence(s, 1.0))
+    k_tilde = cached_property(lambda an: _congruence(an.sys, 1.0))
     a_tilde = cached_property(lambda an: _SymEig(
         0.5 * (an.k_tilde[:an.sys.n] + an.k_tilde[:an.sys.n].T), an.tol))
-    # the reduced-Hessian projector over ker(B), built once by dsaddle.inverses
-    projector = None
+    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD
+    projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel, an.tol))
+
+    @cached_property
+    def schur_nonsingular(self) -> bool:
+        """S1 = D + B A^{-1} B^T and then S2 = E + C S1^{-1} C^T nonsingular, with
+        A^{-1} read from A's held eigh and S1 tested and inverted through one eigh."""
+        s, lam, Q = self.sys, self.A.eigenvalues, self.A.eigenvectors
+        BQ = s.B @ Q
+        s1 = _SymEig(s.D + (BQ / lam) @ BQ.T, self.tol)
+        return s1.nonsingular and is_nonsingular(s.E + s.C @ s1.inverse @ s.C.T, self.tol)
 
     # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
     # first, read from its held decomposition; near the rank cut the stacked SVD decides

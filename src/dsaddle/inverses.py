@@ -15,11 +15,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import BlockSystem, _analysis, _block, _checked_alpha, _congruence, _m_inverse, \
-    assemble
+    _projector_from_basis, assemble
 from .errors import PreconditionError
 from .invertibility import _require
-from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _nonsingular, _singular_values, \
-    _spectral_norm, is_direct_sum, rank_threshold
+from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _singular_values, _spectral_norm, \
+    is_direct_sum, is_nonsingular, rank_threshold
 from .tolerances import ToleranceConfig, resolve
 
 
@@ -61,27 +61,11 @@ class ReducedHessianProjector:
         object.__setattr__(self, "V", V)
 
 
-def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
-    if Z.dim == 0:
-        return np.zeros((A.shape[0], A.shape[0]))
-    H = Z.basis.T @ A @ Z.basis
-    if not _nonsingular(H, tol):
-        raise PreconditionError(
-            "reduced Hessian Z^T A Z is numerically singular; "
-            "ker(A) and ker(B) must intersect trivially with A semidefinite"
-        )
-    V = Z.basis @ np.linalg.solve(H, Z.basis.T)
-    return 0.5 * (V + V.T)
-
-
 def _projector(an, *hypotheses) -> ReducedHessianProjector:
-    """The projector over Z = ker(B) from B's SVD, once A is semidefinite and
-    the named hypotheses hold; the analysis holds it after the first build."""
+    """The projector over Z = ker(B) that the analysis holds, once A is
+    semidefinite and the named hypotheses hold."""
     _require(an, "A psd", *hypotheses)
-    if an.projector is None:
-        Z = an.B.kernel
-        an.projector = ReducedHessianProjector(_projector_from_basis(an.sys.A, Z, an.tol), Z)
-    return an.projector
+    return ReducedHessianProjector(an.projector, an.B.kernel)
 
 
 def reduced_hessian_projector(A, B, tol: ToleranceConfig | None = None) -> ReducedHessianProjector:
@@ -137,11 +121,11 @@ def _weight_recovery(an, W=None, alpha=None) -> float:
     _require(an, "null(A) = m", "N1")
     A, B = an.sys.A, an.sys.B
     if winv_b is None:
-        if not _nonsingular(W, an.tol):
+        if not is_nonsingular(W, an.tol):
             raise PreconditionError("W must be invertible")
         winv_b = np.linalg.solve(W, B)
     X = _finite(alpha, A + B.T @ winv_b)[0]
-    if not _nonsingular(X, an.tol):
+    if not is_nonsingular(X, an.tol):
         raise PreconditionError(
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
         )
@@ -210,7 +194,7 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
 # transformed Schur complement and block factorization
 # ---------------------------------------------------------------------------
 
-def transformed_schur_complement(sys: BlockSystem, alpha: float,
+def transformed_schur_complement(sys: BlockSystem, alpha: float | None,
                                  tol: ToleranceConfig | None = None) -> np.ndarray:
     """Schur complement of the congruence-transformed matrix.
 
@@ -222,10 +206,11 @@ def transformed_schur_complement(sys: BlockSystem, alpha: float,
     Under the hypotheses A, D positive semidefinite, the three necessary
     kernel conditions, and null(A) = m, this matrix is invertible exactly
     when the full system is; the equivalence holds for every admissible
-    alpha in (0, 2/lambda_max(D)).
+    alpha in (0, 2/lambda_max(D)).  ``None`` takes :func:`dsaddle.core.default_alpha`.
     """
     D = _analysis(sys, tol).D
-    Minv = _m_inverse(D, _checked_alpha(D, alpha))
+    alpha = _checked_alpha(D, alpha)
+    Minv = _m_inverse(D, alpha)
     m, p = sys.m, sys.p
     S = np.zeros((m + p, m + p))
     S[:m, :m] = -(1.0 / alpha) * Minv

@@ -1,13 +1,13 @@
 """Invertibility decision ladder for double saddle-point systems.
 
-This module holds the decisions only; the facts they read are those of the
-analysis a system holds (see :mod:`dsaddle.core`).  Each rule is a row of one
-table: named hypotheses, read from that analysis, and a decide step.  A rule
-returns a :class:`Diagnosis`: a definitive verdict (invertible with the rule
-that fired, or singular with a unit kernel witness) or "undetermined" when the
-hypotheses do not apply.  Rules never raise on inapplicable input, so the
-ladder always terminates with a report.  The inverse constructors check the
-same named hypotheses.
+This module decides only: every fact it reads, each decomposition included,
+is held by the analysis of the system (see :mod:`dsaddle.core`).  Each rule is
+a row of one table: named hypotheses, read from that analysis, and a decide
+step.  A rule returns a :class:`Diagnosis`: a definitive verdict (invertible
+with the rule that fired, or singular with a unit kernel witness) or
+"undetermined" when the hypotheses do not apply.  Rules never raise on
+inapplicable input, so the ladder always terminates with a report.  The
+inverse constructors check the same named hypotheses.
 
 Condition identifiers used throughout:
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import BlockSystem, _alpha_bound, _analysis
 from .errors import PreconditionError
-from .subspaces import Definiteness, _SymEig, _nonsingular, matrix_rank
+from .subspaces import Definiteness
 from .tolerances import ToleranceConfig
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
@@ -142,14 +142,6 @@ def _undetermined(report):
     return Diagnosis(Verdict.UNDETERMINED, None, report)
 
 
-def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
-    """Square matrix test sigma_min > threshold under the global rank policy."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("nonsingularity is defined for square matrices only")
-    return matrix_rank(M, tol) == M.shape[0]
-
-
 def condition_report(sys: BlockSystem, tol: ToleranceConfig | None = None) -> ConditionReport:
     """Evaluate every condition the rules consult, in one pass."""
     an = _analysis(sys, tol)
@@ -193,15 +185,6 @@ def _necessary_failure(an, report):
 # constructors of dsaddle.inverses read the same entries
 # ---------------------------------------------------------------------------
 
-def _schur_nonsingular(an):
-    """S1 = D + B A^{-1} B^T and then S2 = E + C S1^{-1} C^T nonsingular, with
-    A^{-1} read from A's held eigh and S1 tested and inverted through one eigh."""
-    s, lam, Q = an.sys, an.A.eigenvalues, an.A.eigenvectors
-    BQ = s.B @ Q
-    s1 = _SymEig(s.D + (BQ / lam) @ BQ.T, an.tol)
-    return s1.nonsingular and _nonsingular(s.E + s.C @ s1.inverse @ s.C.T, an.tol)
-
-
 def _block_hypotheses(k):
     """The definiteness, nonsingularity and zero tests of the diagonal block k."""
     return {
@@ -238,7 +221,7 @@ _HYPOTHESES = {
     "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
                                      "lambda_max(D) must be below 2, so that alpha = 1 is "
                                      "admissible"),
-    "S1, S2 nonsingular": lambda an: (_schur_nonsingular(an), "the Schur complements "
+    "S1, S2 nonsingular": lambda an: (an.schur_nonsingular, "the Schur complements "
                                       "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
     "K invertible": lambda an: (an.k_nonsingular,
                                 "nullity bounds apply to invertible systems only"),

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import BlockSystem
-from .inverses import InverseBlocks
 
 BLOCK_FILES = ("A.mtx", "B.mtx", "C.mtx", "D.mtx", "E.mtx")
 INVERSE_FILES = ("Z11.mtx", "Z12.mtx", "Z13.mtx", "Z22.mtx", "Z23.mtx", "Z33.mtx")
@@ -125,8 +124,8 @@ def save_block_system(directory, sys: BlockSystem) -> None:
         write_matrix(directory / f"{name}.mtx", getattr(sys, name))
 
 
-def save_inverse_blocks(directory, inv: InverseBlocks, manifest: dict) -> None:
-    """Write the six upper blocks of an inverse plus a JSON manifest."""
+def save_inverse_blocks(directory, inv, manifest: dict) -> None:
+    """Write the six upper blocks of an ``InverseBlocks`` plus a JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for label, block in inv.blocks().items():

@@ -257,8 +257,15 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
 _SYM_RTOL = _NEG_RTOL = 1e-10
 
 
+@np.errstate(over="ignore")  # an overflowing norm is read again on the scaled M
 def _symmetric(M) -> bool:
-    return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * np.linalg.norm(M, "fro"))
+    """||M - M^T||_F <= _SYM_RTOL ||M||_F; both square every entry, so past ||M||_F
+    = 2^(+-400) they are read on M scaled exactly by a power of two to max |m_ij| ~ 1."""
+    norm = np.linalg.norm(M, "fro")
+    if not 2.0 ** -400 < norm < 2.0 ** 400:
+        M = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])
+        norm = np.linalg.norm(M, "fro")
+    return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * norm)
 
 
 def _singular_values(M, symmetric=False) -> np.ndarray:
@@ -270,7 +277,12 @@ def _singular_values(M, symmetric=False) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
-def _nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
+def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
+    """Square matrix test sigma_min > threshold under the global rank policy, with
+    the singular values of a symmetric M read through one eigvalsh."""
+    M = _as_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("nonsingularity is defined for square matrices only")
     return bool(_above_cut(_singular_values(M), M.shape, tol).all())
 
 

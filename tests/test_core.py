@@ -44,6 +44,12 @@ class TestBlockSystem:
             BlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((1, 2)),
                         np.ones((1, 1)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rejects_asymmetric_block_at_extreme_scale(self, scale):
+        with pytest.raises(ValueError, match="symmetric"):
+            BlockSystem(scale * np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((1, 2)),
+                        np.ones((1, 1)))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             BlockSystem(np.eye(2), np.ones((2, 3)), np.ones((1, 2)))

@@ -3,11 +3,13 @@
 Every rule reads one analysis of the five blocks, so a diagnosis runs a
 bounded number of eigen and singular-value decompositions whichever exit it
 takes, and builds the condition report once.  The system holds that
-analysis, so later calls on the same system decompose no block again.  The
-congruence route reads the same analysis, so it decomposes D once per call,
-and the inverse constructors read the decompositions it holds instead of
-factoring again; the reduced-Hessian projector is held there too, built
-once for both the three-block inverse and verify.
+analysis, so later calls on the same system decompose nothing again: no
+block, and neither the Schur complements S1 and S2 nor the reduced Hessian,
+which the analysis holds too.  The congruence route reads the same
+analysis, so it decomposes D once per call, and the inverse constructors
+read the decompositions it holds instead of factoring again; the
+reduced-Hessian projector is held there too, built once for both the
+three-block inverse and verify.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
 needed.  verify inverts no matrix: it reads Z22 from one LU solve of K
@@ -36,8 +38,8 @@ import dsaddle.invertibility as invertibility
 import dsaddle.subspaces as subspaces
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     psd_disjoint_ranges
-from dsaddle import GeneratorSpec, assemble, dense_inverse_blocks, diagnose, gen_instance, \
-    matrix_rank, oracle_invertible, verify_identities, z22_nullity_bounds
+from dsaddle import GeneratorSpec, assemble, default_alpha, dense_inverse_blocks, diagnose, \
+    gen_instance, matrix_rank, oracle_invertible, verify_identities, z22_nullity_bounds
 
 # the six classes of the ladder benchmark, at one fifth of (100, 50, 25)
 DIMS = (20, 10, 5)
@@ -176,30 +178,39 @@ KERNEL_BUDGETS = {
 }
 
 
-@pytest.mark.parametrize("name", KERNEL_BUDGETS)
-def test_inverse_constructors_read_held_decompositions(monkeypatch, name):
-    """Each constructor reads the decompositions of the one analysis, so it
-    runs a fixed number of dense kernels, and none from scipy.linalg."""
-    counts = {"numpy": 0, "scipy": 0}
+@pytest.fixture()
+def kernels(monkeypatch):
+    """The numpy and the scipy kernel calls, listed by name; "norm2" is a
+    spectral norm, which is an SVD."""
+    kernels = {"numpy": [], "scipy": []}
 
-    def counting(fn, key):
+    def listing(module, key, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            kernels[key].append(name)
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for kernel in NUMPY_KERNELS:
-        monkeypatch.setattr(np.linalg, kernel, counting(getattr(np.linalg, kernel), "numpy"))
+        listing(np.linalg, "numpy", kernel)
     for kernel in SCIPY_KERNELS:
-        monkeypatch.setattr(sla, kernel, counting(getattr(sla, kernel), "scipy"))
+        listing(sla, "scipy", kernel)
     norm = np.linalg.norm
 
-    def counting_norm(x, ord=None, *args, **kwargs):
+    def listing_norm(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
-            counts["numpy"] += 1
+            kernels["numpy"].append("norm2")
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "norm", listing_norm)
+    return kernels
+
+
+@pytest.mark.parametrize("name", KERNEL_BUDGETS)
+def test_inverse_constructors_read_held_decompositions(kernels, name):
+    """Each constructor reads the decompositions of the one analysis, so it
+    runs a fixed number of dense kernels, and none from scipy.linalg."""
     call = getattr(dsaddle, name)
     for seed in range(3):
         # the max-deficient systems of the congruence test, where every call applies
@@ -207,10 +218,52 @@ def test_inverse_constructors_read_held_decompositions(monkeypatch, name):
                                                null_d=seed % 2, seed=seed))
         args = ((system.A, system.B, system.D) if name == "two_block_inverse"
                 else (system,))
-        counts.update(numpy=0, scipy=0)
+        kernels.update(numpy=[], scipy=[])
         call(*args)
-        assert counts["scipy"] == 0, counts
-        assert counts["numpy"] <= KERNEL_BUDGETS[name], counts
+        assert kernels["scipy"] == [], kernels
+        assert len(kernels["numpy"]) <= KERNEL_BUDGETS[name], kernels
+
+
+# every entry point whose second call on a system reads only what the first
+# left in its analysis; verify_identities re-derives its identities by design,
+# and z22_nullity_bounds reads an inverse the caller passes in
+SECOND_CALLS = {
+    "diagnose": diagnose,
+    "diagnose with oracle": lambda system: diagnose(system, with_oracle=True),
+    **{name: getattr(dsaddle, name) for name in (
+        "schur_sufficient", "psd_ladder", "corollary_rules", "direct_sum_iff", "rank_b_iff",
+        "rank_c_iff", "e_iff_rule", "psd_iff", "condition_report", "necessary_conditions",
+        "oracle_invertible", "three_block_inverse", "inverse_via_factorization",
+        "factorize_transformed")},
+    **{name: lambda system, call=getattr(dsaddle, name): call(system, default_alpha(system))
+       for name in ("congruence_transform", "transformed_schur_complement")},
+}
+
+
+def _call_once(call, system):
+    try:
+        call(system)
+    except dsaddle.PreconditionError:
+        pass
+
+
+@pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
+                         ids=[c[0] for c in CLASSES])
+def test_second_call_decomposes_nothing(kernels, targets, rule):
+    """A second call of any entry point on the same system, a failed
+    precondition included, runs no decomposition, solve or 2-norm: the Schur
+    chain and the projector are held like every other fact."""
+    decomposing = []
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        for name, call in SECOND_CALLS.items():
+            system = cold_copy(system)
+            _call_once(call, system)
+            kernels["numpy"] = []
+            _call_once(call, system)
+            if kernels["numpy"]:
+                decomposing.append((seed, name, kernels["numpy"]))
+    assert decomposing == []
 
 
 @pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],

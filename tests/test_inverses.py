@@ -245,6 +245,12 @@ class TestTransformedSchur:
         with pytest.raises(PreconditionError):
             transformed_schur_complement(sys, 0.0)
 
+    def test_none_takes_the_default_alpha(self):
+        for seed in range(4):
+            sys, _ = max_deficient(seed, null_d=seed % 2)
+            np.testing.assert_array_equal(transformed_schur_complement(sys, None),
+                                          transformed_schur_complement(sys, default_alpha(sys)))
+
     def test_alpha_at_the_bound_raises(self):
         sys, _ = max_deficient(seed=0)
         with pytest.raises(PreconditionError, match="2I - alpha D is numerically singular"):

@@ -2,9 +2,11 @@
 
 Every package-relative import sits at module level, where a reader sees what a
 module depends on, and those imports form a chain with no cycle:
-subspaces <- core <- {invertibility, generators} <- inverses <- mmio <- cli.
-A function-level import is how a cycle usually hides, so both are checked on
-the parsed source of every ``src/dsaddle/*.py`` module.
+subspaces <- core <- {invertibility, generators, mmio}, invertibility <-
+inverses, and cli over them all; file I/O depends on core alone.  A
+function-level import is how a cycle usually hides, so both are checked on
+the parsed source of every ``src/dsaddle/*.py`` module.  The ladder decides
+only: the analysis in core holds every decomposition it reads.
 """
 
 import ast
@@ -46,3 +48,23 @@ def test_relative_imports_have_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+# the helpers of dsaddle.subspaces that run a decomposition of their input
+DECOMPOSING_HELPERS = {"_SymEig", "_SVD", "_singular_values", "_spectral_norm", "matrix_rank",
+                       "is_nonsingular"}
+
+
+def test_invertibility_decides_only():
+    """invertibility calls no numpy.linalg function but a vector norm (no
+    decomposition, solve or 2-norm) and imports no decomposing helper."""
+    tree = MODULES["invertibility"]
+    calls = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg")
+             and (node.func.attr != "norm" or len(node.args) > 1 or node.keywords)]
+    assert calls == []
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "subspaces"
+                for alias in node.names}
+    assert imported & DECOMPOSING_HELPERS == set()
