@@ -259,17 +259,11 @@ def _congruence(sys: BlockSystem, alpha: float) -> np.ndarray:
                       B - alpha * D @ B, alpha * sys.C @ B])
 
 
-def _projector_from_basis(A, Z: SubspaceBasis, tol: ToleranceConfig):
-    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized; raises when Z^T A Z is singular."""
+def _projector_from_basis(A, Z: SubspaceBasis):
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for a Z^T A Z the caller knows nonsingular."""
     if Z.dim == 0:
         return np.zeros((A.shape[0], A.shape[0]))
-    H = Z.basis.T @ A @ Z.basis
-    if not is_nonsingular(H, tol):
-        raise PreconditionError(
-            "reduced Hessian Z^T A Z is numerically singular; "
-            "ker(A) and ker(B) must intersect trivially with A semidefinite"
-        )
-    V = Z.basis @ np.linalg.solve(H, Z.basis.T)
+    V = Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T)
     return 0.5 * (V + V.T)
 
 
@@ -300,8 +294,9 @@ class _Analysis:
     k_tilde = cached_property(lambda an: _congruence(an.sys, 1.0))
     a_tilde = cached_property(lambda an: _SymEig(
         0.5 * (an.k_tilde[:an.sys.n] + an.k_tilde[:an.sys.n].T), an.tol))
-    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD
-    projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel, an.tol))
+    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every
+    # reader requires A psd and N1, which make Z^T A Z definite, so N1 decides it
+    projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel))
 
     @cached_property
     def schur_nonsingular(self) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import BlockSystem, _Analysis
+from .core import BlockSystem, _analysis
 from .errors import GenerationError
 from .subspaces import Definiteness
 from .tolerances import ToleranceConfig, resolve
@@ -211,7 +211,7 @@ class InstanceCertificate:
 
 
 def _measure(sys: BlockSystem, tol: ToleranceConfig, seed, attempt) -> InstanceCertificate:
-    an = _Analysis(sys, tol)
+    an = _analysis(sys, tol)
     return InstanceCertificate(
         dims=sys.dims,
         null_a=an.A.nullity,

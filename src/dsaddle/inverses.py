@@ -39,6 +39,15 @@ def _finite(alpha, *values):
     return values
 
 
+def _fro_ratio(num, den) -> float:
+    """||num||_F / ||den||_F, each a list of arrays read as one vector, with every
+    array scaled exactly by the power of two that brings the largest |entry| of den
+    near 1, as in subspaces._symmetric, so no squared norm overflows or underflows."""
+    e = -np.frexp(max(np.abs(M).max(initial=0.0) for M in den))[1]
+    num, den = (np.linalg.norm([np.linalg.norm(np.ldexp(M, e)) for M in Ms]) for Ms in (num, den))
+    return float(num / den) if num else 0.0
+
+
 # ---------------------------------------------------------------------------
 # reduced-Hessian projector and its identities
 # ---------------------------------------------------------------------------
@@ -87,10 +96,7 @@ def _inner_inverse(an, proj: ReducedHessianProjector, direct_sum: bool) -> float
             "(this pins null(A) to the number of rows of B)"
         )
     A = an.sys.A
-    norm = np.linalg.norm(A, "fro")
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(A - A @ proj.V @ A, "fro") / norm)
+    return _fro_ratio([A - A @ proj.V @ A], [A])
 
 
 def inner_inverse_residual(A, proj: ReducedHessianProjector,
@@ -130,8 +136,7 @@ def _weight_recovery(an, W=None, alpha=None) -> float:
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
         )
     recovered = B @ np.linalg.solve(X, B.T)
-    residual = np.linalg.norm(recovered - W, "fro") / np.linalg.norm(W, "fro")
-    return float(_finite(alpha, residual)[0])
+    return float(_finite(alpha, _fro_ratio([recovered - W], [W]))[0])
 
 
 def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> float:
@@ -151,13 +156,16 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
     _require(an, "rank(B) = m")
     if Z.ambient_dim != n or Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
-    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails
-    BZ, cut = B @ Z.basis, an.tol.residual_rtol * an.B.norm
+    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails; both
+    # read B Z and ||B||_2 scaled by the power of two that brings ||B||_2 near 1
+    e = -np.frexp(an.B.norm)[1]
+    BZ, cut = np.ldexp(B @ Z.basis, e), an.tol.residual_rtol * np.ldexp(an.B.norm, e)
     if np.linalg.norm(BZ) > cut and np.linalg.norm(BZ, 2) > cut:
         raise PreconditionError("Z is not a kernel basis of B")
-    # a fresh solve: B^T (B B^T)^{-1} B from B's held SVD would only check that SVD
-    row_proj = B.T @ np.linalg.solve(B @ B.T, B)
-    return _spectral_norm(row_proj - (np.eye(n) - Z.basis @ Z.basis.T), symmetric=True)
+    # B^T (B B^T)^{-1} B = Q Q^T from a fresh QR of B^T, which squares neither the
+    # condition nor the scale of B as B B^T would; B's held SVD would only check that SVD
+    Q = np.linalg.qr(B.T)[0]
+    return _spectral_norm(Q @ Q.T - (np.eye(n) - Z.basis @ Z.basis.T), symmetric=True)
 
 
 def projector_complement_residual(B, Z: SubspaceBasis,
@@ -181,11 +189,14 @@ def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
 def reduced_projector_residual(A, proj: ReducedHessianProjector,
                                tol: ToleranceConfig | None = None) -> float:
     """Residual of Z Z^T A V = Z Z^T, the fixed-point property of V on ker(B)."""
-    tol = resolve(tol)
-    A = _block(A, "A")
-    V_check = _projector_from_basis(A, proj.Z, tol)
+    tol, A, Z = resolve(tol), _block(A, "A"), proj.Z.basis
+    # no analysis has decided N1 for this A, so Z^T A Z is tested here
+    if not is_nonsingular(Z.T @ A @ Z, tol):
+        raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; "
+                                "ker(A) and ker(B) must intersect trivially with A semidefinite")
     scale = max(_spectral_norm(proj.V, symmetric=True), 1.0)
-    if _spectral_norm(V_check - proj.V, symmetric=True) > tol.residual_rtol * scale:
+    if _spectral_norm(_projector_from_basis(A, proj.Z) - proj.V, symmetric=True) > \
+            tol.residual_rtol * scale:
         raise PreconditionError("projector was not built from this A")
     return _fixed_point_residual(A, proj)
 
@@ -582,12 +593,8 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         cols = K[:, :n] + K[:, n:n + m] @ N
         rows = np.hstack([cols[:n], K[:n, n:]]) + N.T @ np.hstack([cols[n:n + m], K[n:n + m, n:]])
         rows -= np.hstack([Kt[:n], Kt[n:].T])
-        # ||K~||_F: its first n columns, their mirror and the trailing block of K
-        scale = np.linalg.norm([np.linalg.norm(Kt), np.linalg.norm(Kt[n:]),
-                                np.linalg.norm(K[n:, n:])])
-        res, scale = _finite(alpha, np.hypot(np.linalg.norm(rows),
-                                             np.linalg.norm(cols[n:] - Kt[n:])), scale)
-        return float(res / max(scale, 1e-300))
+        # over ||K~||_F: its first n columns, their mirror and the trailing block of K
+        return _finite(alpha, _fro_ratio([rows, cols[n:] - Kt[n:]], [Kt, Kt[n:], K[n:, n:]]))[0]
 
     residual_entry("weight_recovery", lambda: _weight_recovery(an, alpha=alpha))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1

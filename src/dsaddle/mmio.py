@@ -5,10 +5,11 @@ D.mtx and E.mtx may be absent, meaning zero blocks.  Files follow the NIST
 format (math.nist.gov/MatrixMarket/formats.html), read and written with numpy
 alone.  Reads take array or coordinate files with real, double, integer or
 (coordinate) pattern fields and general, symmetric or skew-symmetric storage,
-summing duplicate coordinate entries; complex files and malformed ones raise
-a ValueError naming the file.  Writes use the array format, general storage
-and shortest round-trip digits (``repr``), so a read gives back the same bits
-and repeated runs are byte-identical, as are the canonical JSON sidecars.
+summing duplicate coordinate entries; complex files and malformed ones (a
+fraction in an integer field among them) raise a ValueError naming the file.
+Writes use the array format, general storage and shortest round-trip digits
+(``repr``), so a read gives back the same bits and repeated runs are
+byte-identical, as are the canonical JSON sidecars.
 """
 
 import json
@@ -64,6 +65,11 @@ def _parse(f) -> np.ndarray:
         raise ValueError(f"the size line announces {count} entries of {width} value(s), "
                          f"the file holds {body.size} value(s) on {len(body)} lines")
     body = body.reshape(count, width)
+    if field == "integer":
+        fractional = body[:, -1] != np.round(body[:, -1])  # NaN too; BlockSystem rejects inf
+        if fractional.any():
+            k = int(np.argmax(fractional))
+            raise ValueError(f"entry {k + 1}: {float(body[k, -1])!r} in an integer file is no integer")
     if fmt == "array" and not sign:
         return np.ascontiguousarray(body[:, 0].reshape((cols, rows)).T)
     if fmt == "array":  # the lower triangle column by column, the diagonal unless skew

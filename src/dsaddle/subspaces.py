@@ -312,12 +312,11 @@ class _SymEig:
 
     @cached_property
     def definiteness(self) -> Definiteness:
-        """Strongest true tag among PD, PSD, indefinite, not-symmetric.  PD
-        needs every eigenvalue past the rank cut, as nullity 0 does."""
+        """Strongest true tag among PD, PSD and indefinite for an M its caller
+        knows symmetric.  PD needs every eigenvalue past the rank cut, as
+        nullity 0 does."""
         if self.matrix.shape[0] == 0:
             return Definiteness.POSITIVE_DEFINITE
-        if not _symmetric(self.matrix):
-            return Definiteness.NOT_SYMMETRIC
         lam, nonzero = self.eigenvalues, self.nonzero
         if lam[0] < -_NEG_RTOL * np.abs(lam).max() or (lam[nonzero] < 0.0).any():
             return Definiteness.INDEFINITE
@@ -367,4 +366,5 @@ def classify_definiteness(M, tol: ToleranceConfig | None = None) -> Definiteness
     The zero matrix classifies positive semidefinite; an empty matrix is
     vacuously positive definite.
     """
-    return _SymEig(M, tol).definiteness
+    eig = _SymEig(M, tol)
+    return eig.definiteness if _symmetric(eig.matrix) else Definiteness.NOT_SYMMETRIC

@@ -232,7 +232,24 @@ class TestVerify:
 
         payload = json.loads(out, parse_constant=reject)
         status = {e["id"]: e["status"] for e in payload["identities"]}
-        assert (code, err, status["congruence"]) == (0, "", "skipped")
+        # below 1e308 no value of K~ overflows and its norms are read scaled
+        assert (code, err, status["congruence"]) == \
+            (0, "", "skipped" if alpha == "1e308" else "ok")
+
+    @pytest.mark.parametrize("k", [None, -990, -530, 530, 990])
+    def test_extreme_scales_and_ill_conditioned_b_exit_zero(self, tmp_path, capsys, k):
+        from dsaddle import BlockSystem, GeneratorSpec, gen_instance
+        if k is None:  # B B^T singular to LU although rank(B) = m at the cut
+            sys = BlockSystem([[2, 1e-9], [1e-9, 1]], [[-1, 1e-9], [2, 1e-9]],
+                              [[2, 1], [1, 1e-9]], [[1, 1], [1, 0]], [[0.5, 1], [1, 2]])
+        else:
+            base, _ = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True,
+                                                 seed=1))
+            sys = BlockSystem(*(np.ldexp(getattr(base, name), k) for name in "ABCDE"))
+        save_block_system(tmp_path / "blk", sys)
+        code, out, err = run_cli(capsys, "verify", str(tmp_path / "blk"), "--format", "json")
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)["all_passed"] is True
 
     def test_failing_identities_exit_one(self, tmp_path, capsys):
         from dsaddle import GeneratorSpec, gen_instance

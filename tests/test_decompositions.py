@@ -5,11 +5,14 @@ bounded number of eigen and singular-value decompositions whichever exit it
 takes, and builds the condition report once.  The system holds that
 analysis, so later calls on the same system decompose nothing again: no
 block, and neither the Schur complements S1 and S2 nor the reduced Hessian,
-which the analysis holds too.  The congruence route reads the same
-analysis, so it decomposes D once per call, and the inverse constructors
-read the decompositions it holds instead of factoring again; the
-reduced-Hessian projector is held there too, built once for both the
-three-block inverse and verify.
+which the analysis holds too.  gen_instance reads its certificate from the
+analysis the returned system holds, so a diagnose right after it decomposes
+no block; tests that count a cold call take a cold_copy of the system.  The
+congruence route reads the same analysis, so it decomposes D once per call,
+and the inverse constructors read the decompositions it holds instead of
+factoring again; the reduced-Hessian projector is held there too, built once
+for both the three-block inverse and verify by one solve with Z^T A Z, whose
+nonsingularity is the held N1, so no eigvalsh tests it again.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
 needed.  verify inverts no matrix: it reads Z22 from one LU solve of K
@@ -57,7 +60,7 @@ CLASSES = (
 BUDGETS = {"e_iff": 6, "e_iff_singular": 8, "schur_sufficient": 7, "undetermined": 6,
            "direct_sum_iff": 10, "necessary_N1": 8}
 SESSION = ("diagnose", "three_block_inverse", "inverse_via_factorization", "verify_identities")
-SESSION_BUDGET = 13
+SESSION_BUDGET = 12
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -110,10 +113,29 @@ def test_diagnose_stays_within_budget(counts, targets, rule, budget):
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
         counts.update(decompositions=0, condition_report=0)
-        diagnosis = diagnose(system)
+        diagnosis = diagnose(cold_copy(system))
         assert diagnosis.rule == rule
         assert counts["decompositions"] <= budget, counts
         assert counts["condition_report"] == 1
+
+
+# decompositions of a diagnose right after gen_instance: only the facts no
+# certificate reads, the Schur chain S1, S2 and the restricted matrix of the overlap
+AFTER_GENERATION = {"e_iff": 0, "e_iff_singular": 1, "schur_sufficient": 2,
+                    "undetermined": 0, "direct_sum_iff": 1, "necessary_N1": 0}
+
+
+@pytest.mark.parametrize("label, targets, rule", CLASSES, ids=[c[0] for c in CLASSES])
+def test_generated_system_holds_its_certificate_analysis(counts, label, targets, rule):
+    """gen_instance certifies a system through the analysis the system then
+    holds, so diagnose right after it decomposes no block again."""
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
+        counts.update(decompositions=0, shapes=[], restricted=[])
+        assert diagnose(system).rule == rule
+        assert counts["decompositions"] == AFTER_GENERATION[label], counts["shapes"]
+        if label != "schur_sufficient":
+            assert counts["shapes"] == counts["restricted"], counts
 
 
 @pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],
@@ -132,7 +154,7 @@ def test_diagnose_takes_no_stacked_kernel(monkeypatch, targets, rule):
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
         calls.clear()
-        assert diagnose(system).rule == rule
+        assert diagnose(cold_copy(system)).rule == rule
         assert calls == [], calls
 
 
@@ -170,11 +192,11 @@ def test_congruence_route_decomposes_d_once(monkeypatch, name):
 NUMPY_KERNELS = ("svd", "eigh", "eigvalsh", "solve", "inv", "cholesky", "qr", "lstsq")
 SCIPY_KERNELS = ("solve", "cho_factor", "cho_solve")
 KERNEL_BUDGETS = {
-    "three_block_inverse": 6,
+    "three_block_inverse": 5,
     "inverse_via_factorization": 5,
     "factorize_transformed": 4,
-    "two_block_inverse": 5,
-    "verify_identities": 16,
+    "two_block_inverse": 4,
+    "verify_identities": 15,
 }
 
 
@@ -217,7 +239,7 @@ def test_inverse_constructors_read_held_decompositions(kernels, name):
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
                                                null_d=seed % 2, seed=seed))
         args = ((system.A, system.B, system.D) if name == "two_block_inverse"
-                else (system,))
+                else (cold_copy(system),))
         kernels.update(numpy=[], scipy=[])
         call(*args)
         assert kernels["scipy"] == [], kernels

@@ -139,11 +139,10 @@ class TestWeightRecovery:
         with pytest.raises(ValueError, match="W must be 1 x 1"):
             weight_recovery_residual(A2, B2, np.eye(2))
 
-    def test_weight_whose_norm_underflows_raises(self):
-        # the identity holds exactly, but ||A + B^T W^{-1} B||_F overflows and
-        # ||W||_F underflows to 0, so the residual would be 0/0
-        with pytest.raises(PreconditionError, match="overflows"):
-            weight_recovery_residual(np.zeros((2, 2)), np.eye(2), 1e-200 * np.eye(2))
+    def test_weight_whose_norm_underflows_is_read_scaled(self):
+        # the identity holds exactly; ||W||_F would underflow to 0 and the
+        # residual be 0/0, but both norms are read scaled by one power of two
+        assert weight_recovery_residual(np.zeros((2, 2)), np.eye(2), 1e-200 * np.eye(2)) == 0.0
 
 
 class TestProjectorComplement:
@@ -544,24 +543,51 @@ class TestVerifyIdentities:
 
     @pytest.mark.parametrize("alpha", [1e155, 1e200, 1e308])
     def test_alpha_that_overflows_skips_the_scaled_identities(self, alpha):
-        # D = 0 admits every alpha > 0; ||K~||_F overflows at 1e155, its entries at
-        # 1e200 and W^{-1} B at 1e308, each then skipped with alpha in the reason
+        # D = 0 admits every alpha > 0; the squared entries of K~ overflow at 1e155 and
+        # 1e200, where its norms are read scaled and congruence holds, while its entries
+        # and W^{-1} B overflow at 1e308, where both are skipped with alpha in the reason
         sys, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, null_d=3, require_ds1=True,
                                             seed=1))
         by_id = {e["id"]: e for e in verify_identities(sys, alpha=alpha)}
-        assert by_id["congruence"]["status"] == "skipped"
-        assert f"alpha={alpha!r}" in by_id["congruence"]["reason"]
+        if alpha < 1e308:
+            assert by_id["congruence"]["status"] == "ok", by_id["congruence"]
+        else:
+            assert by_id["congruence"]["status"] == "skipped"
+            assert f"alpha={alpha!r}" in by_id["congruence"]["reason"]
         assert by_id["weight_recovery"]["status"] == "skipped"
         assert all(np.isfinite(e["residual"]) for e in by_id.values() if "residual" in e)
         assert {e["status"] for e in verify_identities(sys, alpha=1e100)} == {"ok", "skipped"}
 
-    def test_weight_recovery_whose_scale_underflows_is_skipped(self):
+    def test_weight_recovery_whose_scale_underflows_is_read_scaled(self):
         # A = 0 and B = I give W = I / (2 alpha), whose norm underflows to 0 at 1e200
+        # unless read scaled by one power of two
         sys = BlockSystem(np.zeros((2, 2)), np.eye(2), np.array([[1.0, 0.0]]), None,
                           np.array([[1.0]]))
         entry = verify_identities(sys, alpha=1e200)[0]
-        assert (entry["id"], entry["status"]) == ("weight_recovery", "skipped")
-        assert "alpha=1e+200" in entry["reason"]
+        assert (entry["id"], entry["status"]) == ("weight_recovery", "ok")
+
+    @pytest.mark.parametrize("k", [-990, -530, 530, 990])
+    def test_statuses_survive_power_of_two_scaling(self, k):
+        # past 2^(+-512) B B^T and every squared Frobenius norm over- or underflow, so
+        # the row projector comes from a QR of B^T and each norm is read scaled
+        sys, _ = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True, seed=1))
+        scaled = BlockSystem(*(np.ldexp(getattr(sys, name), k) for name in "ABCDE"))
+        for base, entry in zip(verify_identities(sys), verify_identities(scaled), strict=True):
+            assert entry["id"] == base["id"]
+            if entry["status"] == "skipped" and base["status"] != "skipped":
+                assert "overflows" in entry["reason"], entry
+                continue
+            assert entry["status"] == base["status"], (base, entry)
+            if base.get("residual"):  # no rounding-level residual underflows to 0
+                assert 1e-2 < entry["residual"] / base["residual"] < 1e2, (base, entry)
+
+    def test_ill_conditioned_full_row_rank_b(self):
+        # B has rank 2 at the cut, but B B^T is singular to LU
+        sys = BlockSystem([[2, 1e-9], [1e-9, 1]], [[-1, 1e-9], [2, 1e-9]],
+                          [[2, 1], [1, 1e-9]], [[1, 1], [1, 0]], [[0.5, 1], [1, 2]])
+        by_id = {e["id"]: e for e in verify_identities(sys)}
+        assert by_id["projector_complement"]["status"] == "ok"
+        assert by_id["nullity_bounds"]["status"] == "ok"
 
 
 def _guarded_systems():

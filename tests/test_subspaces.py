@@ -157,6 +157,21 @@ class TestDefiniteness:
     def test_empty_matrix_is_pd(self):
         assert classify_definiteness(np.zeros((0, 0))) is Definiteness.POSITIVE_DEFINITE
 
+    def test_held_eigendecomposition_tests_no_symmetry(self, monkeypatch):
+        # BlockSystem has tested A, D and E, and every other _SymEig input is
+        # symmetric by construction; only classify_definiteness reads raw input
+        import dsaddle.subspaces as subspaces
+        calls = []
+        symmetric = subspaces._symmetric
+        monkeypatch.setattr(subspaces, "_symmetric", lambda M: calls.append(M) or symmetric(M))
+        tags = [_SymEig(np.diag(d)).definiteness for d in ([1.0, 2.0], [1.0, 0.0], [1.0, -1.0])]
+        assert tags == [Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE,
+                        Definiteness.INDEFINITE]
+        assert calls == []
+        assert classify_definiteness(np.array([[1.0, 2.0], [0.0, 1.0]])) \
+            is Definiteness.NOT_SYMMETRIC
+        assert len(calls) == 1
+
     def test_pd_tag_implies_psd_tag(self):
         assert Definiteness.POSITIVE_DEFINITE.is_psd
         assert Definiteness.POSITIVE_SEMIDEFINITE.is_psd
