@@ -37,6 +37,23 @@ def _block(M, name):
     return M
 
 
+# the partition rule: each shape in (n, m, p), for the blocks of K, a weight W, V and K^{-1}
+_PARTITION = {"A": "nn", "B": "mn", "C": "pm", "D": "mm", "E": "pp", "W": "mm", "V": "nn",
+              "Z11": "nn", "Z12": "nm", "Z13": "np", "Z22": "mm", "Z23": "mp", "Z33": "pp"}
+
+
+def _partition(blocks: dict, **sizes) -> dict:
+    """The sizes given or read from the matrices, B first (it fixes m and n); a
+    ValueError names the first matrix that does not fit _PARTITION."""
+    for name in sorted(blocks, key=lambda k: k not in "BC"):
+        shape, (r, c) = blocks[name].shape, _PARTITION[name]
+        want = sizes.setdefault(r, shape[0]), sizes.setdefault(c, shape[1])
+        if shape != want:
+            need = "square" if r == c and shape[0] != shape[1] else "%d x %d" % want
+            raise ValueError(f"{name} must be {need}, got {shape}")
+    return sizes
+
+
 class BlockSystem:
     """Validated, immutable container for the five blocks.
 
@@ -50,25 +67,13 @@ class BlockSystem:
     __slots__ = ("A", "B", "C", "D", "E", "_analyses", "__weakref__")
 
     def __init__(self, A, B, C, D=None, E=None):
-        A, B, C = _block(A, "A"), _block(B, "B"), _block(C, "C")
-        n = A.shape[0]
-        m = B.shape[0]
-        p = C.shape[0]
-        if min(n, m, p) < 1:
-            raise ValueError(f"dimensions must be positive, got n={n}, m={m}, p={p}")
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        if B.shape != (m, n):
-            raise ValueError(f"B must be {m} x {n} to match A, got {B.shape}")
-        if C.shape != (p, m):
-            raise ValueError(f"C must be {p} x {m} to match B, got {C.shape}")
-        D = np.zeros((m, m)) if D is None else _block(D, "D")
-        E = np.zeros((p, p)) if E is None else _block(E, "E")
-        if D.shape != (m, m):
-            raise ValueError(f"D must be {m} x {m}, got {D.shape}")
-        if E.shape != (p, p):
-            raise ValueError(f"E must be {p} x {p}, got {E.shape}")
-        for name, block in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
+        blocks = {k: _block(M, k) for k, M in zip("ABCDE", (A, B, C, D, E)) if M is not None}
+        sizes = _partition(blocks)
+        if min(sizes.values()) < 1:
+            raise ValueError("dimensions must be positive, got n={n}, m={m}, p={p}".format(**sizes))
+        blocks.setdefault("D", np.zeros((sizes["m"],) * 2))
+        blocks.setdefault("E", np.zeros((sizes["p"],) * 2))
+        for name, block in blocks.items():
             block = np.array(block, order="C")
             block.setflags(write=False)
             object.__setattr__(self, name, block)

@@ -15,19 +15,21 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import BlockSystem, _analysis, _block, _checked_alpha, _congruence, _m_inverse, \
-    _projector_from_basis, assemble
+    _partition, _projector_from_basis, assemble
 from .errors import PreconditionError
 from .invertibility import _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _singular_values, _spectral_norm, \
     is_direct_sum, is_nonsingular, rank_threshold
-from .tolerances import ToleranceConfig, resolve
+from .tolerances import ToleranceConfig
 
 
 def _blocks(tol, **blocks):
     """Analysis of loose blocks passed by name, each checked as a BlockSystem checks
-    it; the named hypotheses of dsaddle.invertibility read m from B, so they
-    apply to it."""
-    return _analysis(SimpleNamespace(**{k: _block(v, k) for k, v in blocks.items()}), tol)
+    it, the partition rule included; the named hypotheses of dsaddle.invertibility
+    read m from B, so they apply to it."""
+    blocks = {k: _block(v, k) for k, v in blocks.items()}
+    _partition(blocks)
+    return _analysis(SimpleNamespace(**blocks), tol)
 
 
 def _finite(alpha, *values):
@@ -66,6 +68,7 @@ class ReducedHessianProjector:
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
+        _partition({"V": V}, n=self.Z.ambient_dim)
         V.setflags(write=False)
         object.__setattr__(self, "V", V)
 
@@ -107,7 +110,7 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
     whole space (the maximally rank-deficient setting); both hypotheses are
     enforced.
     """
-    an = _blocks(tol, A=A)
+    an = _blocks(tol, V=proj.V, A=A)
     return _inner_inverse(an, proj, is_direct_sum(an.A.kernel, proj.Z, an.tol))
 
 
@@ -122,8 +125,6 @@ def _weight_recovery(an, W=None, alpha=None) -> float:
         W = _m_inverse(an.D, alpha) / alpha
         winv_b = alpha * (2.0 * np.eye(m) - alpha * an.sys.D) @ an.sys.B
     _finite(alpha, W, winv_b)
-    if W.shape != (m, m):
-        raise ValueError(f"W must be {m} x {m}, got {W.shape}")
     _require(an, "null(A) = m", "N1")
     A, B = an.sys.A, an.sys.B
     if winv_b is None:
@@ -147,7 +148,8 @@ def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> flo
     A + B^T W^{-1} B is invertible and compressing its inverse by B recovers
     W exactly.
     """
-    return _weight_recovery(_blocks(tol, A=A, B=B), _as_matrix(W, "W"))
+    an = _blocks(tol, A=A, B=B, W=W)
+    return _weight_recovery(an, an.sys.W)
 
 
 def _projector_complement(an, Z: SubspaceBasis) -> float:
@@ -189,7 +191,8 @@ def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
 def reduced_projector_residual(A, proj: ReducedHessianProjector,
                                tol: ToleranceConfig | None = None) -> float:
     """Residual of Z Z^T A V = Z Z^T, the fixed-point property of V on ker(B)."""
-    tol, A, Z = resolve(tol), _block(A, "A"), proj.Z.basis
+    an = _blocks(tol, V=proj.V, A=A)
+    tol, A, Z = an.tol, an.sys.A, proj.Z.basis
     # no analysis has decided N1 for this A, so Z^T A Z is tested here
     if not is_nonsingular(Z.T @ A @ Z, tol):
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; "
@@ -279,13 +282,8 @@ def _factor_blocks(an):
     and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
     alpha = 1; b_one = B - D B and C B are the rows of the held transform
     past a_tilde."""
-    _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2")
-    # with A psd and 2I - D positive definite, ker(a_tilde) = ker(A) ∩ ker(B),
-    # so a nonsingular a_tilde is the condition N1
+    _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "a_tilde nonsingular")
     a_tilde = an.a_tilde
-    if not a_tilde.nonsingular:
-        raise PreconditionError("ker(A) and ker(B) must intersect only in {0}: "
-                                "A + B^T (2I - D) B is numerically singular")
     n, m = an.sys.n, an.sys.m
     b_one, cb = an.k_tilde[n:n + m], an.k_tilde[n + m:]
     return a_tilde, b_one, b_one @ a_tilde.inverse, cb @ a_tilde.inverse
@@ -311,6 +309,10 @@ class InverseBlocks:
     z33: np.ndarray
     dims: tuple[int, int, int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        _partition(self.blocks(), **dict(zip("nmp", self.dims)))
+
     @classmethod
     def from_full(cls, M, dims) -> "InverseBlocks":
         M = _as_matrix(M, "inverse")
@@ -325,7 +327,7 @@ class InverseBlocks:
             z22=sym(M[n:n + m, n:n + m]),
             z23=M[n:n + m, n + m:].copy(),
             z33=sym(M[n + m:, n + m:]),
-            dims=(int(n), int(m), int(p)),
+            dims=dims,
         )
 
     @property
@@ -370,13 +372,8 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
     from the SVD of B; the Gram matrix B B^T is never formed.
     """
     an = _blocks(tol, A=A, B=B, D=D)
-    A, B, D = an.sys.A, an.sys.B, an.sys.D
-    m, n = B.shape
-    if A.shape != (n, n):
-        raise ValueError(f"A must be {n} x {n}, got {A.shape}")
-    if D.shape != (m, m):
-        raise ValueError(f"D must be {m} x {m}, got {D.shape}")
-    x11, R = _two_block(an, D)
+    m, n = an.sys.B.shape
+    x11, R = _two_block(an, an.sys.D)
     return TwoBlockInverse(x11, R.T.copy(), np.zeros((m, m)), (n, m))
 
 
@@ -512,6 +509,8 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     relative to the whole inverse (``inverse_norm`` = ||K^{-1}||_2 =
     1 / min |lambda(K)|, from the eigenvalues of K) counts as nullity m.
     """
+    if inv.dims != sys.dims:
+        raise ValueError(f"inverse dims {inv.dims} do not match the system's {sys.dims}")
     return _z22_bounds(_analysis(sys, tol), inv.z22)
 
 

@@ -217,10 +217,12 @@ _HYPOTHESES = {
     "rank(C) = m": lambda an: (an.Ct.rank == an.sys.B.shape[0], "C^T must have full row rank"),
     **{f"{a} >= {b}": lambda an, a=a, b=b: (getattr(an.sys, a) >= getattr(an.sys, b),
                                             f"{a} must be at least {b}")
-       for a, b in ("nm", "pm", "mn", "mp")},
+       for a, b in ("mn", "mp")},
     "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
                                      "lambda_max(D) must be below 2, so that alpha = 1 is "
                                      "admissible"),
+    "a_tilde nonsingular": lambda an: (an.a_tilde.nonsingular, "ker(A) and ker(B) must intersect "
+                                       "only in {0}: A + B^T (2I - D) B is numerically singular"),
     "S1, S2 nonsingular": lambda an: (an.schur_nonsingular, "the Schur complements "
                                       "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
     "K invertible": lambda an: (an.k_nonsingular,
@@ -258,7 +260,7 @@ _PSD = ("A psd", "D psd", "E psd")
 # with A, D and E semidefinite, null(K) = dim N2 + dim of the overlap
 _PSD_IFF = ("N2", "overlap = {0}")
 _COROLLARY_B = ("corollary_b_full_rank", ("A = 0", "m >= n", "D pd", "E pd"), _PSD_IFF, ())
-_RANK_B = ("rank_b_iff", ("N3", "n >= m", "rank(B) = m", "DS1", "A psd"), ("R",), ("E = 0",))
+_RANK_B = ("rank_b_iff", ("N3", "rank(B) = m", "DS1", "A psd"), ("R",), ("E = 0",))
 _CASE_1 = ("psd_ladder:case1", (*_PSD, "N2"), ("A pd", "N3"), None)
 
 # The ladder in diagnose order.  A row is a rule name, the hypotheses that make
@@ -360,7 +362,7 @@ def direct_sum_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diag
 def rank_b_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Range-overlap rule for full-row-rank B, definitive when E = 0.
 
-    Hypotheses: N3, n >= m, rank(B) = m, DS1, and A positive semidefinite.
+    Hypotheses: N3, rank(B) = m (so n >= m), DS1, and A positive semidefinite.
     R implies invertibility.  When E is the zero block and R fails, the
     system is singular: by DS1 a shared direction B x = -C^T z has x in
     ker(A), and the witness is the first overlap vector [x; 0; z].
@@ -372,7 +374,7 @@ def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosi
     """Mirror of :func:`rank_b_iff` acting through the block reversal.
 
     Applies the full-row-rank rule to the reversed system (hypotheses become
-    N1, p >= m, rank(C) = m, DS2, E positive semidefinite; the zero block is
+    N1, rank(C) = m (so p >= m), DS2, E positive semidefinite; the zero block is
     A).  Its witness is the first overlap vector [x; 0; z], z in ker(E) by DS2.
     """
     return _view(sys, tol, "rank_c_iff")

@@ -1,5 +1,7 @@
 """Projector identities, factorization and explicit inverse formulas."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dsaddle import (
     GeneratorSpec,
     InverseBlocks,
     PreconditionError,
+    ReducedHessianProjector,
     SubspaceBasis,
     alpha_upper_bound,
     assemble,
@@ -40,6 +43,7 @@ from dsaddle import (
     z22_nullity_bounds,
 )
 
+from dsaddle import invertibility
 from dsaddle.invertibility import _analysis, _first
 from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
     max_deficient, psd_disjoint_ranges, random_systems
@@ -443,6 +447,61 @@ def test_loose_functions_reject_asymmetric_a(call):
     for scale in (0.3, 1e-6):
         with pytest.raises(ValueError, match="block A is not symmetric within tolerance"):
             call(A + scale * (G - G.T), B, 0.5 * (D + D.T))
+
+
+def _two_systems():
+    """s at (20, 10, 5) and t at (12, 4, 3), both with null(A) = m and DS1."""
+    return tuple(gen_instance(GeneratorSpec(*dims, null_a=dims[1], require_ds1=True, seed=seed))[0]
+                 for dims, seed in (((20, 10, 5), 1), ((12, 4, 3), 2)))
+
+
+class TestPartitionRule:
+    """Every matrix a public function takes is checked against one partition
+    (n, m, p): a matrix of another system is a ValueError naming it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s, t: reduced_hessian_projector(s.A, t.B),
+        lambda s, t: reduced_projector_residual(s.A, reduced_hessian_projector(t.A, t.B)),
+        lambda s, t: inner_inverse_residual(s.A, reduced_hessian_projector(t.A, t.B)),
+        lambda s, t: weight_recovery_residual(s.A, t.B, np.eye(4)),
+    ], ids=["projector", "reduced_projector", "inner_inverse", "weight_recovery"])
+    def test_foreign_a_is_named(self, call):
+        """The first three read A against B or the projector, where numpy raised a
+        matmul mismatch or is_direct_sum an ambient mismatch; weight recovery raised
+        PreconditionError for null(A) = 10 against m = 4."""
+        s, t = _two_systems()
+        with pytest.raises(ValueError, match=r"^A must be 12 x 12, got \(20, 20\)$"):
+            call(s, t)
+
+    def test_nullity_bounds_reject_a_foreign_inverse(self):
+        """It returned null_z22 = 10 and satisfied = True for t's 4 x 4 Z22."""
+        s, t = _two_systems()
+        with pytest.raises(ValueError, match="dims"):
+            z22_nullity_bounds(s, three_block_inverse(t))
+        assert z22_nullity_bounds(s, three_block_inverse(s)).satisfied
+
+    def test_inverse_blocks_check_their_dims(self):
+        """A 6 x 6 full matrix came out of six 2 x 2 blocks labelled (20, 10, 5)."""
+        with pytest.raises(ValueError, match=r"^Z11 must be 20 x 20, got \(2, 2\)$"):
+            InverseBlocks(*(np.zeros((2, 2)),) * 6, dims=(20, 10, 5))
+        blocks = InverseBlocks(*(np.zeros((1, 1)),) * 6, dims=[1, 1, 1])
+        assert blocks.dims == (1, 1, 1) and blocks.full.shape == (3, 3)
+
+    def test_projector_checks_v_against_z(self):
+        Z = SubspaceBasis(np.eye(12)[:, :8])
+        with pytest.raises(ValueError, match=r"^V must be 12 x 12, got \(3, 3\)$"):
+            ReducedHessianProjector(np.zeros((3, 3)), Z)
+        with pytest.raises(ValueError, match="V must be square"):
+            ReducedHessianProjector(np.zeros((12, 3)), Z)
+
+    def test_factorization_reads_n1_from_the_table(self):
+        """ker(A) ∩ ker(B) = span(e1) makes A + B^T (2I - D) B singular; the
+        factorization reports it through the named hypothesis."""
+        sys = BlockSystem(A2, np.array([[0.0, 1.0]]), np.array([[1.0]]), None, np.array([[2.0]]))
+        holds, reason = invertibility._HYPOTHESES["a_tilde nonsingular"](_analysis(sys, None))
+        assert not holds
+        with pytest.raises(PreconditionError, match=re.escape(reason)):
+            factorize_transformed(sys)
 
 
 class TestThreeBlockInverse:

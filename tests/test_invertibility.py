@@ -396,7 +396,7 @@ class TestLadderTable:
 
     def test_block_reversal_renames_rows(self):
         rows = {row[0]: row[1:] for row in invertibility._LADDER}
-        assert rows["rank_c_iff"] == (("N1", "p >= m", "rank(C) = m", "DS2", "E psd"),
+        assert rows["rank_c_iff"] == (("N1", "rank(C) = m", "DS2", "E psd"),
                                       ("R",), ("A = 0",))
         assert rows["corollary_c_full_rank"] == (("E = 0", "m >= p", "D pd", "A pd"),
                                                  ("N2", "overlap = {0}"), ())

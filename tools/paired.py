@@ -14,7 +14,8 @@ each output with the workload's own ``check``, and keeps the ratio of the
 change's wall time to the parent's; a ratio below 1 means the change is
 faster.  The report is the median ratio with a bootstrap 95% interval, and
 the median per order (parent first, change first), which shows any bias of
-running first or second.  It is printed and written to
+running first or second.  Next to it stand the source lines of each side
+(``src/dsaddle/*.py`` as ``wc -l`` counts them).  It is printed and written to
 ``BENCH_<label>.json`` in the working directory.  BLAS is pinned to one thread, as in ``bench/run.py``.
 
 Only the in-process workloads ``ladder-175`` and ``session-525`` are
@@ -62,6 +63,11 @@ def load_packages(parent, change, links):
         (links / name).symlink_to((root / "src" / "dsaddle").resolve(), target_is_directory=True)
     sys.path.insert(0, str(links))
     return importlib.import_module("pkga"), importlib.import_module("pkgb")
+
+
+def src_loc(root):
+    """Lines of the checkout's src/dsaddle/*.py, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "dsaddle").glob("*.py"))
 
 
 def median_interval(ratios, rng):
@@ -121,6 +127,8 @@ def main(argv=None):
         "ratio_median_change_first": median_interval(ratios[first == 1], boot)[0],
         "parent_op_ms_median": float(np.median(seconds[0]) * 1e3),
         "change_op_ms_median": float(np.median(seconds[1]) * 1e3),
+        "parent_src_loc": src_loc(args.parent),
+        "change_src_loc": src_loc(args.change),
         "failures": failures,
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count()},
@@ -129,7 +137,8 @@ def main(argv=None):
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.workload}: change / parent per op {median:.4f} [{low:.4f}, {high:.4f}] "
           f"over {args.ops} ops; parent first {report['ratio_median_parent_first']}, "
-          f"change first {report['ratio_median_change_first']}; "
+          f"change first {report['ratio_median_change_first']}; src LOC "
+          f"{report['parent_src_loc']} -> {report['change_src_loc']}; "
           f"{len(failures)} failed checks -> {path}")
     return 1 if failures else 0
 
