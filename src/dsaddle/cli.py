@@ -10,15 +10,16 @@ Subcommands:
 Exit codes: 0 success (for diagnose: invertible), 1 singular (diagnose) or a
 failed identity (verify), 2 undetermined, 64 usage error, 65 data error,
 70 internal error (an unexpected exception, reported on one stderr line).
-Reports are emitted as text or canonical JSON; both carry the same facts and
-identical inputs produce byte-identical JSON.
+Reports are emitted as text or canonical JSON; the text is rendered from the
+JSON payload, so both carry the same facts, and identical inputs produce
+byte-identical JSON.  Handlers read the argparse namespace of build_parser.
 """
 
 import argparse
 import json
 import logging
 import sys as _sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .invertibility import Verdict, diagnose, oracle_invertible
 from .mmio import canonical_json, load_block_system, save_block_system, \
     save_inverse_blocks, write_json
 from .subspaces import _spectral_norm
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 EXIT_INVERTIBLE = 0
 EXIT_SINGULAR = 1
@@ -41,22 +42,6 @@ EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand plus every option it may consult."""
-
-    command: str
-    input_dir: str | None = None
-    out_dir: str | None = None
-    spec_path: str | None = None
-    tol_rank: float | None = None
-    tol_residual: float | None = None
-    alpha: float | None = None
-    seed: int | None = None
-    fmt: str = "text"
-    allow_dense: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol-rank", type=_tolerance("rank_rtol"), default=None,
+        p.add_argument("--tol-rank", type=_tolerance("rank_rtol"), default=DEFAULT_TOL.rank_rtol,
                        help="relative rank tolerance (default 1e-10)")
-        p.add_argument("--tol-residual", type=_tolerance("residual_rtol"), default=None,
+        p.add_argument("--tol-residual", type=_tolerance("residual_rtol"),
+                       default=DEFAULT_TOL.residual_rtol,
                        help="relative residual tolerance (default 1e-8)")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="report format")
@@ -115,66 +101,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    # argument dests are the RunConfig field names; a subcommand's missing
-    # options keep their defaults
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                        if hasattr(args, f.name)})
-
-
-def _tolerances(config: RunConfig):
-    tol = DEFAULT_TOL
-    if config.tol_rank is not None:
-        tol = tol.replace(rank_rtol=config.tol_rank)
-    if config.tol_residual is not None:
-        tol = tol.replace(residual_rtol=config.tol_residual)
-    return tol
-
-
-def _emit(config: RunConfig, payload: dict, text_lines) -> None:
-    if config.fmt == "json":
+def _emit(args, payload: dict, text_lines) -> None:
+    if args.fmt == "json":
         _sys.stdout.write(canonical_json(payload))
     else:
         _sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _diagnosis_text(result) -> list:
-    lines = [f"verdict: {result.verdict.value}"]
-    if result.rule:
-        lines.append(f"rule: {result.rule}")
-    for entry in result.report.to_dict()["conditions"]:
+def _diagnosis_text(payload: dict) -> list:
+    lines = [f"verdict: {payload['verdict']}"]
+    if payload["rule"]:
+        lines.append(f"rule: {payload['rule']}")
+    for entry in payload["conditions"]:
         lines.append(f"condition {entry['id']}: {entry['status']}")
-    for name, tag in result.report.to_dict()["definiteness"].items():
+    for name, tag in payload["definiteness"].items():
         lines.append(f"definiteness {name}: {tag}")
-    for name, rank in result.report.to_dict()["ranks"].items():
+    for name, rank in payload["ranks"].items():
         lines.append(f"rank {name}: {rank}")
-    if result.witness is not None:
-        lines.append("witness: " + " ".join(f"{x:.17g}" for x in result.witness))
+    if "witness" in payload:
+        lines.append("witness: " + " ".join(f"{x:.17g}" for x in payload["witness"]))
     return lines
 
 
-def _cmd_diagnose(config: RunConfig) -> int:
-    tol = _tolerances(config)
-    system = load_block_system(config.input_dir)
-    result = diagnose(system, tol)
-    payload = {"schema": "dsaddle.diagnosis/1"}
-    payload.update(result.to_dict())
-    _emit(config, payload, _diagnosis_text(result))
+def _cmd_diagnose(args, tol: ToleranceConfig) -> int:
+    result = diagnose(load_block_system(args.input_dir), tol)
+    payload = {"schema": "dsaddle.diagnosis/1", **result.to_dict()}
+    _emit(args, payload, _diagnosis_text(payload))
     return {Verdict.INVERTIBLE: EXIT_INVERTIBLE,
             Verdict.SINGULAR: EXIT_SINGULAR,
             Verdict.UNDETERMINED: EXIT_UNDETERMINED}[result.verdict]
 
 
-def _cmd_invert(config: RunConfig) -> int:
-    tol = _tolerances(config)
-    system = load_block_system(config.input_dir)
+def _cmd_invert(args, tol: ToleranceConfig) -> int:
+    system = load_block_system(args.input_dir)
     # inverse_via_factorization is no fallback: null(A) = m and N1 force
     # rank(B) = m and so DS1, so its hypotheses imply the three-block ones.
     try:
         inv = three_block_inverse(system, tol)
         constructor = "three_block"
     except PreconditionError:
-        if not config.allow_dense:
+        if not args.allow_dense:
             _sys.stderr.write(
                 "no structured constructor applies to this system; "
                 "rerun with --allow-dense for a dense fallback\n")
@@ -187,51 +153,46 @@ def _cmd_invert(config: RunConfig) -> int:
         constructor = "dense"
 
     misfit = assemble(system).matrix @ inv.full - np.eye(system.ell)
-    residual = _spectral_norm(misfit)
-    max_entry = float(np.max(np.abs(misfit)))
     manifest = {
         "schema": "dsaddle.inverse-manifest/1",
         "constructor": constructor,
         "dims": list(system.dims),
-        "spectral_residual": float(residual),
-        "max_entry_residual": max_entry,
+        "spectral_residual": float(_spectral_norm(misfit)),
+        "max_entry_residual": float(np.max(np.abs(misfit))),
     }
-    save_inverse_blocks(config.out_dir, inv, manifest)
-    _emit(config, manifest, [
-        f"constructor: {constructor}",
-        f"spectral residual of K X - I: {residual:.3e}",
-        f"written to: {config.out_dir}",
+    save_inverse_blocks(args.out_dir, inv, manifest)
+    _emit(args, manifest, [
+        f"constructor: {manifest['constructor']}",
+        f"spectral residual of K X - I: {manifest['spectral_residual']:.3e}",
+        f"written to: {args.out_dir}",
     ])
     return 0
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    spec = GeneratorSpec.from_dict(json.loads(Path(config.spec_path).read_text(encoding="utf-8")))
-    if config.seed is not None:
-        spec = replace(spec, seed=config.seed)
-    system, certificate = gen_instance(spec, _tolerances(config))
-    out = Path(config.out_dir)
+def _cmd_generate(args, tol: ToleranceConfig) -> int:
+    spec = GeneratorSpec.from_dict(json.loads(Path(args.spec_path).read_text(encoding="utf-8")))
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    system, certificate = gen_instance(spec, tol)
+    out = Path(args.out_dir)
     save_block_system(out, system)
-    payload = {"schema": "dsaddle.certificate/1"}
-    payload.update(certificate.to_dict())
+    payload = {"schema": "dsaddle.certificate/1", **certificate.to_dict()}
     write_json(out / "certificate.json", payload)
-    _emit(config, payload,
-          [f"instance written to: {config.out_dir}"]
-          + [f"{k}: {v}" for k, v in sorted(certificate.to_dict().items())
-             if k != "definiteness"])
+    _emit(args, payload,
+          [f"instance written to: {args.out_dir}"]
+          + [f"{k}: {v}" for k, v in sorted(payload.items())
+             if k not in ("schema", "definiteness")])
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    tol = _tolerances(config)
-    system = load_block_system(config.input_dir)
-    entries = verify_identities(system, tol, alpha=config.alpha)
+def _cmd_verify(args, tol: ToleranceConfig) -> int:
+    entries = verify_identities(load_block_system(args.input_dir), tol, alpha=args.alpha)
     failed = [e for e in entries if e["status"] == "failed"]
     computed = [e for e in entries if e["status"] != "skipped"]
     payload = {"schema": "dsaddle.verify/1", "identities": entries,
                "all_passed": not failed and bool(computed)}
     lines = []
-    for entry in entries:
+    for entry in payload["identities"]:
         if entry["status"] == "skipped":
             lines.append(f"{entry['id']}: skipped ({entry['reason']})")
         elif "residual" in entry:
@@ -239,14 +200,14 @@ def _cmd_verify(config: RunConfig) -> int:
                          f"(residual {entry['residual']:.3e})")
         else:
             lines.append(f"{entry['id']}: {entry['status']}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     if failed:
         return 1
     return 0 if computed else EXIT_UNDETERMINED
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation and return its exit code."""
+def run(args) -> int:
+    """Execute one invocation parsed by build_parser and return its exit code."""
     handlers = {
         "diagnose": _cmd_diagnose,
         "invert": _cmd_invert,
@@ -254,13 +215,13 @@ def run(config: RunConfig) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args, ToleranceConfig(args.tol_rank, args.tol_residual))
     except (OSError, ValueError, GenerationError) as exc:
-        _sys.stderr.write(f"dsaddle {config.command}: {exc}\n")
+        _sys.stderr.write(f"dsaddle {args.command}: {exc}\n")
         return EXIT_DATA
     except Exception as exc:  # never let a bug exit with a verdict's code
-        _log.debug("dsaddle %s failed", config.command, exc_info=True)
-        _sys.stderr.write(f"dsaddle {config.command}: internal error: "
+        _log.debug("dsaddle %s failed", args.command, exc_info=True)
+        _sys.stderr.write(f"dsaddle {args.command}: internal error: "
                           f"{type(exc).__name__}: {exc}\n")
         return EXIT_SOFTWARE
 
@@ -270,7 +231,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -37,9 +37,11 @@ def _block(M, name):
     return M
 
 
-# the partition rule: each shape in (n, m, p), for the blocks of K, a weight W, V and K^{-1}
+# the partition rule: each shape in (n, m, p), for the blocks of K, a weight W, V, K^{-1}
+# and the inverse X of [[A, B^T], [B, -D]]
 _PARTITION = {"A": "nn", "B": "mn", "C": "pm", "D": "mm", "E": "pp", "W": "mm", "V": "nn",
-              "Z11": "nn", "Z12": "nm", "Z13": "np", "Z22": "mm", "Z23": "mp", "Z33": "pp"}
+              "Z11": "nn", "Z12": "nm", "Z13": "np", "Z22": "mm", "Z23": "mp", "Z33": "pp",
+              "X11": "nn", "X12": "nm", "X22": "mm"}
 
 
 def _partition(blocks: dict, **sizes) -> dict:

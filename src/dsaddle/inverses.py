@@ -155,8 +155,10 @@ def weight_recovery_residual(A, B, W, tol: ToleranceConfig | None = None) -> flo
 def _projector_complement(an, Z: SubspaceBasis) -> float:
     B = an.sys.B
     m, n = B.shape
+    if Z.ambient_dim != n:
+        raise ValueError(f"Z must be a basis of a subspace of R^{n}, got one of R^{Z.ambient_dim}")
     _require(an, "rank(B) = m")
-    if Z.ambient_dim != n or Z.dim != n - m:
+    if Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
     # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails; both
     # read B Z and ||B||_2 scaled by the power of two that brings ||B||_2 near 1
@@ -352,6 +354,11 @@ class TwoBlockInverse:
     x12: np.ndarray
     x22: np.ndarray
     dims: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        _partition({"X11": self.x11, "X12": self.x12, "X22": self.x22},
+                   **dict(zip("nm", self.dims)))
 
     @property
     def full(self) -> np.ndarray:

@@ -20,8 +20,6 @@ import numpy as np
 
 from .core import BlockSystem
 
-BLOCK_FILES = ("A.mtx", "B.mtx", "C.mtx", "D.mtx", "E.mtx")
-INVERSE_FILES = ("Z11.mtx", "Z12.mtx", "Z13.mtx", "Z22.mtx", "Z23.mtx", "Z33.mtx")
 _MIRROR = {"general": 0, "symmetric": 1, "skew-symmetric": -1}  # sign of a_ji / a_ij
 
 
@@ -109,17 +107,14 @@ def load_block_system(directory) -> BlockSystem:
     blocks of the size implied by B and C.  Dimension inconsistencies
     surface as ValueError from the system constructor.
     """
-    directory = Path(directory)
-    blocks = {}
-    for name in ("A", "B", "C"):
-        path = directory / f"{name}.mtx"
-        if not path.is_file():
+    found = {}
+    for name in "ABCDE":
+        path = Path(directory) / f"{name}.mtx"
+        if path.is_file():
+            found[name] = read_matrix(path)
+        elif name in "ABC":
             raise FileNotFoundError(f"missing required block file {path}")
-        blocks[name] = read_matrix(path)
-    for name in ("D", "E"):
-        path = directory / f"{name}.mtx"
-        blocks[name] = read_matrix(path) if path.is_file() else None
-    return BlockSystem(blocks["A"], blocks["B"], blocks["C"], blocks["D"], blocks["E"])
+    return BlockSystem(**found)
 
 
 def save_block_system(directory, sys: BlockSystem) -> None:

@@ -127,11 +127,11 @@ def noisy(system, rng):
                        perturbed(system.E))
 
 
-def answers_tool():
-    """tools/answers.py as a module: its seeded corpora (``CORPORA``) and the
-    table line of one system (``answer``)."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "answers.py"
-    spec = importlib.util.spec_from_file_location("answers", path)
+def answers_tool(name="answers"):
+    """tools/<name>.py as a module; by default tools/answers.py, with its seeded
+    corpora (``CORPORA``) and the table line of one system (``answer``)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -36,3 +36,18 @@ def test_r_matches_its_stacked_reference_on_the_clean_corpora():
         for i, system in enumerate(corpus(0)):
             holds, _ = range_intersection_trivial(system.B, system.C.T)
             assert condition_report(system).holds("R") == holds, (name, i)
+
+
+def test_cli_transcript_reaches_every_exit_and_repeats(capsys):
+    """tools/cli_answers.py runs, reaches exits 0, 1, 2, 64 and 65, and prints
+    the same bytes twice."""
+    tool = answers_tool("cli_answers")
+    assert tool.main() == 0
+    first = capsys.readouterr().out
+    assert tool.main() == 0
+    assert capsys.readouterr().out == first
+    lines = first.splitlines()
+    assert lines[-1].startswith("transcript sha256 ")
+    assert len(lines) == 1 + len(list(tool.invocations()))
+    exits = {line.split(" exit=")[1].split()[0] for line in lines[:-1]}
+    assert exits == {"0", "1", "2", "64", "65"}

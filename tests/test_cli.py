@@ -368,11 +368,27 @@ def test_unexpected_error_exit_70(fixture_dir, capsys, monkeypatch):
 
 class TestRunConfig:
     def test_run_accepts_config_directly(self, fixture_dir, capsys):
-        from dsaddle.cli import RunConfig, run
-        code = run(RunConfig(command="diagnose", input_dir=str(fixture_dir),
-                             fmt="json"))
+        from dsaddle.cli import build_parser, run
+        code = run(build_parser().parse_args(["diagnose", str(fixture_dir),
+                                              "--format", "json"]))
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["verdict"] == "invertible"
+
+    def test_no_tolerance_flags_run_under_the_default(self, fixture_dir, capsys, monkeypatch):
+        import dsaddle.cli
+        from dsaddle import DEFAULT_TOL
+        args = dsaddle.cli.build_parser().parse_args(["diagnose", str(fixture_dir)])
+        assert (args.tol_rank, args.tol_residual) == \
+            (DEFAULT_TOL.rank_rtol, DEFAULT_TOL.residual_rtol)
+        seen, real = [], dsaddle.cli.diagnose
+
+        def diagnose(system, tol):
+            seen.append(tol)
+            return real(system, tol)
+
+        monkeypatch.setattr(dsaddle.cli, "diagnose", diagnose)
+        code, _, _ = run_cli(capsys, "diagnose", str(fixture_dir))
+        assert code == 0 and seen == [DEFAULT_TOL]
 
     def test_text_and_json_carry_same_facts(self, fixture_dir, capsys):
         _, text_out, _ = run_cli(capsys, "diagnose", str(fixture_dir))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsaddle import (
+    BlockSystem,
     Definiteness,
     GeneratorSpec,
     classify_definiteness,
@@ -139,3 +140,42 @@ class TestGenInstance:
             GeneratorSpec.from_dict({"n": 2, "m": 2, "p": 2, "bogus": 1})
         with pytest.raises(ValueError, match="JSON object"):
             GeneratorSpec.from_dict([2, 2, 2])
+
+
+def _system(A, B, C, D, E):
+    return BlockSystem(*(np.array(M, dtype=float) for M in (A, B, C, D, E)))
+
+
+# (missed target, spec, a fixed system whose certificate misses that target alone)
+MISSES = (
+    ("definiteness of A", GeneratorSpec(2, 1, 1, def_a="indefinite"),
+     _system(np.eye(2), [[0, 1]], [[1]], [[1]], [[1]])),
+    ("ds1", GeneratorSpec(2, 1, 1, null_a=1, require_ds1=True),
+     _system(np.diag([0, 1]), [[0, 1]], [[1]], [[1]], [[1]])),
+    ("ds2", GeneratorSpec(2, 1, 2, null_e=1, require_ds2=True),
+     _system(np.eye(2), [[0, 1]], [[0], [1]], [[1]], np.diag([0, 1]))),
+    ("range_disjoint", GeneratorSpec(2, 2, 1, rank_b=1, rank_c=1, require_r=True),
+     _system(np.eye(2), [[1, 0], [0, 0]], [[1, 0]], np.eye(2), [[1]])),
+    ("range_overlap", GeneratorSpec(2, 2, 1, rank_b=1, rank_c=1, force_overlap_r=True),
+     _system(np.eye(2), [[1, 0], [0, 0]], [[0, 1]], np.eye(2), [[1]])),
+)
+
+
+@pytest.mark.parametrize("target, spec, system", MISSES, ids=[m[0] for m in MISSES])
+def test_a_missed_target_is_retried_then_named(monkeypatch, target, spec, system):
+    """Every attempt draws from the next sub-seed (spec seed, attempt); when all
+    DEFAULT_MAX_RETRIES miss, the error names the missed target and nothing else."""
+    from dsaddle import GenerationError, generators
+
+    sub_seeds = []
+
+    def build(spec, rng):
+        sub_seeds.append(tuple(rng.bit_generator.seed_seq.entropy))
+        return system
+
+    monkeypatch.setattr(generators, "_build", build)
+    with pytest.raises(GenerationError) as exc:
+        gen_instance(spec)
+    assert sub_seeds == [(spec.seed, attempt) for attempt in range(generators.DEFAULT_MAX_RETRIES)]
+    assert f"missed targets {[target]!r} after {generators.DEFAULT_MAX_RETRIES} attempts" \
+        in str(exc.value)

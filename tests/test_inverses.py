@@ -36,6 +36,7 @@ from dsaddle import (
     reduced_hessian_projector,
     reduced_projector_residual,
     three_block_inverse,
+    TwoBlockInverse,
     transformed_schur_complement,
     two_block_inverse,
     verify_identities,
@@ -169,6 +170,15 @@ class TestProjectorComplement:
     def test_basis_of_the_wrong_dimension_raises(self):
         with pytest.raises(PreconditionError, match="dimensions of ker"):
             projector_complement_residual(B2, SubspaceBasis(np.eye(2)))
+
+    def test_basis_of_another_ambient_space_is_a_partition_error(self):
+        # no failed hypothesis: a Z of R^12 does not fit the partition of a B with n = 20
+        B = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True, seed=1))[0].B
+        t, _ = gen_instance(GeneratorSpec(12, 4, 3, null_a=4, require_ds1=True, seed=2))
+        Z = reduced_hessian_projector(t.A, t.B).Z
+        with pytest.raises(ValueError, match=r"Z must .* R\^20, got one of R\^12") as exc:
+            projector_complement_residual(B, Z)
+        assert type(exc.value) is ValueError
 
     def test_empty_b_has_zero_residual(self):
         # both projectors vanish: B^T (B B^T)^{-1} B and I - Z Z^T with Z = I
@@ -401,6 +411,15 @@ class TestTwoBlockInverse:
     def test_precondition_errors(self):
         with pytest.raises(PreconditionError):
             two_block_inverse(np.eye(2), B2, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("blocks, match", [
+        ((np.zeros((2, 2)),) * 3, "X11 must be 20 x 20, got (2, 2)"),
+        ((np.zeros((20, 20)), np.zeros((20, 2)), np.zeros((10, 10))), "X12 must be 20 x 10"),
+        ((np.zeros((20, 20)), np.zeros((20, 10)), np.zeros((10, 20))), "X22 must be square"),
+    ], ids=["x11", "x12", "x22"])
+    def test_blocks_that_miss_dims_raise(self, blocks, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            TwoBlockInverse(*blocks, dims=(20, 10))
 
     @pytest.mark.parametrize("A, D, match", [
         (np.eye(3), np.zeros((1, 1)), "A must be 2 x 2"),

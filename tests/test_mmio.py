@@ -46,6 +46,15 @@ def test_missing_d_and_e_default_to_zero(tmp_path):
     assert loaded.dims == sys.dims
 
 
+def test_e_without_d_loads_a_zero_d(tmp_path):
+    sys, _ = max_deficient(seed=3, null_e=1)
+    save_block_system(tmp_path, sys)
+    (tmp_path / "D.mtx").unlink()
+    loaded = load_block_system(tmp_path)
+    np.testing.assert_array_equal(loaded.D, np.zeros((sys.m, sys.m)))
+    np.testing.assert_array_equal(loaded.E, sys.E)
+
+
 def test_missing_required_block_raises(tmp_path):
     sys = fixture_three_block()
     save_block_system(tmp_path, sys)
