@@ -296,14 +296,25 @@ class _Analysis:
     # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
-    # the first n columns of W^T K W at alpha = 1: A + B^T (2I - D) B, B - D B and
-    # C B, and the eigh of the first of them, symmetrized
-    k_tilde = cached_property(lambda an: _congruence(an.sys, 1.0))
-    a_tilde = cached_property(lambda an: _SymEig(
-        0.5 * (an.k_tilde[:an.sys.n] + an.k_tilde[:an.sys.n].T), an.tol))
     # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every
     # reader requires A psd and N1, which make Z^T A Z definite, so N1 decides it
     projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel))
+
+    @cached_property
+    def eigenbasis_rv(self):
+        """R and V of the structured inverses from A's held eigh, for a reader that
+        requires A psd, null(A) = m and N1 (null-space elimination).  With Q0, Q+ and
+        L+ the kernel eigenvectors, the others and their eigenvalues, G = B Q0 is
+        nonsingular: R = G^{-T} Q0^T has A R^T = 0 and B R^T = I, and
+        V = Z L+^{-1} Z^T over the basis Z = Q+ - R^T B Q+ of ker(B), as Z^T A Z = L+.
+        A restricted N1 has SVD'd G already (its Q is A's kernel when N1 holds)."""
+        A, B = self.A, self.sys.B
+        Q0, Qp = A.eigenvectors[:, ~A.nonzero], A.eigenvectors[:, A.nonzero]
+        u, s, vh = self._n1[1] or np.linalg.svd(B @ Q0)
+        R = (u / s) @ (vh @ Q0.T)
+        Z = Qp - R.T @ (B @ Qp)
+        V = (Z / A.eigenvalues[A.nonzero]) @ Z.T
+        return R, 0.5 * (V + V.T)
 
     @cached_property
     def schur_nonsingular(self) -> bool:
@@ -315,19 +326,22 @@ class _Analysis:
         return s1.nonsingular and is_nonsingular(s.E + s.C @ s1.inverse @ s.C.T, self.tol)
 
     # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
-    # first, read from its held decomposition; near the rank cut the stacked SVD decides
+    # first, read from its held decomposition; near the rank cut the stacked SVD decides.
+    # Each is a basis and the restricted matrix's SVD (None where the stacked SVD decides)
     def _intersection(self, pairs, norms, stacked, others):
         shape = (sum(M.shape[0] for M in stacked), stacked[0].shape[1])
-        basis = _restricted_kernel(*pairs, others, shape, max(norms), self.tol)
-        return intersection_kernels(stacked, self.tol) if basis is None else basis
+        return (_restricted_kernel(*pairs, others, shape, max(norms), self.tol)
+                or (intersection_kernels(stacked, self.tol), None))
 
-    n1 = cached_property(lambda an: an._intersection(
+    # N1 keeps the SVD of B Q0 for eigenbasis_rv
+    _n1 = cached_property(lambda an: an._intersection(
         an.A.pairs, (an.A.norm, an.B.norm), [an.sys.A, an.sys.B], [an.sys.B]))
+    n1 = property(lambda an: an._n1[0])
     n2 = cached_property(lambda an: an._intersection(
         an.B.cokernel_pairs, (an.B.norm, an.D.norm, an.Ct.norm),
-        [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C]))
+        [an.sys.B.T, an.sys.D, an.sys.C], [an.sys.D, an.sys.C])[0])
     n3 = cached_property(lambda an: an._intersection(
-        an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T]))
+        an.E.pairs, (an.Ct.norm, an.E.norm), [an.sys.C.T, an.sys.E], [an.sys.C.T])[0])
 
     @cached_property
     def overlap(self):
@@ -337,7 +351,7 @@ class _Analysis:
         couple = np.hstack([s.B, s.C.T])
         return self._intersection((np.concatenate([a[0], e[0]]), _direct_sum(a[1], e[1])),
                                   (self.A.norm, self.E.norm, self.B.norm, self.Ct.norm),
-                                  [_direct_sum(s.A, s.E), couple], [couple])
+                                  [_direct_sum(s.A, s.E), couple], [couple])[0]
 
     @cached_property
     def r(self):
@@ -350,7 +364,7 @@ class _Analysis:
         if L.rank == m:
             return S.range
         return self._intersection((1.0 * (np.arange(m) >= S.rank), S.u), (1.0,),
-                                  [S.u[:, S.rank:].T, perp], [perp])
+                                  [S.u[:, S.rank:].T, perp], [perp])[0]
 
     # A sum of two subspaces is direct exactly when they meet only in {0}, and
     # then it fills R^n exactly when the dimensions add up to n:

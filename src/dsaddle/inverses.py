@@ -167,9 +167,11 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
     if np.linalg.norm(BZ) > cut and np.linalg.norm(BZ, 2) > cut:
         raise PreconditionError("Z is not a kernel basis of B")
     # B^T (B B^T)^{-1} B = Q Q^T from a fresh QR of B^T, which squares neither the
-    # condition nor the scale of B as B B^T would; B's held SVD would only check that SVD
+    # condition nor the scale of B as B B^T would; B's held SVD would only check that SVD.
+    # Q Q^T and I - Z Z^T are orthogonal projectors of equal rank m, so the norm of their
+    # difference is the sine of their largest principal angle, ||Z^T Q||_2
     Q = np.linalg.qr(B.T)[0]
-    return _spectral_norm(Q @ Q.T - (np.eye(n) - Z.basis @ Z.basis.T), symmetric=True)
+    return _spectral_norm(Z.basis.T @ Q)
 
 
 def projector_complement_residual(B, Z: SubspaceBasis,
@@ -243,7 +245,9 @@ class TransformedFactorization:
     ``a_tilde`` is A + B^T (2I - D) B, ``b_one`` is B - D B, ``L`` is unit
     lower block triangular and ``mid`` is blockdiag(a_tilde, -(2I-D)^{-1}, E).
     The middle factor carries the rank: rank(mid) equals the rank of the
-    transformed matrix and of the original system.
+    transformed matrix and of the original system.  L's blocks b_one a_tilde^{-1}
+    and C B a_tilde^{-1} read a_tilde^{-1} = V + R^T (2I - D)^{-1} R from the
+    eigendecompositions of A and D; a_tilde itself is never decomposed.
     """
 
     a_tilde: np.ndarray
@@ -264,31 +268,33 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     an = _analysis(sys, tol)
-    a_tilde, b_one, L21, L31 = _factor_blocks(an)
+    _, b_one, L21, L31 = _factor_blocks(an)
     n, m, p = sys.dims
     ell = sys.ell
+    a_tilde = sys.A + sys.B.T @ (2.0 * np.eye(m) - sys.D) @ sys.B
     L = np.eye(ell)
     L[n:n + m, :n] = L21
     L[n + m:, :n] = L31
     L[n + m:, n:n + m] = -sys.C
     mid = np.zeros((ell, ell))
-    mid[:n, :n] = a_tilde.matrix
+    mid[:n, :n] = 0.5 * (a_tilde + a_tilde.T)
     mid[n:n + m, n:n + m] = -_m_inverse(an.D, 1.0)
     mid[n + m:, n + m:] = sys.E
-    # the analysis keeps a_tilde and b_one for later calls
-    return TransformedFactorization(a_tilde.matrix.copy(), b_one.copy(), L, mid, sys.dims)
+    return TransformedFactorization(mid[:n, :n].copy(), b_one, L, mid, sys.dims)
 
 
 def _factor_blocks(an):
-    """a_tilde's held eigendecomposition (nonsingularity and inverse), b_one,
-    and the blocks L21 and L31 of the unit triangular factor (L32 is -C) at
-    alpha = 1; b_one = B - D B and C B are the rows of the held transform
-    past a_tilde."""
-    _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "a_tilde nonsingular")
-    a_tilde = an.a_tilde
-    n, m = an.sys.n, an.sys.m
-    b_one, cb = an.k_tilde[n:n + m], an.k_tilde[n + m:]
-    return a_tilde, b_one, b_one @ a_tilde.inverse, cb @ a_tilde.inverse
+    """a_tilde^{-1}, b_one = B - D B, and the blocks L21 and L31 of the unit
+    triangular factor (L32 is -C) at alpha = 1.  Under the hypotheses A R^T = 0,
+    B R^T = I and B V = 0 make a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V
+    from A's held eigenbasis and (2I - D)^{-1} from D's held eigh."""
+    _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "N1")
+    R, V = an.eigenbasis_rv
+    B, C, D = an.sys.B, an.sys.C, an.sys.D
+    a_inv = V + R.T @ _m_inverse(an.D, 1.0) @ R
+    a_inv = 0.5 * (a_inv + a_inv.T)
+    b_one = B - D @ B
+    return a_inv, b_one, b_one @ a_inv, (C @ B) @ a_inv
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +381,8 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
         [[R^T D R + V,  R^T],
          [R,            0  ]].
 
-    B has full row rank under these hypotheses, so (B B^T)^{-1} B is read
-    from the SVD of B; the Gram matrix B B^T is never formed.
+    R = G^{-T} Q0^T and V come from the eigendecomposition of A, with Q0 its
+    kernel eigenvectors and G = B Q0; B B^T is never formed.
     """
     an = _blocks(tol, A=A, B=B, D=D)
     m, n = an.sys.B.shape
@@ -385,13 +391,11 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
 
 
 def _two_block(an, D):
-    """Leading block R^T D R + V of the two-block inverse, and R.  B has full
-    row rank m here, so (B B^T)^{-1} B = U S^{-1} V_m^T from B = U S V_m^T."""
-    A, m = an.sys.A, an.sys.B.shape[0]
-    proj = _projector(an, "null(A) = m", "DS1")
-    u, s, vh = an.B.u, an.B.s, an.B.vh
-    R = (u / s[:m]) @ (vh[:m] - (vh[:m] @ A) @ proj.V)
-    x11 = R.T @ D @ R + proj.V
+    """Leading block R^T D R + V of the two-block inverse, and R, both from the
+    eigenbasis fact of the analysis."""
+    _require(an, "A psd", "null(A) = m", "DS1")
+    R, V = an.eigenbasis_rv
+    x11 = R.T @ D @ R + V
     return 0.5 * (x11 + x11.T), R
 
 
@@ -407,7 +411,8 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
          [S,   0,   E^{-1}]],     R = (B B^T)^{-1} B (I - A V),  S = -E^{-1} C R
 
     Eliminating E leaves the two-block system with middle block
-    D + C^T E^{-1} C, whose inverse supplies T and R.
+    D + C^T E^{-1} C, whose inverse supplies T and R, both read as in
+    :func:`two_block_inverse`.
     """
     an = _analysis(sys, tol)
     m, p = sys.m, sys.p
@@ -433,27 +438,35 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     L32 = -C by block back-substitution, and mid^{-1} is
     blockdiag(a_tilde^{-1}, -(2I - D), E^{-1}), so
 
-        K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3
+        K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3.
 
-    with a_tilde^{-1} from the eigendecomposition that decides its
-    nonsingularity.  G1 = [I, B^T, 0] makes the first term
-    [[a_tilde^{-1}, T], [T^T, B T]] with T = a_tilde^{-1} B^T, and G2 is zero
-    past its first n + m columns, so only the G3 term is a full product.
-    Requires the factorization hypotheses plus nonsingular E.
+    G1 = [I, B^T, 0] makes the first term [[a_tilde^{-1}, T], [T^T, B T]]
+    with T = a_tilde^{-1} B^T, G2 is zero past its first n + m columns and G3
+    ends in the identity, so each block is formed on its own and no ell x ell
+    matrix is.  Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
-    a_tilde, _, L21, L31 = _factor_blocks(an)
+    a_inv, _, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
-    n, m, p = sys.dims
-    B, C = sys.B, sys.C
+    n, m, _ = sys.dims
+    B, C, Einv = sys.B, sys.C, an.E.inverse
     L3 = -C @ L21 - L31  # L32 L21 - L31
+    # G2 and G3 over the first n + m columns
     G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T])
-    G3 = np.hstack([L3, L3 @ B.T + C, np.eye(p)])
-    T = a_tilde.inverse @ B.T
-    K_inv = G3.T @ an.E.inverse @ G3
-    K_inv[:n + m, :n + m] += (np.block([[a_tilde.inverse, T], [T.T, B @ T]])
-                              - G2.T @ (2.0 * np.eye(m) - sys.D) @ G2)
-    return InverseBlocks.from_full(K_inv, sys.dims)
+    G3 = np.hstack([L3, L3 @ B.T + C])
+    T = a_inv @ B.T
+    EG3 = Einv @ G3
+    lead = G3.T @ EG3 - G2.T @ ((2.0 * np.eye(m) - sys.D) @ G2)
+    sym = lambda X: 0.5 * (X + X.T)
+    return InverseBlocks(
+        z11=sym(lead[:n, :n] + a_inv),
+        z12=lead[:n, n:] + T,
+        z13=EG3[:, :n].T.copy(),
+        z22=sym(lead[n:, n:] + B @ T),
+        z23=EG3[:, n:].T.copy(),
+        z33=Einv.copy(),
+        dims=sys.dims,
+    )
 
 
 def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:

@@ -221,8 +221,6 @@ _HYPOTHESES = {
     "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
                                      "lambda_max(D) must be below 2, so that alpha = 1 is "
                                      "admissible"),
-    "a_tilde nonsingular": lambda an: (an.a_tilde.nonsingular, "ker(A) and ker(B) must intersect "
-                                       "only in {0}: A + B^T (2I - D) B is numerically singular"),
     "S1, S2 nonsingular": lambda an: (an.schur_nonsingular, "the Schur complements "
                                       "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
     "K invertible": lambda an: (an.k_nonsingular,

@@ -182,8 +182,9 @@ def _near_cut(values, cut, widen=1.0) -> bool:
 
 
 def _restricted_kernel(values, vectors, others, shape, scale,
-                       tol: ToleranceConfig | None = None) -> SubspaceBasis | None:
-    """ker M1 ∩ ker M2 ∩ ... read from a held decomposition of M1, or None.
+                       tol: ToleranceConfig | None = None) -> tuple | None:
+    """ker M1 ∩ ker M2 ∩ ... read from a held decomposition of M1, with the SVD
+    (u, s, vh) of the restricted matrix (None when Q is empty), or None.
 
     ``values`` are ||M1 q|| for the orthonormal columns q of ``vectors``
     (|eigenvalues| with the eigenvectors of a symmetric M1).  With Q the
@@ -209,13 +210,13 @@ def _restricted_kernel(values, vectors, others, shape, scale,
     small = values <= cut
     Q = vectors[:, small]
     if not Q.shape[1]:
-        return SubspaceBasis.trivial(vectors.shape[0])
+        return SubspaceBasis.trivial(vectors.shape[0]), None
     # the full vh keeps the kernel directions that a restricted matrix with
     # fewer rows than columns has beyond its singular values
-    _, s, vh = np.linalg.svd(np.vstack([M @ Q for M in others]), full_matrices=True)
+    u, s, vh = np.linalg.svd(np.vstack([M @ Q for M in others]), full_matrices=True)
     if _near_cut(s, cut, 1.0 + scale / values[~small].min(initial=np.inf)):
         return None
-    return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T)
+    return SubspaceBasis(Q @ vh[int((s > cut).sum()):].T), (u, s, vh)
 
 
 def range_intersection_trivial(Bmat, Ct, tol: ToleranceConfig | None = None):

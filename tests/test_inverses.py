@@ -45,6 +45,7 @@ from dsaddle import (
 )
 
 from dsaddle import invertibility
+from dsaddle.core import _projector_from_basis
 from dsaddle.invertibility import _analysis, _first
 from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
     max_deficient, psd_disjoint_ranges, random_systems
@@ -179,6 +180,31 @@ class TestProjectorComplement:
         with pytest.raises(ValueError, match=r"Z must .* R\^20, got one of R\^12") as exc:
             projector_complement_residual(B, Z)
         assert type(exc.value) is ValueError
+
+    def test_equals_the_n_by_n_form(self):
+        """||Z^T Q||_2 is the n x n ||Q Q^T - (I - Z Z^T)||_2 to rounding, for kernel
+        bases rotated and tilted out of ker(B) by up to 1e-10."""
+        rng = np.random.default_rng(24)
+        for n, m in ((5, 2), (12, 6), (30, 11), (40, 39)):
+            B = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3)
+            Q = np.linalg.qr(B.T)[0]
+            for tilt in (0.0, 1e-12, 1e-10):
+                rotation = np.linalg.qr(rng.standard_normal((n - m,) * 2))[0]
+                Z = kernel_basis(B).basis @ rotation + tilt * rng.standard_normal((n, n - m))
+                Z = SubspaceBasis(np.linalg.qr(Z)[0])
+                dense = np.linalg.norm(Q @ Q.T - (np.eye(n) - Z.basis @ Z.basis.T), 2)
+                assert projector_complement_residual(B, Z) == pytest.approx(dense, abs=1e-14)
+
+    def test_a_basis_outside_the_kernel_is_refused(self):
+        """A Z of the dimensions of ker(B) that B does not annihilate is refused, not
+        read as a residual: a random subspace, and ker(B) tilted by 1e-6."""
+        rng = np.random.default_rng(7)
+        for n, m in ((6, 2), (20, 10), (35, 5)):
+            B = rng.standard_normal((m, n))
+            tilted = kernel_basis(B).basis + 1e-6 * rng.standard_normal((n, n - m))
+            for Z in (rng.standard_normal((n, n - m)), tilted):
+                with pytest.raises(PreconditionError, match="not a kernel basis"):
+                    projector_complement_residual(B, SubspaceBasis(np.linalg.qr(Z)[0]))
 
     def test_empty_b_has_zero_residual(self):
         # both projectors vanish: B^T (B B^T)^{-1} B and I - Z Z^T with Z = I
@@ -380,6 +406,52 @@ def test_factorization_never_succeeds_alone():
     assert factorized >= 20
 
 
+def _stacked_n1_system():
+    """null(A) = m = 2 with N1 holding, and an eigenvalue 1e-8 of A above A's own
+    rank cut but within the margin of the stacked [A; B] cut, so the stacked SVD
+    decides N1 and the restricted B Q0 is never decomposed."""
+    rng = np.random.default_rng(3)
+    Q = haar_orthogonal(6, rng)
+    A = Q @ np.diag([0.0, 0.0, 1e-8, 1.0, 2.0, 3.0]) @ Q.T
+    return BlockSystem(0.5 * (A + A.T), rng.standard_normal((2, 6)), rng.standard_normal((1, 2)),
+                       0.5 * np.eye(2), np.eye(1))
+
+
+class TestEigenbasisFact:
+    """R = G^{-T} Q0^T and V = Z L+^{-1} Z^T from A's eigenbasis are the three-block
+    formula's R and V, and give a_tilde^{-1}, each to rounding relative to cond(a_tilde)."""
+
+    @staticmethod
+    def _check(sys):
+        an = _analysis(sys, None)
+        A, B, D, n, m = sys.A, sys.B, sys.D, sys.n, sys.m
+        R, V = an.eigenbasis_rv
+        a_tilde = A + B.T @ (2.0 * np.eye(m) - D) @ B
+        bound = 1e-13 * np.linalg.cond(a_tilde)
+        rel = lambda X, Y: np.linalg.norm(X - Y, 2) / np.linalg.norm(Y, 2)
+        assert rel(V, _projector_from_basis(A, an.B.kernel)) <= bound
+        assert rel(R, np.linalg.solve(B @ B.T, B @ (np.eye(n) - A @ V))) <= bound
+        assert rel(V + R.T @ np.linalg.inv(2.0 * np.eye(m) - D) @ R, np.linalg.inv(a_tilde)) <= bound
+        return an
+
+    @pytest.mark.parametrize("kwargs", [dict(null_d=1), dict(def_d="psd"),
+                                        dict(def_d="indefinite")], ids=["null", "psd", "indefinite"])
+    def test_matches_the_projector_route(self, kwargs):
+        for seed in range(6):
+            an = self._check(max_deficient(seed, **kwargs)[0])
+            assert an._n1[1] is not None  # G's SVD is the restricted step's
+
+    def test_stacked_n1_decomposes_g(self):
+        sys = _stacked_n1_system()
+        an = _analysis(sys, None)
+        assert an.A.nullity == sys.m and an.n1.is_trivial and an._n1[1] is None
+        self._check(sys)
+        K = assemble(sys).matrix
+        for inverse in (three_block_inverse(sys), inverse_via_factorization(sys)):
+            residual = np.linalg.norm(K @ inverse.full - np.eye(sys.ell), 2)
+            assert residual <= 1e-13 * np.linalg.cond(K)
+
+
 class TestTwoBlockInverse:
     def test_fixture(self):
         tb = two_block_inverse(A2, B2, np.array([[3.0]]))
@@ -515,9 +587,9 @@ class TestPartitionRule:
 
     def test_factorization_reads_n1_from_the_table(self):
         """ker(A) ∩ ker(B) = span(e1) makes A + B^T (2I - D) B singular; the
-        factorization reports it through the named hypothesis."""
+        factorization reports it through the named hypothesis N1."""
         sys = BlockSystem(A2, np.array([[0.0, 1.0]]), np.array([[1.0]]), None, np.array([[2.0]]))
-        holds, reason = invertibility._HYPOTHESES["a_tilde nonsingular"](_analysis(sys, None))
+        holds, reason = invertibility._HYPOTHESES["N1"](_analysis(sys, None))
         assert not holds
         with pytest.raises(PreconditionError, match=re.escape(reason)):
             factorize_transformed(sys)
