@@ -222,15 +222,21 @@ def default_alpha(sys: BlockSystem) -> float:
     return _checked_alpha(_analysis(sys, None).D)
 
 
-def _m_inverse(D: _SymEig, alpha: float) -> np.ndarray:
-    """M^{-1} = (2I - alpha D)^{-1} = Q diag(1 / (2 - alpha lambda_i)) Q^T from
-    D's eigenpairs; M is singular when some |2 - alpha lambda_i| fails the
+def _m_spectrum(D: _SymEig, alpha: float) -> np.ndarray:
+    """The eigenvalues 2 - alpha lambda_i of M = 2I - alpha D, along D's
+    eigenvectors; M is singular when some |2 - alpha lambda_i| fails the
     rank cut."""
     mu = 2.0 - alpha * D.eigenvalues
     if not _above_cut(np.abs(mu), D.matrix.shape, D.tol).all():
         raise PreconditionError("2I - alpha D is numerically singular; "
                                 "alpha is too close to the interval boundary")
-    return D.inverse_of(mu)
+    return mu
+
+
+def _m_inverse(D: _SymEig, alpha: float) -> np.ndarray:
+    """M^{-1} = (2I - alpha D)^{-1} = Q diag(1 / (2 - alpha lambda_i)) Q^T from
+    D's eigenpairs."""
+    return D.inverse_of(_m_spectrum(D, alpha))
 
 
 def congruence_transform(sys: BlockSystem, alpha: float,
@@ -251,19 +257,19 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     alpha = _checked_alpha(_analysis(sys, tol).D, alpha)
     n, m, _ = sys.dims
     Kt = assemble(sys).matrix.copy()
-    Kt[:, :n] = _congruence(sys, alpha)
+    Kt[:n, :n], Kt[n:n + m, :n], Kt[n + m:, :n] = _congruence(sys, alpha)
     Kt[:n, n:] = Kt[n:, :n].T
     W = np.eye(sys.ell)
     W[n:n + m, :n] = alpha * sys.B
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
 
 
-def _congruence(sys: BlockSystem, alpha: float) -> np.ndarray:
-    """The first n columns of W^T K W for an alpha the caller has checked:
-    past them and their mirror, W^T K W equals K."""
+def _congruence(sys: BlockSystem, alpha: float) -> tuple:
+    """The blocks (1,1), (2,1) and (3,1) of W^T K W for an alpha the caller has
+    checked: past them and their mirror, W^T K W equals K."""
     B, D = sys.B, sys.D
-    return np.vstack([sys.A + alpha * B.T @ (2.0 * np.eye(sys.m) - alpha * D) @ B,
-                      B - alpha * D @ B, alpha * sys.C @ B])
+    return (sys.A + alpha * B.T @ (2.0 * np.eye(sys.m) - alpha * D) @ B,
+            B - alpha * D @ B, alpha * sys.C @ B)
 
 
 def _projector_from_basis(A, Z: SubspaceBasis):
@@ -307,14 +313,15 @@ class _Analysis:
         L+ the kernel eigenvectors, the others and their eigenvalues, G = B Q0 is
         nonsingular: R = G^{-T} Q0^T has A R^T = 0 and B R^T = I, and
         V = Z L+^{-1} Z^T over the basis Z = Q+ - R^T B Q+ of ker(B), as Z^T A Z = L+.
-        A restricted N1 has SVD'd G already (its Q is A's kernel when N1 holds)."""
+        L+ > 0 under A psd, so V is the one product Y Y^T with Y = Z L+^{-1/2},
+        symmetric as formed.  A restricted N1 has SVD'd G already (its Q is A's
+        kernel when N1 holds)."""
         A, B = self.A, self.sys.B
         Q0, Qp = A.eigenvectors[:, ~A.nonzero], A.eigenvectors[:, A.nonzero]
         u, s, vh = self._n1[1] or np.linalg.svd(B @ Q0)
         R = (u / s) @ (vh @ Q0.T)
-        Z = Qp - R.T @ (B @ Qp)
-        V = (Z / A.eigenvalues[A.nonzero]) @ Z.T
-        return R, 0.5 * (V + V.T)
+        Y = (Qp - R.T @ (B @ Qp)) / np.sqrt(A.eigenvalues[A.nonzero])
+        return R, Y @ Y.T
 
     @cached_property
     def schur_nonsingular(self) -> bool:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import BlockSystem, _analysis, _block, _checked_alpha, _congruence, _m_inverse, \
-    _partition, _projector_from_basis, assemble
+    _m_spectrum, _partition, _projector_from_basis, assemble
 from .errors import PreconditionError
 from .invertibility import _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _singular_values, _spectral_norm, \
@@ -42,11 +42,13 @@ def _finite(alpha, *values):
 
 
 def _fro_ratio(num, den) -> float:
-    """||num||_F / ||den||_F, each a list of arrays read as one vector, with every
-    array scaled exactly by the power of two that brings the largest |entry| of den
-    near 1, as in subspaces._symmetric, so no squared norm overflows or underflows."""
+    """||num||_F / ||den||_F, each a sequence of arrays read as one vector, every array scaled
+    exactly by the power of two that brings the largest |entry| of den near 1, as in
+    subspaces._symmetric, so no squared norm overflows or underflows.  den is a list;
+    num may be a generator, whose arrays are then formed, measured and dropped in turn."""
     e = -np.frexp(max(np.abs(M).max(initial=0.0) for M in den))[1]
-    num, den = (np.linalg.norm([np.linalg.norm(np.ldexp(M, e)) for M in Ms]) for Ms in (num, den))
+    scaled = lambda M: np.linalg.norm(np.ldexp(M, e))
+    num, den = (np.linalg.norm(list(map(scaled, Ms))) for Ms in (num, den))
     return float(num / den) if num else 0.0
 
 
@@ -246,8 +248,9 @@ class TransformedFactorization:
     lower block triangular and ``mid`` is blockdiag(a_tilde, -(2I-D)^{-1}, E).
     The middle factor carries the rank: rank(mid) equals the rank of the
     transformed matrix and of the original system.  L's blocks b_one a_tilde^{-1}
-    and C B a_tilde^{-1} read a_tilde^{-1} = V + R^T (2I - D)^{-1} R from the
-    eigendecompositions of A and D; a_tilde itself is never decomposed.
+    and C B a_tilde^{-1} read a_tilde^{-1} = V + S^T S, with
+    S = (2I - Lambda_D)^{-1/2} Q_D^T R, from the eigendecompositions of A and D;
+    a_tilde itself is never decomposed.
     """
 
     a_tilde: np.ndarray
@@ -287,12 +290,16 @@ def _factor_blocks(an):
     """a_tilde^{-1}, b_one = B - D B, and the blocks L21 and L31 of the unit
     triangular factor (L32 is -C) at alpha = 1.  Under the hypotheses A R^T = 0,
     B R^T = I and B V = 0 make a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V
-    from A's held eigenbasis and (2I - D)^{-1} from D's held eigh."""
+    from A's held eigenbasis.  With Q_D and Lambda_D from D's held eigh,
+    2 - lambda > 0 under lambda_max(D) < 2, so the second term is the one product
+    S^T S for S = (2I - Lambda_D)^{-1/2} Q_D^T R and a_tilde^{-1} is symmetric as
+    formed; 2I - D must still pass the rank cut, but its inverse is not formed."""
     _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "N1")
     R, V = an.eigenbasis_rv
     B, C, D = an.sys.B, an.sys.C, an.sys.D
-    a_inv = V + R.T @ _m_inverse(an.D, 1.0) @ R
-    a_inv = 0.5 * (a_inv + a_inv.T)
+    S = (an.D.eigenvectors.T @ R) / np.sqrt(_m_spectrum(an.D, 1.0))[:, None]
+    a_inv = S.T @ S
+    a_inv += V
     b_one = B - D @ B
     return a_inv, b_one, b_one @ a_inv, (C @ B) @ a_inv
 
@@ -300,6 +307,13 @@ def _factor_blocks(an):
 # ---------------------------------------------------------------------------
 # explicit inverses
 # ---------------------------------------------------------------------------
+
+def _symmetrized(X):
+    """(X + X^T) / 2, written into X."""
+    X += X.T
+    X *= 0.5
+    return X
+
 
 @dataclass(frozen=True)
 class InverseBlocks:
@@ -438,32 +452,38 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     L32 = -C by block back-substitution, and mid^{-1} is
     blockdiag(a_tilde^{-1}, -(2I - D), E^{-1}), so
 
-        K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3.
+        K^{-1} = G1^T a_tilde^{-1} G1 - G2^T (2I - D) G2 + G3^T E^{-1} G3
 
-    G1 = [I, B^T, 0] makes the first term [[a_tilde^{-1}, T], [T^T, B T]]
-    with T = a_tilde^{-1} B^T, G2 is zero past its first n + m columns and G3
-    ends in the identity, so each block is formed on its own and no ell x ell
-    matrix is.  Requires the factorization hypotheses plus nonsingular E.
+    with G1 = [I, B^T, 0], G2 = [-L21, H2, 0] and G3 = [L3, H3, I], where
+    L3 = L32 L21 - L31, H2 = I - L21 B^T and H3 = L3 B^T + C.  Each block the
+    result keeps is formed from its own products, and no stacked G, no
+    (n + m) square block and no ell x ell matrix is:
+
+        Z11 = a_tilde^{-1} + L3^T E^{-1} L3 - L21^T (2I - D) L21
+        Z12 = a_tilde^{-1} B^T + L3^T E^{-1} H3 + ((2I - D) L21)^T H2
+        Z22 = B a_tilde^{-1} B^T + H3^T E^{-1} H3 - H2^T (2I - D) H2
+        Z13 = (E^{-1} L3)^T,  Z23 = (E^{-1} H3)^T,  Z33 = E^{-1}.
+
+    Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
     a_inv, _, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
-    n, m, _ = sys.dims
     B, C, Einv = sys.B, sys.C, an.E.inverse
-    L3 = -C @ L21 - L31  # L32 L21 - L31
-    # G2 and G3 over the first n + m columns
-    G2 = np.hstack([-L21, np.eye(m) - L21 @ B.T])
-    G3 = np.hstack([L3, L3 @ B.T + C])
-    T = a_inv @ B.T
-    EG3 = Einv @ G3
-    lead = G3.T @ EG3 - G2.T @ ((2.0 * np.eye(m) - sys.D) @ G2)
-    sym = lambda X: 0.5 * (X + X.T)
+    I = np.eye(sys.m)
+    M = 2.0 * I - sys.D
+    L3 = -C @ L21 - L31
+    H2, H3 = I - L21 @ B.T, L3 @ B.T + C
+    EL3, EH3, ML21, T = Einv @ L3, Einv @ H3, M @ L21, a_inv @ B.T
+    z11 = a_inv  # a fresh array, summed into in place
+    z11 += L3.T @ EL3
+    z11 -= L21.T @ ML21
     return InverseBlocks(
-        z11=sym(lead[:n, :n] + a_inv),
-        z12=lead[:n, n:] + T,
-        z13=EG3[:, :n].T.copy(),
-        z22=sym(lead[n:, n:] + B @ T),
-        z23=EG3[:, n:].T.copy(),
+        z11=_symmetrized(z11),
+        z12=T + L3.T @ EH3 + ML21.T @ H2,
+        z13=EL3.T.copy(),
+        z22=_symmetrized(B @ T + H3.T @ EH3 - H2.T @ (M @ H2)),
+        z23=EH3.T.copy(),
         z33=Einv.copy(),
         dims=sys.dims,
     )
@@ -585,9 +605,10 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     (residual within ``residual_rtol``), "failed", or "skipped" with a
     reason when the identity's hypotheses do not hold for this system.
     Each identity works on its blocks: the projector is the one the analysis
-    holds, W^T K W and K~ are compared on the first n rows and columns, where
-    alone they differ from K, Z22 comes from one LU solve of K against its m
-    middle unit columns, and no SVD runs on a symmetric matrix.
+    holds, W^T K W and K~ are compared on the five blocks of the first n rows
+    and columns, where alone they differ from K, each formed from A, B, C, D
+    and E, measured and dropped in turn, Z22 comes from one LU solve of K
+    against its m middle unit columns, and no SVD runs on a symmetric matrix.
     """
     an = _analysis(sys, tol)
     tol = an.tol
@@ -607,13 +628,25 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     @np.errstate(all="ignore")  # _finite turns a value alpha overflows into a skip
     def congruence():
         # W = I + N with N = alpha B in block (2, 1): K W adds K[:, mid] N to the first n
-        # columns of K and W^T (K W) adds N^T (K W)[mid] to its first n rows, nothing else
-        K, N, Kt = an.K, alpha * sys.B, _congruence(sys, alpha)
-        cols = K[:, :n] + K[:, n:n + m] @ N
-        rows = np.hstack([cols[:n], K[:n, n:]]) + N.T @ np.hstack([cols[n:n + m], K[n:n + m, n:]])
-        rows -= np.hstack([Kt[:n], Kt[n:].T])
-        # over ||K~||_F: its first n columns, their mirror and the trailing block of K
-        return _finite(alpha, _fro_ratio([rows, cols[n:] - Kt[n:]], [Kt, Kt[n:], K[n:, n:]]))[0]
+        # columns of K and W^T (K W) adds N^T (K W)[mid] to its first n rows, nothing else,
+        # so W^T K W - K~ is zero past the five blocks those rows and columns hold
+        A, B, C, D, E = (getattr(sys, k) for k in "ABCDE")
+        N, (K11, K21, K31) = alpha * B, _congruence(sys, alpha)
+
+        def residual_blocks():  # (2,1), (3,1), (1,2), (1,3), then the n x n (1,1)
+            yield B - D @ N - K21
+            yield C @ N - K31
+            yield B.T - N.T @ D - K21.T
+            yield N.T @ C.T - K31.T
+            r11 = B.T @ N
+            r11 += A
+            r11 += N.T @ (B - D @ N)
+            r11 -= K11
+            yield r11
+
+        # over ||K~||_F: its five changed blocks and the trailing blocks of K
+        norm_kt = [K11, K21, K21, K31, K31, D, C, C, E]
+        return _finite(alpha, _fro_ratio(residual_blocks(), norm_kt))[0]
 
     residual_entry("weight_recovery", lambda: _weight_recovery(an, alpha=alpha))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1

@@ -38,6 +38,7 @@ class TestBlockSystem:
         s = BlockSystem(np.eye(3), np.ones((2, 3)), np.ones((1, 2)))
         assert s.dims == (3, 2, 1) and s.ell == 6
         assert not s.D.any() and not s.E.any()
+        assert repr(s) == "BlockSystem(n=3, m=2, p=1)"
 
     def test_rejects_asymmetric_diagonal_block(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -58,10 +59,11 @@ class TestBlockSystem:
 
     @pytest.mark.parametrize("blocks, match", [
         ((np.zeros((0, 0)), np.zeros((1, 0)), np.ones((1, 1))), "positive"),
+        ((np.ones(2), np.ones((1, 2)), np.ones((1, 1))), r"A must be 2-dimensional, got shape \(2,\)"),
         ((np.ones((2, 3)), np.ones((1, 2)), np.ones((1, 1))), "A must be square"),
         ((np.eye(2), np.ones((1, 2)), np.ones((1, 1)), np.eye(2)), "D must be"),
         ((np.eye(2), np.ones((1, 2)), np.ones((1, 1)), None, np.eye(2)), "E must be"),
-    ], ids=["empty_a", "rectangular_a", "d_shape", "e_shape"])
+    ], ids=["empty_a", "vector_a", "rectangular_a", "d_shape", "e_shape"])
     def test_rejects_malformed_blocks(self, blocks, match):
         with pytest.raises(ValueError, match=match):
             BlockSystem(*blocks)
@@ -95,8 +97,9 @@ class TestBlockSystem:
 
 class TestAssemble:
     def test_scalar_example(self):
-        K = assemble(scalar_system(2.0, 1.0, 1.0, 0.0, 3.0)).matrix
-        np.testing.assert_array_equal(K, [[2, 1, 0], [1, 0, 1], [0, 1, 3]])
+        K = assemble(scalar_system(2.0, 1.0, 1.0, 0.0, 3.0))
+        assert K.ell == 3
+        np.testing.assert_array_equal(K.matrix, [[2, 1, 0], [1, 0, 1], [0, 1, 3]])
 
     def test_all_zero(self):
         K = assemble(scalar_system(0, 0, 0, 0, 0)).matrix

@@ -26,12 +26,15 @@ the overlap and R take one restricted-kernel step: each restricts the later
 blocks to a kernel the analysis holds (for R, the complement U⊥^T of the
 block of larger rank to the range of the other), so no stacked SVD runs on
 clean inputs.  Each ladder exit has its own decomposition ceiling, and R
-runs no SVD when B or C has rank m.
+runs no SVD when B or C has rank m.  The factorization inverse and verify,
+each cold after diagnose and three_block_inverse, have a traced memory
+ceiling too.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,8 @@ import dsaddle.subspaces as subspaces
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     psd_disjoint_ranges
 from dsaddle import GeneratorSpec, assemble, default_alpha, dense_inverse_blocks, diagnose, \
-    gen_instance, matrix_rank, oracle_invertible, verify_identities, z22_nullity_bounds
+    gen_instance, matrix_rank, oracle_invertible, three_block_inverse, verify_identities, \
+    z22_nullity_bounds
 
 # the six classes of the ladder benchmark, at one fifth of (100, 50, 25)
 DIMS = (20, 10, 5)
@@ -246,6 +250,28 @@ def test_inverse_constructors_read_held_decompositions(kernels, name):
         call(*args)
         assert kernels["scipy"] == [], kernels
         assert len(kernels["numpy"]) <= KERNEL_BUDGETS[name], kernels
+
+
+# tracemalloc peak, in KiB, of a cold call run after diagnose and three_block_inverse, as
+# a session runs them, on one null(A) = m, DS1 system at (60, 30, 15): the factorization
+# inverse forms only the blocks it keeps, and verify's congruence check forms one block of
+# W^T K W - K~ at a time
+PEAK_KIB = {"inverse_via_factorization": 195, "verify_identities": 185}
+
+
+@pytest.mark.parametrize("name", PEAK_KIB)
+def test_session_call_stays_within_memory_ceiling(name):
+    system, _ = gen_instance(GeneratorSpec(60, 30, 15, null_a=30, require_ds1=True, seed=1))
+    system = cold_copy(system)
+    diagnose(system)
+    three_block_inverse(system)
+    tracemalloc.start()
+    try:
+        getattr(dsaddle, name)(system)
+        peak = tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_KIB[name], peak
 
 
 # every entry point whose second call on a system reads only what the first

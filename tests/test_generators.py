@@ -11,6 +11,7 @@ from dsaddle import (
     gen_instance,
     gen_psd_with_nullity,
     gen_rank,
+    haar_orthogonal,
     matrix_rank,
     nullity,
 )
@@ -43,6 +44,7 @@ class TestPsdWithNullity:
 class TestGenRank:
     def test_zero_rank(self):
         np.testing.assert_array_equal(gen_rank(2, 3, 0, seed=0), np.zeros((2, 3)))
+        assert haar_orthogonal(0, np.random.default_rng(0)).shape == (0, 0)
 
     def test_full_rank(self):
         M = gen_rank(3, 5, 3, seed=2)

@@ -329,6 +329,16 @@ class TestFactorization:
         with pytest.raises(PreconditionError, match="null"):
             factorize_transformed(sys)
 
+    @pytest.mark.parametrize("call", [factorize_transformed, inverse_via_factorization])
+    def test_two_minus_d_failing_the_cut_raises(self, call):
+        """lambda_max(D) = 2 - 4e-13 admits alpha = 1, but 2I - D has the eigenvalue
+        4e-13, under its rank cut: both constructors refuse, although the inverse
+        reads 2I - D through its eigenvalues and never forms (2I - D)^{-1}."""
+        sys = BlockSystem(np.diag([0.0, 0.0, 1.0]), np.eye(2, 3), np.array([[1.0, 0.0]]),
+                          np.diag([2.0 - 4e-13, 0.0]), np.array([[1.0]]))
+        with pytest.raises(PreconditionError, match="2I - alpha D is numerically singular"):
+            call(sys)
+
     def test_result_shares_no_array_with_the_held_analysis(self):
         """Writing into one result leaves the next call on the system unchanged."""
         sys, _ = max_deficient(seed=1)
@@ -690,6 +700,21 @@ class TestVerifyIdentities:
         assert by_id["weight_recovery"]["status"] == "skipped"
         assert "null" in by_id["weight_recovery"]["reason"]
         assert by_id["congruence"]["status"] == "ok"
+
+    def test_weight_recovery_keeps_its_rank_cut(self):
+        """Under null(A) = m and N1, A + B^T W^{-1} B is nonsingular for every
+        invertible W, but not to the rank cut when A's nonzero eigenvalues are
+        small next to B^T W^{-1} B: here 1e-8 against 200 (D = 0, alpha = 1 and
+        W^{-1} = 2I).  The oracle says invertible, and verify skips the identity
+        rather than solve with the numerically singular completed matrix."""
+        sys = BlockSystem(np.diag([0.0, 1e-8, 1e-8]), np.array([[10.0, 0.0, 0.0]]),
+                          np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
+        an = _analysis(sys, None)
+        assert an.A.nullity == sys.m and an.n1.is_trivial and an.k_nonsingular
+        entry = verify_identities(sys)[0]
+        assert (entry["id"], entry["status"]) == ("weight_recovery", "skipped")
+        assert entry["reason"] == \
+            "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
 
     @pytest.mark.parametrize("alpha", [1e155, 1e200, 1e308])
     def test_alpha_that_overflows_skips_the_scaled_identities(self, alpha):

@@ -246,6 +246,22 @@ class TestDirectSumIff:
             assert witness_is_sound(sys, diag)
             assert not oracle_invertible(sys)
 
+    def test_r_failing_with_a_trivial_overlap_is_undetermined(self):
+        """b and c are unit vectors of R^20 at the angle 6e-9: R, which compares
+        orthonormal range bases, fails at its unit-scale cut, while the overlap,
+        cut at the scale of [B | C^T] with the stacked shape, keeps the
+        smallest singular value of [b | c], about 4.2e-9, and stays trivial.  The
+        singular step then has no witness, so the rule answers undetermined."""
+        theta = 6e-9
+        b, c = np.zeros((20, 1)), np.zeros((20, 1))
+        b[0], c[:2, 0] = 1.0, (np.cos(theta), np.sin(theta))
+        sys = BlockSystem(np.zeros((1, 1)), b, c.T, np.eye(20), np.zeros((1, 1)))
+        report = condition_report(sys)
+        assert not report.holds("R") and report.holds("DS1") and report.holds("DS2")
+        assert invertibility._analysis(sys, None).overlap.is_trivial
+        diag = direct_sum_iff(sys)
+        assert (diag.verdict, diag.rule, diag.witness) == (Verdict.UNDETERMINED, None, None)
+
     def test_undetermined_when_direct_sum_fails(self):
         # ranges overlap but ker(A) + ker(B) does not fill R^n
         sys = BlockSystem(np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]]),

@@ -1,10 +1,13 @@
 """tools/paired.py, the in-process instrument that compares two checkouts op by
-op, runs end to end: an A/A pass of this checkout on ladder-175 for 3 ops."""
+op, runs end to end: an A/A pass of this checkout on ladder-175 for 3 ops, with
+the traced memory peak of each side."""
 
 import json
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 import dsaddle
 from _families import answers_tool
@@ -12,7 +15,8 @@ from _families import answers_tool
 ROOT = Path(__file__).resolve().parents[1]
 REPORT_KEYS = {"label", "workload", "seed", "ops", "ratio_median", "ratio_ci95",
                "ratio_median_parent_first", "ratio_median_change_first", "parent_op_ms_median",
-               "change_op_ms_median", "parent_src_loc", "change_src_loc", "failures", "host"}
+               "change_op_ms_median", "parent_peak_mib", "change_peak_mib", "parent_src_loc",
+               "change_src_loc", "failures", "host"}
 
 
 def test_a_over_a_pass_on_ladder(monkeypatch, tmp_path):
@@ -38,3 +42,6 @@ def test_a_over_a_pass_on_ladder(monkeypatch, tmp_path):
     assert report["failures"] == [] and report["ops"] == 3
     assert report["parent_src_loc"] == report["change_src_loc"] > 0
     assert report["ratio_ci95"][0] <= report["ratio_median"] <= report["ratio_ci95"][1]
+    # one commit on both sides: the same operations allocate alike
+    assert report["parent_peak_mib"] > 0
+    assert report["change_peak_mib"] == pytest.approx(report["parent_peak_mib"], rel=0.05)

@@ -15,8 +15,11 @@ change's wall time to the parent's; a ratio below 1 means the change is
 faster.  The report is the median ratio with a bootstrap 95% interval, and
 the median per order (parent first, change first), which shows any bias of
 running first or second.  Next to it stand the source lines of each side
-(``src/dsaddle/*.py`` as ``wc -l`` counts them).  It is printed and written to
-``BENCH_<label>.json`` in the working directory.  BLAS is pinned to one thread, as in ``bench/run.py``.
+(``src/dsaddle/*.py`` as ``wc -l`` counts them), and the median ``tracemalloc``
+peak of each side (``parent_peak_mib``, ``change_peak_mib``) over a few more
+operations, run after the timed ones and untimed, since tracing slows every
+allocation.  It is printed and written to ``BENCH_<label>.json`` in the working
+directory.  BLAS is pinned to one thread, as in ``bench/run.py``.
 
 Only the in-process workloads ``ladder-175`` and ``session-525`` are
 supported: ``cli-35`` starts a fresh interpreter per operation.
@@ -36,11 +39,13 @@ import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 BOOTSTRAP = 2000
+PEAK_OPS = 5  # untimed operations per side under tracemalloc
 
 
 def parse_args(argv):
@@ -68,6 +73,17 @@ def load_packages(parent, change, links):
 def src_loc(root):
     """Lines of the checkout's src/dsaddle/*.py, counted as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "dsaddle").glob("*.py"))
+
+
+def traced_peak(run, prepared):
+    """Peak traced memory of one operation, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(prepared)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def median_interval(ratios, rng):
@@ -112,6 +128,13 @@ def main(argv=None):
                     failures.append({"op": i, "package": "ab"[which], "problem": problem})
             first.append(int(order[0]))
 
+        peaks = [[], []]
+        for i in range(PEAK_OPS):
+            prepared = workload.prepare(i)
+            for which in rng.permutation(2):
+                workloads.dsaddle = packages[which]
+                peaks[which].append(traced_peak(workload.run, prepared))
+
     ratios = np.array(seconds[1]) / np.array(seconds[0])
     first = np.array(first)
     boot = np.random.default_rng([args.seed, 11])
@@ -127,6 +150,8 @@ def main(argv=None):
         "ratio_median_change_first": median_interval(ratios[first == 1], boot)[0],
         "parent_op_ms_median": float(np.median(seconds[0]) * 1e3),
         "change_op_ms_median": float(np.median(seconds[1]) * 1e3),
+        "parent_peak_mib": float(np.median(peaks[0])),
+        "change_peak_mib": float(np.median(peaks[1])),
         "parent_src_loc": src_loc(args.parent),
         "change_src_loc": src_loc(args.change),
         "failures": failures,
@@ -137,7 +162,8 @@ def main(argv=None):
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.workload}: change / parent per op {median:.4f} [{low:.4f}, {high:.4f}] "
           f"over {args.ops} ops; parent first {report['ratio_median_parent_first']}, "
-          f"change first {report['ratio_median_change_first']}; src LOC "
+          f"change first {report['ratio_median_change_first']}; traced peak "
+          f"{report['parent_peak_mib']:.3f} -> {report['change_peak_mib']:.3f} MiB; src LOC "
           f"{report['parent_src_loc']} -> {report['change_src_loc']}; "
           f"{len(failures)} failed checks -> {path}")
     return 1 if failures else 0
