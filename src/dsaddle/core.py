@@ -20,13 +20,26 @@ decomposition included, that the decisions of :mod:`dsaddle.invertibility` and
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import PreconditionError
 from .subspaces import _SVD, SubspaceBasis, _SymEig, _above_cut, _as_matrix, _restricted_kernel, \
-    _symmetric, intersection_kernels, is_nonsingular
+    _symmetric, _symmetrized, intersection_kernels, is_nonsingular
 from .tolerances import ToleranceConfig, resolve
+
+
+# dense entries one block may hold, 4096^2 (128 MiB of floats): desk-scale inputs
+# stay far below it, and a file or spec past it is refused before any allocation
+_MAX_ENTRIES = 1 << 24
+
+
+def _within_bound(rows, cols, what):
+    """A ValueError naming the bound when a rows x cols block would exceed it."""
+    if rows * cols > _MAX_ENTRIES:
+        raise ValueError(f"{what} of {rows}x{cols} exceeds the bound of "
+                         f"{_MAX_ENTRIES} dense entries per block")
 
 
 def _block(M, name):
@@ -54,6 +67,34 @@ def _partition(blocks: dict, **sizes) -> dict:
             need = "square" if r == c and shape[0] != shape[1] else "%d x %d" % want
             raise ValueError(f"{name} must be {need}, got {shape}")
     return sizes
+
+
+def _slices(sizes) -> list:
+    """The index range of each block of a partition into consecutive sizes."""
+    ends = list(accumulate(sizes, initial=0))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _place(sizes, blocks: dict, mirror=False) -> np.ndarray:
+    """The square matrix partitioned by sizes with blocks[(i, j)] in block (i, j) and
+    zeros elsewhere; mirror also writes each off-diagonal block's transpose in (j, i)."""
+    cut = _slices(sizes)
+    out = np.zeros((cut[-1].stop,) * 2)
+    for (i, j), M in blocks.items():
+        out[cut[i], cut[j]] = M
+        if mirror and i != j:
+            out[cut[j], cut[i]] = M.T
+    return out
+
+
+def _dims(dims, count=3) -> tuple:
+    """dims as count positive ints, as BlockSystem sizes its blocks; a ValueError
+    names dims otherwise."""
+    dims = tuple(dims)
+    if len(dims) != count or not all(isinstance(d, (int, np.integer))
+                                     and not isinstance(d, bool) and d > 0 for d in dims):
+        raise ValueError(f"dims must be {count} positive integers, got {dims}")
+    return tuple(map(int, dims))
 
 
 class BlockSystem:
@@ -116,39 +157,29 @@ class AssembledMatrix:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        M = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
-        n, m, p = self.dims
-        if M.shape != (n + m + p, n + m + p):
-            raise ValueError(f"matrix shape {M.shape} does not match dims {self.dims}")
+        dims = _dims(self.dims)
+        # a read-only view: the caller's own array stays writeable
+        M = np.ascontiguousarray(np.asarray(self.matrix, dtype=float)).view()
+        if M.shape != (sum(dims),) * 2:
+            raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "dims", (int(n), int(m), int(p)))
+        object.__setattr__(self, "dims", dims)
 
     @property
     def ell(self) -> int:
         return self.matrix.shape[0]
 
-    def _offsets(self):
-        n, m, p = self.dims
-        return (0, n, n + m, n + m + p)
-
     def block(self, i: int, j: int) -> np.ndarray:
         """Partition block (i, j) with i, j in {0, 1, 2}."""
-        off = self._offsets()
-        return self.matrix[off[i]:off[i + 1], off[j]:off[j + 1]]
+        cut = _slices(self.dims)
+        return self.matrix[cut[i], cut[j]]
 
 
 def assemble(sys: BlockSystem) -> AssembledMatrix:
     """Dense K = [[A, B^T, 0], [B, -D, C^T], [0, C, E]]."""
-    n, m, p = sys.dims
-    K = np.zeros((sys.ell, sys.ell))
-    K[:n, :n] = sys.A
-    K[:n, n:n + m] = sys.B.T
-    K[n:n + m, :n] = sys.B
-    K[n:n + m, n:n + m] = -sys.D
-    K[n:n + m, n + m:] = sys.C.T
-    K[n + m:, n:n + m] = sys.C
-    K[n + m:, n + m:] = sys.E
+    K = _place(sys.dims, {(0, 0): sys.A, (1, 0): sys.B, (1, 1): -sys.D, (2, 1): sys.C,
+                          (2, 2): sys.E}, mirror=True)
     return AssembledMatrix(K, sys.dims)
 
 
@@ -160,12 +191,7 @@ def block_reversal_permutation(n: int, m: int, p: int) -> np.ndarray:
     symmetric exactly when n == p, but Q Q^T = I always holds, so the
     conjugated matrix is similar (and congruent) to the original.
     """
-    ell = n + m + p
-    Q = np.zeros((ell, ell))
-    Q[:p, n + m:] = np.eye(p)
-    Q[p:p + m, n:n + m] = np.eye(m)
-    Q[p + m:, :n] = np.eye(n)
-    return Q
+    return np.eye(n + m + p)[np.r_[n + m:n + m + p, n:n + m, :n]]
 
 
 def permute_similar(sys: BlockSystem) -> BlockSystem:
@@ -255,29 +281,27 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     D = 0 any positive alpha is admissible.
     """
     alpha = _checked_alpha(_analysis(sys, tol).D, alpha)
-    n, m, _ = sys.dims
-    Kt = assemble(sys).matrix.copy()
-    Kt[:n, :n], Kt[n:n + m, :n], Kt[n + m:, :n] = _congruence(sys, alpha)
-    Kt[:n, n:] = Kt[n:, :n].T
-    W = np.eye(sys.ell)
-    W[n:n + m, :n] = alpha * sys.B
+    K11, K21, K31 = _congruence(sys, alpha)
+    Kt = _place(sys.dims, {(0, 0): K11, (1, 0): K21, (2, 0): K31, (1, 1): -sys.D,
+                           (2, 1): sys.C, (2, 2): sys.E}, mirror=True)
+    W = np.eye(sys.ell) + _place(sys.dims, {(1, 0): alpha * sys.B})
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
 
 
-def _congruence(sys: BlockSystem, alpha: float) -> tuple:
-    """The blocks (1,1), (2,1) and (3,1) of W^T K W for an alpha the caller has
-    checked: past them and their mirror, W^T K W equals K."""
-    B, D = sys.B, sys.D
-    return (sys.A + alpha * B.T @ (2.0 * np.eye(sys.m) - alpha * D) @ B,
-            B - alpha * D @ B, alpha * sys.C @ B)
+def _congruence(sys: BlockSystem, alpha: float, leading=True) -> tuple:
+    """The blocks (1,1), (2,1) and (3,1) of W^T K W for an alpha the caller has checked:
+    past them and their mirror, W^T K W equals K.  (1,1), None unless leading, is
+    A + alpha B^T (2I - alpha D) B, formed as A + alpha B^T (B + (2,1))."""
+    B = sys.B
+    K21 = B - alpha * sys.D @ B
+    return (sys.A + alpha * B.T @ (B + K21) if leading else None), K21, alpha * sys.C @ B
 
 
 def _projector_from_basis(A, Z: SubspaceBasis):
     """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for a Z^T A Z the caller knows nonsingular."""
     if Z.dim == 0:
         return np.zeros((A.shape[0], A.shape[0]))
-    V = Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T)
-    return 0.5 * (V + V.T)
+    return _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T))
 
 
 class _Analysis:
@@ -356,9 +380,10 @@ class _Analysis:
         E z = 0 and B x + C^T z = 0, so [x; 0; z] is a kernel vector of K."""
         s, a, e = self.sys, self.A.pairs, self.E.pairs
         couple = np.hstack([s.B, s.C.T])
-        return self._intersection((np.concatenate([a[0], e[0]]), _direct_sum(a[1], e[1])),
+        diag = lambda X, Y: _place((s.n, s.p), {(0, 0): X, (1, 1): Y})
+        return self._intersection((np.concatenate([a[0], e[0]]), diag(a[1], e[1])),
                                   (self.A.norm, self.E.norm, self.B.norm, self.Ct.norm),
-                                  [_direct_sum(s.A, s.E), couple], [couple])[0]
+                                  [diag(s.A, s.E), couple], [couple])[0]
 
     @cached_property
     def r(self):
@@ -383,13 +408,6 @@ class _Analysis:
     @property
     def ds2(self) -> bool:
         return self.n3.is_trivial and self.E.nullity == self.Ct.rank
-
-
-def _direct_sum(M1, M2):
-    """The block diagonal matrix diag(M1, M2)."""
-    out = np.zeros(np.add(M1.shape, M2.shape))
-    out[:M1.shape[0], :M1.shape[1]], out[M1.shape[0]:, M1.shape[1]:] = M1, M2
-    return out
 
 
 def _analysis(sys, tol) -> _Analysis:

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import BlockSystem, _analysis
+from .core import BlockSystem, _analysis, _within_bound
 from .errors import GenerationError
-from .subspaces import Definiteness
+from .subspaces import Definiteness, _symmetrized
 from .tolerances import ToleranceConfig, resolve
 
 SPECTRUM_LOW = 0.5
@@ -50,8 +50,7 @@ def _symmetric_from_frame(Q, kernel_cols, eigenvalues):
     mask = np.ones(d, dtype=bool)
     mask[list(kernel_cols)] = False
     vectors = Q[:, mask]
-    M = (vectors * eigenvalues) @ vectors.T
-    return 0.5 * (M + M.T)
+    return _symmetrized((vectors * eigenvalues) @ vectors.T)
 
 
 def gen_psd_with_nullity(d, k, seed) -> np.ndarray:
@@ -122,6 +121,7 @@ class GeneratorSpec:
         n, m, p = spec.n, spec.m, spec.p
         if min(n, m, p) < 1:
             raise ValueError(f"dimensions must be positive, got ({n}, {m}, {p})")
+        _within_bound(max(n, m, p), max(n, m, p), "a block")
         problems = []
         if not 0 <= spec.null_a <= n:
             problems.append(f"null_a={spec.null_a} out of [0, {n}]")
@@ -174,9 +174,10 @@ class GeneratorSpec:
         if not isinstance(data, dict):
             raise ValueError("a generator spec must be a JSON object")
         fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown generator spec fields: {sorted(unknown)}")
+        unknown, missing = set(data) - set(fields), {"n", "m", "p"} - set(data)
+        if unknown or missing:
+            raise ValueError(f"unknown generator spec fields: {sorted(unknown)}" if unknown
+                             else f"generator spec misses the fields {sorted(missing)}")
         for name, value in data.items():
             expected = fields[name].type
             # bool is a subclass of int, but a flag is no count

@@ -14,12 +14,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import BlockSystem, _analysis, _block, _checked_alpha, _congruence, _m_inverse, \
-    _m_spectrum, _partition, _projector_from_basis, assemble
+from .core import AssembledMatrix, BlockSystem, _analysis, _block, _checked_alpha, _congruence, \
+    _dims, _m_inverse, _m_spectrum, _partition, _place, _projector_from_basis, assemble
 from .errors import PreconditionError
 from .invertibility import _require
 from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _singular_values, _spectral_norm, \
-    is_direct_sum, is_nonsingular, rank_threshold
+    _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 from .tolerances import ToleranceConfig
 
 
@@ -117,23 +117,19 @@ def inner_inverse_residual(A, proj: ReducedHessianProjector,
 
 
 @np.errstate(all="ignore")
-def _weight_recovery(an, W=None, alpha=None) -> float:
-    """Residual of the identity for W, or, given alpha, for W = M^{-1} / alpha
-    with M = 2I - alpha D and W^{-1} B = alpha M B in closed form.  A value that
-    overflows makes the identity inapplicable, not a NaN or a warning."""
-    m = an.sys.B.shape[0]
-    winv_b = None
+def _weight_recovery(an, W=None, alpha=None, X=None) -> float:
+    """Residual of the identity for W, or, given alpha, for W = M^{-1} / alpha with
+    M = 2I - alpha D, where A + B^T W^{-1} B is the congruence's (1,1) block X.  A value
+    that overflows makes the identity inapplicable, not a NaN or a warning."""
     if alpha is not None:
         W = _m_inverse(an.D, alpha) / alpha
-        winv_b = alpha * (2.0 * np.eye(m) - alpha * an.sys.D) @ an.sys.B
-    _finite(alpha, W, winv_b)
+    _finite(alpha, W, X)
     _require(an, "null(A) = m", "N1")
     A, B = an.sys.A, an.sys.B
-    if winv_b is None:
+    if X is None:
         if not is_nonsingular(W, an.tol):
             raise PreconditionError("W must be invertible")
-        winv_b = np.linalg.solve(W, B)
-    X = _finite(alpha, A + B.T @ winv_b)[0]
+        X = _finite(alpha, A + B.T @ np.linalg.solve(W, B))[0]
     if not is_nonsingular(X, an.tol):
         raise PreconditionError(
             "A + B^T W^{-1} B is numerically singular; hypotheses do not hold"
@@ -231,13 +227,10 @@ def transformed_schur_complement(sys: BlockSystem, alpha: float | None,
     D = _analysis(sys, tol).D
     alpha = _checked_alpha(D, alpha)
     Minv = _m_inverse(D, alpha)
-    m, p = sys.m, sys.p
-    S = np.zeros((m + p, m + p))
-    S[:m, :m] = -(1.0 / alpha) * Minv
-    S[:m, m:] = Minv @ sys.C.T
-    S[m:, :m] = sys.C @ Minv
-    S[m:, m:] = sys.E - alpha * sys.C @ Minv @ sys.C.T
-    return S
+    CM = sys.C @ Minv
+    S22 = _symmetrized(sys.E - alpha * CM @ sys.C.T)
+    return _place((sys.m, sys.p), {(0, 0): -(1.0 / alpha) * Minv, (1, 0): CM, (1, 1): S22},
+                  mirror=True)
 
 
 @dataclass(frozen=True)
@@ -271,24 +264,16 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     an = _analysis(sys, tol)
-    _, b_one, L21, L31 = _factor_blocks(an)
-    n, m, p = sys.dims
-    ell = sys.ell
-    a_tilde = sys.A + sys.B.T @ (2.0 * np.eye(m) - sys.D) @ sys.B
-    L = np.eye(ell)
-    L[n:n + m, :n] = L21
-    L[n + m:, :n] = L31
-    L[n + m:, n:n + m] = -sys.C
-    mid = np.zeros((ell, ell))
-    mid[:n, :n] = 0.5 * (a_tilde + a_tilde.T)
-    mid[n:n + m, n:n + m] = -_m_inverse(an.D, 1.0)
-    mid[n + m:, n + m:] = sys.E
-    return TransformedFactorization(mid[:n, :n].copy(), b_one, L, mid, sys.dims)
+    (_, L21, L31), (a_tilde, b_one, _) = _factor_blocks(an), _congruence(sys, 1.0)
+    L = np.eye(sys.ell) + _place(sys.dims, {(1, 0): L21, (2, 0): L31, (2, 1): -sys.C})
+    mid = _place(sys.dims, {(0, 0): _symmetrized(a_tilde), (1, 1): -_m_inverse(an.D, 1.0),
+                            (2, 2): sys.E})
+    return TransformedFactorization(a_tilde, b_one, L, mid, sys.dims)
 
 
 def _factor_blocks(an):
-    """a_tilde^{-1}, b_one = B - D B, and the blocks L21 and L31 of the unit
-    triangular factor (L32 is -C) at alpha = 1.  Under the hypotheses A R^T = 0,
+    """a_tilde^{-1}, and L21 = b_one a_tilde^{-1} and L31 = C B a_tilde^{-1} of the unit
+    triangular factor (L32 is -C) at alpha = 1 (b_one = B - D B).  Under the hypotheses A R^T = 0,
     B R^T = I and B V = 0 make a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V
     from A's held eigenbasis.  With Q_D and Lambda_D from D's held eigh,
     2 - lambda > 0 under lambda_max(D) < 2, so the second term is the one product
@@ -296,24 +281,16 @@ def _factor_blocks(an):
     formed; 2I - D must still pass the rank cut, but its inverse is not formed."""
     _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "N1")
     R, V = an.eigenbasis_rv
-    B, C, D = an.sys.B, an.sys.C, an.sys.D
     S = (an.D.eigenvectors.T @ R) / np.sqrt(_m_spectrum(an.D, 1.0))[:, None]
     a_inv = S.T @ S
     a_inv += V
-    b_one = B - D @ B
-    return a_inv, b_one, b_one @ a_inv, (C @ B) @ a_inv
+    _, b_one, cb = _congruence(an.sys, 1.0, leading=False)
+    return a_inv, b_one @ a_inv, cb @ a_inv
 
 
 # ---------------------------------------------------------------------------
 # explicit inverses
 # ---------------------------------------------------------------------------
-
-def _symmetrized(X):
-    """(X + X^T) / 2, written into X."""
-    X += X.T
-    X *= 0.5
-    return X
-
 
 @dataclass(frozen=True)
 class InverseBlocks:
@@ -332,25 +309,15 @@ class InverseBlocks:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         _partition(self.blocks(), **dict(zip("nmp", self.dims)))
 
     @classmethod
     def from_full(cls, M, dims) -> "InverseBlocks":
-        M = _as_matrix(M, "inverse")
-        n, m, p = dims
-        if M.shape != (n + m + p, n + m + p):
-            raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
-        sym = lambda X: 0.5 * (X + X.T)
-        return cls(
-            z11=sym(M[:n, :n]),
-            z12=M[:n, n:n + m].copy(),
-            z13=M[:n, n + m:].copy(),
-            z22=sym(M[n:n + m, n:n + m]),
-            z23=M[n:n + m, n + m:].copy(),
-            z33=sym(M[n + m:, n + m:]),
-            dims=dims,
-        )
+        part = AssembledMatrix(_as_matrix(M, "inverse"), dims)
+        block = lambda i, j: part.block(i, j).copy()
+        sym = lambda i: _symmetrized(block(i, i))
+        return cls(sym(0), block(0, 1), block(0, 2), sym(1), block(1, 2), sym(2), part.dims)
 
     @property
     def full(self) -> np.ndarray:
@@ -376,7 +343,7 @@ class TwoBlockInverse:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims, 2))
         _partition({"X11": self.x11, "X12": self.x12, "X22": self.x22},
                    **dict(zip("nm", self.dims)))
 
@@ -409,8 +376,7 @@ def _two_block(an, D):
     eigenbasis fact of the analysis."""
     _require(an, "A psd", "null(A) = m", "DS1")
     R, V = an.eigenbasis_rv
-    x11 = R.T @ D @ R + V
-    return 0.5 * (x11 + x11.T), R
+    return _symmetrized(R.T @ D @ R + V), R
 
 
 def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
@@ -467,7 +433,7 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
-    a_inv, _, L21, L31 = _factor_blocks(an)
+    a_inv, L21, L31 = _factor_blocks(an)
     _require(an, "E nonsingular")
     B, C, Einv = sys.B, sys.C, an.E.inverse
     I = np.eye(sys.m)
@@ -614,6 +580,8 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     tol = an.tol
     alpha = _checked_alpha(an.D, alpha)
     n, m = sys.n, sys.m
+    with np.errstate(all="ignore"):  # the blocks weight_recovery and congruence read
+        K11, K21, K31 = _congruence(sys, alpha)
     entries = []
 
     def residual_entry(name, fn):
@@ -631,7 +599,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         # columns of K and W^T (K W) adds N^T (K W)[mid] to its first n rows, nothing else,
         # so W^T K W - K~ is zero past the five blocks those rows and columns hold
         A, B, C, D, E = (getattr(sys, k) for k in "ABCDE")
-        N, (K11, K21, K31) = alpha * B, _congruence(sys, alpha)
+        N = alpha * B
 
         def residual_blocks():  # (2,1), (3,1), (1,2), (1,3), then the n x n (1,1)
             yield B - D @ N - K21
@@ -648,7 +616,7 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
         norm_kt = [K11, K21, K21, K31, K31, D, C, C, E]
         return _finite(alpha, _fro_ratio(residual_blocks(), norm_kt))[0]
 
-    residual_entry("weight_recovery", lambda: _weight_recovery(an, alpha=alpha))
+    residual_entry("weight_recovery", lambda: _weight_recovery(an, alpha=alpha, X=K11))
     # Z = ker(B) from the analysis, so the direct sum is the analysis' DS1
     residual_entry("inner_inverse", lambda: _inner_inverse(an, _projector(an, "N1"), an.ds1))
     residual_entry("projector_complement",
@@ -656,11 +624,12 @@ def verify_identities(sys: BlockSystem, tol: ToleranceConfig | None = None,
     residual_entry("reduced_projector",
                    lambda: _fixed_point_residual(sys.A, _projector(an, "N1")))
     residual_entry("congruence", congruence)
+    del K11, K21, K31  # before the nullity bounds form K and solve it
 
     try:
         _require(an, "K invertible")
         z22 = np.linalg.solve(an.K, np.eye(sys.ell, m, -n))[n:n + m]
-        bounds = _z22_bounds(an, 0.5 * (z22 + z22.T))
+        bounds = _z22_bounds(an, _symmetrized(z22))
         entries.append({"id": "nullity_bounds",
                         "status": "ok" if bounds.satisfied else "failed",
                         "detail": bounds.to_dict()})

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlockSystem
+from .core import BlockSystem, _within_bound
 
 _MIRROR = {"general": 0, "symmetric": 1, "skew-symmetric": -1}  # sign of a_ji / a_ij
 
@@ -52,6 +52,7 @@ def _parse(f) -> np.ndarray:
     sign = _MIRROR[symmetry]
     if min(rows, cols) < 1:
         raise ValueError(f"matrix dimensions {rows}x{cols} are not positive")
+    _within_bound(rows, cols, "a matrix")
     if sign and rows != cols:
         raise ValueError(f"{symmetry} storage needs a square matrix, got {rows}x{cols}")
     width = 1 if fmt == "array" else 2 if field == "pattern" else 3

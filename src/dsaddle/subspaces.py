@@ -269,6 +269,13 @@ def _symmetric(M) -> bool:
     return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * norm)
 
 
+def _symmetrized(X):
+    """(X + X^T) / 2 written into X, a fresh array: bit for bit 0.5 * (X + X^T)."""
+    X += X.T
+    X *= 0.5
+    return X
+
+
 def _singular_values(M, symmetric=False) -> np.ndarray:
     """Singular values of M, unordered: for M symmetric by construction or by
     the symmetry test, the |eigenvalues| of one eigvalsh of its symmetric
@@ -353,8 +360,7 @@ class _SymEig:
 
     def inverse_of(self, values) -> np.ndarray:
         """Q diag(1 / values) Q^T over the eigenvectors Q, symmetrized."""
-        inv = (self.eigenvectors / values) @ self.eigenvectors.T
-        return 0.5 * (inv + inv.T)
+        return _symmetrized((self.eigenvectors / values) @ self.eigenvectors.T)
 
     @cached_property
     def inverse(self) -> np.ndarray:

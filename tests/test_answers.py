@@ -39,8 +39,8 @@ def test_r_matches_its_stacked_reference_on_the_clean_corpora():
 
 
 def test_cli_transcript_reaches_every_exit_and_repeats(capsys):
-    """tools/cli_answers.py runs, reaches exits 0, 1, 2, 64 and 65, and prints
-    the same bytes twice."""
+    """tools/cli_answers.py runs, reaches exits 0, 1, 2, 64 and 65, prints the
+    same bytes twice, and lists the id:status of each verify report it reads."""
     tool = answers_tool("cli_answers")
     assert tool.main() == 0
     first = capsys.readouterr().out
@@ -51,3 +51,15 @@ def test_cli_transcript_reaches_every_exit_and_repeats(capsys):
     assert len(lines) == 1 + len(list(tool.invocations()))
     exits = {line.split(" exit=")[1].split()[0] for line in lines[:-1]}
     assert exits == {"0", "1", "2", "64", "65"}
+    identities = ["weight_recovery", "inner_inverse", "projector_complement",
+                  "reduced_projector", "congruence", "nullity_bounds"]
+    reports = 0
+    for line in lines[:-1]:
+        argv, rest = line.split("] ", 1)
+        fields = dict(field.split("=", 1) for field in rest.split())
+        if argv.startswith('["verify"') and '"--help"' not in argv and fields["exit"] in "012":
+            pairs = [pair.split(":") for pair in fields["identities"].split(",")]
+            assert [name for name, _ in pairs] == identities, line
+            assert {status for _, status in pairs} <= {"ok", "failed", "skipped"}, line
+            reports += 1
+    assert reports

@@ -3,6 +3,7 @@ a malformed file could crash the process."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsaddle import load_block_system, read_matrix, save_block_system
+from dsaddle import GeneratorSpec, gen_instance, load_block_system, read_matrix, \
+    save_block_system
 from dsaddle.cli import main
 
 from _families import fixture_three_block, fixture_three_block_inverse
@@ -296,6 +298,9 @@ MALFORMED = (
     ("complex_block", ["diagnose", "{complex}"], None, 65),
     ("out_is_existing_file", ["invert", "{blocks}", "--out", "{spec}"], None, 65),
     ("spec_is_directory", ["generate", "--spec", "{blocks}", "--out", "{out}"], None, 65),
+    # 26.8 GiB of dense frame, refused before any allocation
+    ("spec_past_the_size_bound", ["generate", "--spec", "{spec}", "--out", "{out}"],
+     {"n": 60000, "m": 2, "p": 2}, 65),
 )
 
 
@@ -352,6 +357,83 @@ def test_malformed_matrix_file_exits_65(tmp_path, name, content):
     assert proc.returncode == 65, (proc.returncode, proc.stderr)
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+# tokens a mutation writes in place of one: none makes a size line larger than 7 x 7
+TOKENS = ("0", "-1", "2", "7", "1.5", "-0.0", "1e308", "-1e308", "1e-320", "nan", "inf",
+          "x", "%", "", "3 3", "1 2 3")
+BANNER_WORDS = ("array", "coordinate", "real", "double", "integer", "pattern", "complex",
+                "general", "symmetric", "skew-symmetric", "hermitian", "vector")
+SPEC_VALUES = (-1, 0, 1, 2, 3, 5, 1.5, "2", True, False, None, [], "psd", "indefinite")
+
+
+def _mutated(path, rng):
+    """The file's text, or that of its matrix as a coordinate file, with one line
+    deleted, duplicated or cut, or one token replaced."""
+    text = path.read_text()
+    if rng.random() < 0.3:
+        M = read_matrix(path)
+        text = (f"%%MatrixMarket matrix coordinate real general\n{M.shape[0]} {M.shape[1]} "
+                f"{M.size}\n" + "".join(f"{i + 1} {j + 1} {float(v)!r}\n"
+                                       for (i, j), v in np.ndenumerate(M)))
+    lines = text.splitlines(keepends=True)
+    k, kind = rng.randrange(len(lines)), rng.randrange(4)
+    if kind == 0:
+        del lines[k]
+    elif kind == 1:
+        lines.insert(k, lines[rng.randrange(len(lines))])
+    elif kind == 2:
+        lines[k] = lines[k][:rng.randrange(len(lines[k]) + 1)]
+    else:
+        words = lines[k].split() or [""]
+        words[rng.randrange(len(words))] = rng.choice(BANNER_WORDS if k == 0 else TOKENS)
+        lines[k] = " ".join(words) + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_mutated_inputs_exit_with_a_defined_code(tmp_path, capsys):
+    """Seeded mutations of valid block files and spec JSON, over all four
+    subcommands, exit 0, 1, 2, 64 or 65: never 70, the code of a bug.  As in a
+    CLI process, numpy's floating-point warnings (an entry near the float
+    maximum overflows products) print and do not raise."""
+    rng = random.Random(0)
+    bases = [fixture_three_block(), gen_instance(GeneratorSpec(6, 3, 2, null_a=3,
+                                                              require_ds1=True, seed=1))[0]]
+    spec = {"n": 4, "m": 2, "p": 3, "null_a": 2, "rank_b": 2, "null_e": 1, "seed": 5}
+    for k, base in enumerate(bases):
+        save_block_system(tmp_path / f"blocks{k}", base)
+    codes, out = {}, str(tmp_path / "out")
+    for case in range(300):
+        directory, restore = tmp_path / f"blocks{case % 2}", None
+        command = rng.choice(("diagnose", "invert", "verify", "generate"))
+        if command == "generate":
+            mutated = dict(spec)
+            if rng.random() < 0.2:
+                mutated.pop(rng.choice(list(mutated)))
+            else:
+                mutated[rng.choice(list(GeneratorSpec.__dataclass_fields__))] = \
+                    rng.choice(SPEC_VALUES)
+            text = json.dumps(mutated)
+            (tmp_path / "spec.json").write_text(text[:rng.randrange(len(text) - 5, len(text) + 1)])
+            argv = ["generate", "--spec", str(tmp_path / "spec.json"), "--out", out]
+        else:
+            path = directory / f"{rng.choice('ABCDE')}.mtx"
+            restore = path, path.read_text()
+            if rng.random() < 0.1:
+                path.unlink()
+            else:
+                path.write_text(_mutated(path, rng))
+            argv = [command, str(directory)] + {
+                "diagnose": [], "invert": ["--out", out] + ["--allow-dense"] * rng.randrange(2),
+                "verify": ["--alpha", rng.choice(("0.5", "5.0", "nan", "1e300"))] * rng.randrange(2),
+            }[command]
+        code = main(argv + ["--format", rng.choice(("text", "json"))])
+        codes.setdefault(code, argv)
+        if restore:
+            restore[0].write_text(restore[1])
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 64, 65}, codes
 
 
 def test_unexpected_error_exit_70(fixture_dir, capsys, monkeypatch):

@@ -80,6 +80,18 @@ class TestBlockSystem:
     def test_partition_must_match_the_matrix(self, make):
         with pytest.raises(ValueError, match="does not match dims"):
             make(np.eye(3), (2, 1, 1))
+        # dims whose blocks (0, 0) and (2, 2) overlap, and dims read as (1, 0, 1)
+        for matrix, dims in ((np.arange(16.0).reshape(4, 4), (-1, 2, 3)),
+                             (np.zeros((3, 3)), (1.5, 0.5, 1))):
+            with pytest.raises(ValueError, match=r"dims must be 3 positive integers, got \("):
+                make(matrix, dims)
+
+    def test_assembled_matrix_leaves_the_callers_array_writeable(self):
+        M = np.eye(4)
+        K = AssembledMatrix(M, (2, 1, 1))
+        assert M.flags.writeable and not K.matrix.flags.writeable
+        InverseBlocks.from_full(M, (2, 1, 1))
+        assert M.flags.writeable
 
     def test_system_owns_its_blocks(self):
         """Each block is copied: the caller's array stays writeable, and

@@ -290,6 +290,13 @@ class TestTransformedSchur:
             np.testing.assert_array_equal(transformed_schur_complement(sys, None),
                                           transformed_schur_complement(sys, default_alpha(sys)))
 
+    def test_is_exactly_symmetric(self):
+        for seed in range(20):
+            sys, _ = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True,
+                                                null_d=seed % 3, seed=seed))
+            S = transformed_schur_complement(sys, None)
+            assert np.array_equal(S, S.T), seed
+
     def test_alpha_at_the_bound_raises(self):
         sys, _ = max_deficient(seed=0)
         with pytest.raises(PreconditionError, match="2I - alpha D is numerically singular"):

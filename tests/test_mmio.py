@@ -4,6 +4,8 @@ scipy (from the ``test`` extra) is the independent reader and writer the
 numpy implementation is checked against, bitwise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
@@ -206,6 +208,20 @@ def test_malformed_file_raises_value_error_naming_it(tmp_path, content):
     with pytest.raises(ValueError, match="bad.mtx") as info:
         read_matrix(path)
     assert "\n" not in str(info.value)
+
+
+def test_size_past_the_bound_is_refused_before_allocating(tmp_path):
+    """A 100000 x 100000 size line would ask for 74.5 GiB of dense entries."""
+    path = tmp_path / "A.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n100000 100000 1\n1 1 1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="A.mtx: .* exceeds the bound of 16777216 dense"):
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_undecodable_bytes_raise_value_error_naming_the_file(tmp_path):

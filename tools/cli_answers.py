@@ -4,7 +4,9 @@
 
 runs ``dsaddle.cli.main(argv)`` in process over a fixed corpus and prints one
 line per invocation: the argv, the exit code, and a sha256 of stdout, of
-stderr and of the files the invocation wrote.  The temporary directory that
+stderr and of the files the invocation wrote.  A ``verify`` report (exit 0, 1
+or 2) adds its ordered ``id:status`` list, so a status that changes reads apart
+from residual digits that move.  The temporary directory that
 holds the corpus is replaced by ``<tmp>`` before anything is printed or
 hashed.  The last line is a sha256 of all the lines.  Two runs print the same
 bytes, so the transcript of one commit diffs against another's: run it once
@@ -112,14 +114,26 @@ def files_digest(out: Path) -> str:
     return h.hexdigest()[:16]
 
 
+def statuses(argv, report: str) -> str:
+    """The ordered id:status list of a verify report, JSON or text ("id: status ...")."""
+    if "json" in argv:
+        pairs = [(e["id"], e["status"]) for e in json.loads(report)["identities"]]
+    else:
+        pairs = [line.split(": ", 1) for line in report.splitlines()]
+    return ",".join(f"{name}:{rest.split()[0]}" for name, rest in pairs)
+
+
 def run(argv, root: str) -> str:
     """The transcript line of one invocation."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = dsaddle_main(argv)
     out, err = (s.getvalue().replace(root, PLACEHOLDER).encode() for s in (stdout, stderr))
-    return " ".join([json.dumps([a.replace(root, PLACEHOLDER) for a in argv]), f"exit={code}",
-                     f"stdout={digest(out)}", f"stderr={digest(err)}"])
+    fields = [json.dumps([a.replace(root, PLACEHOLDER) for a in argv]), f"exit={code}",
+              f"stdout={digest(out)}", f"stderr={digest(err)}"]
+    if argv[:1] == ["verify"] and "--help" not in argv and code in (0, 1, 2):
+        fields.append(f"identities={statuses(argv, out.decode())}")
+    return " ".join(fields)
 
 
 def main() -> int:
