@@ -152,7 +152,8 @@ def _cmd_invert(args, tol: ToleranceConfig) -> int:
         inv = dense_inverse_blocks(system)
         constructor = "dense"
 
-    misfit = assemble(system).matrix @ inv.full - np.eye(system.ell)
+    misfit = assemble(system).matrix @ inv.full
+    misfit[np.diag_indices_from(misfit)] -= 1.0  # K X - I
     manifest = {
         "schema": "dsaddle.inverse-manifest/1",
         "constructor": constructor,

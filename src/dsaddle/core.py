@@ -284,7 +284,8 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     K11, K21, K31 = _congruence(sys, alpha)
     Kt = _place(sys.dims, {(0, 0): K11, (1, 0): K21, (2, 0): K31, (1, 1): -sys.D,
                            (2, 1): sys.C, (2, 2): sys.E}, mirror=True)
-    W = np.eye(sys.ell) + _place(sys.dims, {(1, 0): alpha * sys.B})
+    W = _place(sys.dims, {(1, 0): alpha * sys.B})
+    np.fill_diagonal(W, 1.0)
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
 
 

@@ -264,16 +264,19 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     an = _analysis(sys, tol)
-    (_, L21, L31), (a_tilde, b_one, _) = _factor_blocks(an), _congruence(sys, 1.0)
-    L = np.eye(sys.ell) + _place(sys.dims, {(1, 0): L21, (2, 0): L31, (2, 1): -sys.C})
+    a_tilde, b_one, cb = _congruence(sys, 1.0)
+    _, L21, L31 = _factor_blocks(an, b_one, cb)
+    L = _place(sys.dims, {(1, 0): L21, (2, 0): L31, (2, 1): -sys.C})
+    np.fill_diagonal(L, 1.0)
     mid = _place(sys.dims, {(0, 0): _symmetrized(a_tilde), (1, 1): -_m_inverse(an.D, 1.0),
                             (2, 2): sys.E})
     return TransformedFactorization(a_tilde, b_one, L, mid, sys.dims)
 
 
-def _factor_blocks(an):
+def _factor_blocks(an, b_one, cb):
     """a_tilde^{-1}, and L21 = b_one a_tilde^{-1} and L31 = C B a_tilde^{-1} of the unit
-    triangular factor (L32 is -C) at alpha = 1 (b_one = B - D B).  Under the hypotheses A R^T = 0,
+    triangular factor (L32 is -C) at alpha = 1, from the congruence blocks b_one = B - D B
+    and cb = C B.  Under the hypotheses A R^T = 0,
     B R^T = I and B V = 0 make a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V
     from A's held eigenbasis.  With Q_D and Lambda_D from D's held eigh,
     2 - lambda > 0 under lambda_max(D) < 2, so the second term is the one product
@@ -284,7 +287,6 @@ def _factor_blocks(an):
     S = (an.D.eigenvectors.T @ R) / np.sqrt(_m_spectrum(an.D, 1.0))[:, None]
     a_inv = S.T @ S
     a_inv += V
-    _, b_one, cb = _congruence(an.sys, 1.0, leading=False)
     return a_inv, b_one @ a_inv, cb @ a_inv
 
 
@@ -321,9 +323,9 @@ class InverseBlocks:
 
     @property
     def full(self) -> np.ndarray:
-        return np.block([[self.z11, self.z12, self.z13],
-                         [self.z12.T, self.z22, self.z23],
-                         [self.z13.T, self.z23.T, self.z33]])
+        return _place(self.dims, {(0, 0): self.z11, (0, 1): self.z12, (0, 2): self.z13,
+                                  (1, 1): self.z22, (1, 2): self.z23, (2, 2): self.z33},
+                      mirror=True)
 
     def blocks(self) -> dict:
         return {"Z11": self.z11, "Z12": self.z12, "Z13": self.z13,
@@ -349,7 +351,8 @@ class TwoBlockInverse:
 
     @property
     def full(self) -> np.ndarray:
-        return np.block([[self.x11, self.x12], [self.x12.T, self.x22]])
+        return _place(self.dims, {(0, 0): self.x11, (0, 1): self.x12, (1, 1): self.x22},
+                      mirror=True)
 
 
 def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockInverse:
@@ -433,7 +436,7 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
-    a_inv, L21, L31 = _factor_blocks(an)
+    a_inv, L21, L31 = _factor_blocks(an, *_congruence(sys, 1.0, leading=False)[1:])
     _require(an, "E nonsingular")
     B, C, Einv = sys.B, sys.C, an.E.inverse
     I = np.eye(sys.m)

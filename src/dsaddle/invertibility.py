@@ -23,7 +23,7 @@ an explicit kernel vector of the assembled matrix.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -93,15 +93,12 @@ class Diagnosis:
     rule: str | None
     report: ConditionReport
     witness: np.ndarray | None = None
-    oracle_check: bool | None = None
 
     def to_dict(self):
         out = {"verdict": self.verdict.value, "rule": self.rule}
         out.update(self.report.to_dict())
         if self.witness is not None:
             out["witness"] = [float(x) for x in self.witness]
-        if self.oracle_check is not None:
-            out["oracle_check"] = bool(self.oracle_check)
         return out
 
 
@@ -403,8 +400,7 @@ def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> b
     return _analysis(sys, tol).k_nonsingular
 
 
-def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
-             with_oracle: bool = False) -> Diagnosis:
+def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Run the whole ladder and return the first definitive verdict.
 
     Order: the necessary conditions (any failure short-circuits to
@@ -412,12 +408,8 @@ def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None,
     e_iff_rule, corollary_rules, rank_b_iff, rank_c_iff, direct_sum_iff,
     psd_ladder, psd_iff.  The order is fixed so reports are reproducible.
     Every rule, and every later call on the same system and tolerance, reads
-    the one analysis the system holds.
-    With ``with_oracle`` the dense ground truth is attached to the diagnosis.
+    the one analysis the system holds, :func:`oracle_invertible` included.
     """
     an = _analysis(sys, tol)
     report = condition_report(sys, an.tol)
-    result = _necessary_failure(an, report) or _walk(an, report)
-    if with_oracle:
-        result = replace(result, oracle_check=an.k_nonsingular)
-    return result
+    return _necessary_failure(an, report) or _walk(an, report)

@@ -269,10 +269,11 @@ def _symmetric(M) -> bool:
     return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * norm)
 
 
-def _symmetrized(X):
-    """(X + X^T) / 2 written into X, a fresh array: bit for bit 0.5 * (X + X^T)."""
+def _symmetrized(X, copy=False):
+    """X/2 + (X/2)^T into X, a fresh array, or with copy into a new one: it cannot overflow
+    for a finite X, and is bit for bit 0.5 * (X + X^T) where that is finite and normal."""
+    X = np.multiply(X, 0.5, out=None if copy else X)
     X += X.T
-    X *= 0.5
     return X
 
 
@@ -281,7 +282,7 @@ def _singular_values(M, symmetric=False) -> np.ndarray:
     the symmetry test, the |eigenvalues| of one eigvalsh of its symmetric
     part, at half the cost of the SVD that reads any other M."""
     if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
-        return np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))
+        return np.abs(np.linalg.eigvalsh(_symmetrized(M, copy=True)))
     return np.linalg.svd(M, compute_uv=False)
 
 
@@ -315,7 +316,7 @@ class _SymEig:
         self.matrix = M = _as_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise ValueError(f"definiteness needs a square matrix, got {M.shape}")
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(0.5 * (M + M.T))
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(_symmetrized(M, copy=True))
         self.nonzero = _above_cut(np.abs(self.eigenvalues), M.shape, self.tol)
 
     @cached_property

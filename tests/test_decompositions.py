@@ -26,9 +26,9 @@ the overlap and R take one restricted-kernel step: each restricts the later
 blocks to a kernel the analysis holds (for R, the complement U⊥^T of the
 block of larger rank to the range of the other), so no stacked SVD runs on
 clean inputs.  Each ladder exit has its own decomposition ceiling, and R
-runs no SVD when B or C has rank m.  The factorization inverse and verify,
-each cold after diagnose and three_block_inverse, have a traced memory
-ceiling too.
+runs no SVD when B or C has rank m.  The factorization inverse, verify, the
+factorization itself and the congruence transform, each cold after diagnose
+and three_block_inverse, have a traced memory ceiling too.
 """
 
 import os
@@ -255,8 +255,10 @@ def test_inverse_constructors_read_held_decompositions(kernels, name):
 # tracemalloc peak, in KiB, of a cold call run after diagnose and three_block_inverse, as
 # a session runs them, on one null(A) = m, DS1 system at (60, 30, 15): the factorization
 # inverse forms only the blocks it keeps, and verify's congruence check forms one block of
-# W^T K W - K~ at a time
-PEAK_KIB = {"inverse_via_factorization": 195, "verify_identities": 185}
+# W^T K W - K~ at a time; the factorization's L and the congruence's W are each one placed
+# ell x ell array with its unit diagonal set in place (congruence_transform at default_alpha)
+PEAK_KIB = {"inverse_via_factorization": 195, "verify_identities": 185,
+            "factorize_transformed": 285, "congruence_transform": 245}
 
 
 @pytest.mark.parametrize("name", PEAK_KIB)
@@ -265,9 +267,10 @@ def test_session_call_stays_within_memory_ceiling(name):
     system = cold_copy(system)
     diagnose(system)
     three_block_inverse(system)
+    args = (default_alpha(system),) if name == "congruence_transform" else ()
     tracemalloc.start()
     try:
-        getattr(dsaddle, name)(system)
+        getattr(dsaddle, name)(system, *args)
         peak = tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
@@ -279,7 +282,6 @@ def test_session_call_stays_within_memory_ceiling(name):
 # and z22_nullity_bounds reads an inverse the caller passes in
 SECOND_CALLS = {
     "diagnose": diagnose,
-    "diagnose with oracle": lambda system: diagnose(system, with_oracle=True),
     **{name: getattr(dsaddle, name) for name in (
         "schur_sufficient", "psd_ladder", "corollary_rules", "direct_sum_iff", "rank_b_iff",
         "rank_c_iff", "e_iff_rule", "psd_iff", "condition_report", "necessary_conditions",
@@ -324,7 +326,8 @@ def test_assembled_matrix_is_decomposed_once(counts, targets, rule):
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
         counts.update(on_square=0, square=(system.ell, system.ell))
-        diagnosis = diagnose(system, with_oracle=True)
+        diagnosis = diagnose(system)
+        oracle_invertible(system)
         assert diagnosis.rule == rule
         assert counts["on_square"] <= 1, (diagnosis.verdict, counts)
         counts["on_square"] = 0
@@ -351,7 +354,8 @@ def test_diagnose_takes_no_eigenvectors_of_k(monkeypatch, targets, rule):
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, seed=seed, **targets))
         shapes.clear()
-        assert diagnose(system, with_oracle=True).rule == rule
+        assert diagnose(system).rule == rule
+        oracle_invertible(system)
         assert (system.ell, system.ell) not in shapes, shapes
 
 

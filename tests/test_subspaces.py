@@ -19,7 +19,7 @@ from dsaddle import (
     range_basis,
     range_intersection_trivial,
 )
-from dsaddle.subspaces import _SymEig, _spectral_norm
+from dsaddle.subspaces import _SymEig, _singular_values, _spectral_norm
 
 
 def random_rank_matrix(rng, rows, cols, rank):
@@ -382,3 +382,15 @@ def test_asymmetric_input_takes_the_svd(monkeypatch):
         seen = _counting_kernels(monkeypatch)
         assert is_nonsingular(M) == expected
         assert seen == ["svd"]
+
+
+def test_entries_near_the_float_maximum_keep_a_finite_spectrum():
+    """The symmetric part is halved before it is summed, so a finite symmetric M
+    with entries of +-1e308, where M + M^T overflows, reads a finite spectrum
+    and raises no overflow warning (pytest turns one into an error)."""
+    M = np.array([[1e308, 0.0, 0.0], [0.0, 1.0, -1e308], [0.0, -1e308, 1.0]])
+    eigenvalues = _SymEig(M).eigenvalues
+    assert eigenvalues == pytest.approx([-1e308, 1e308, 1e308], rel=1e-12)
+    assert _singular_values(M) == pytest.approx([1e308] * 3, rel=1e-12)
+    assert is_nonsingular(M)
+    assert classify_definiteness(M) is Definiteness.INDEFINITE

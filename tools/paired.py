@@ -21,8 +21,12 @@ operations, run after the timed ones and untimed, since tracing slows every
 allocation.  It is printed and written to ``BENCH_<label>.json`` in the working
 directory.  BLAS is pinned to one thread, as in ``bench/run.py``.
 
-Only the in-process workloads ``ladder-175`` and ``session-525`` are
-supported: ``cli-35`` starts a fresh interpreter per operation.
+``cli-35`` starts a fresh ``python -m dsaddle.cli`` per operation, through the
+workload's own ``run``: each side's process gets that checkout's ``src`` on
+``PYTHONPATH`` and its directory as the working directory, and the two
+processes of an operation run in random order like the in-process calls.
+The in-process package of each side still serves the workload's ``check``.
+Its traced peaks are null, since tracemalloc cannot see another process.
 """
 
 import os
@@ -52,7 +56,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--workload", required=True, choices=("ladder-175", "session-525"))
+    parser.add_argument("--workload", required=True,
+                        choices=("ladder-175", "session-525", "cli-35"))
     parser.add_argument("--ops", type=int, default=60, help="operations, each run by both")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument("--label", help="names BENCH_<label>.json (default: the workload)")
@@ -86,6 +91,16 @@ def traced_peak(run, prepared):
         tracemalloc.stop()
 
 
+def sides_of(workload, roots):
+    """For a workload that starts processes (one with an ``env``), each side's
+    checkout directory and environment, as the workload builds them for that
+    checkout; None for each side of an in-process workload."""
+    if not hasattr(workload, "env"):
+        return [None, None]
+    made = [type(workload)(workload.seed, workload.workdir, root.resolve()) for root in roots]
+    return [{"root": side.root, "env": side.env} for side in made]
+
+
 def median_interval(ratios, rng):
     """Median of the ratios and the 2.5 and 97.5 percentiles of its bootstrap."""
     ratios = np.asarray(ratios)
@@ -106,8 +121,14 @@ def main(argv=None):
         import workloads
         workload = workloads.WORKLOADS[args.workload](args.seed, tmp / "work", args.parent)
         workload.build()
-        for package in packages:
-            workloads.dsaddle = package
+        sides = sides_of(workload, (args.parent, args.change))
+
+        def select(which):
+            workloads.dsaddle = packages[which]
+            vars(workload).update(sides[which] or {})
+
+        for which in range(2):
+            select(which)
             workload.warm_up()
 
         rng = np.random.default_rng([args.seed, 7])
@@ -118,7 +139,7 @@ def main(argv=None):
             prepared = workload.prepare(i)
             order = rng.permutation(2)
             for which in order:
-                workloads.dsaddle = packages[which]
+                select(which)
                 gc.collect()
                 t0 = time.perf_counter()
                 result = workload.run(prepared)
@@ -129,10 +150,10 @@ def main(argv=None):
             first.append(int(order[0]))
 
         peaks = [[], []]
-        for i in range(PEAK_OPS):
+        for i in range(PEAK_OPS if sides[0] is None else 0):
             prepared = workload.prepare(i)
             for which in rng.permutation(2):
-                workloads.dsaddle = packages[which]
+                select(which)
                 peaks[which].append(traced_peak(workload.run, prepared))
 
     ratios = np.array(seconds[1]) / np.array(seconds[0])
@@ -150,8 +171,8 @@ def main(argv=None):
         "ratio_median_change_first": median_interval(ratios[first == 1], boot)[0],
         "parent_op_ms_median": float(np.median(seconds[0]) * 1e3),
         "change_op_ms_median": float(np.median(seconds[1]) * 1e3),
-        "parent_peak_mib": float(np.median(peaks[0])),
-        "change_peak_mib": float(np.median(peaks[1])),
+        "parent_peak_mib": float(np.median(peaks[0])) if peaks[0] else None,
+        "change_peak_mib": float(np.median(peaks[1])) if peaks[1] else None,
         "parent_src_loc": src_loc(args.parent),
         "change_src_loc": src_loc(args.change),
         "failures": failures,
@@ -159,11 +180,12 @@ def main(argv=None):
                  "machine": platform.machine(), "cpus": os.cpu_count()},
     }
     path = Path(f"BENCH_{report['label']}.json")
+    mib = lambda peak: "null" if peak is None else f"{peak:.3f}"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.workload}: change / parent per op {median:.4f} [{low:.4f}, {high:.4f}] "
           f"over {args.ops} ops; parent first {report['ratio_median_parent_first']}, "
           f"change first {report['ratio_median_change_first']}; traced peak "
-          f"{report['parent_peak_mib']:.3f} -> {report['change_peak_mib']:.3f} MiB; src LOC "
+          f"{mib(report['parent_peak_mib'])} -> {mib(report['change_peak_mib'])} MiB; src LOC "
           f"{report['parent_src_loc']} -> {report['change_src_loc']}; "
           f"{len(failures)} failed checks -> {path}")
     return 1 if failures else 0
