@@ -17,6 +17,8 @@ see :class:`dsaddle.ToleranceConfig` for the single rank policy.
 from .core import (
     AssembledMatrix,
     BlockSystem,
+    GenerationError,
+    PreconditionError,
     alpha_upper_bound,
     assemble,
     block_reversal_permutation,
@@ -26,7 +28,6 @@ from .core import (
     permute_similar,
     rescale_middle,
 )
-from .errors import GenerationError, PreconditionError
 from .generators import (
     GeneratorSpec,
     InstanceCertificate,
@@ -81,8 +82,10 @@ from .mmio import (
     write_matrix,
 )
 from .subspaces import (
+    DEFAULT_TOL,
     Definiteness,
     SubspaceBasis,
+    ToleranceConfig,
     classify_definiteness,
     intersection_kernels,
     is_direct_sum,
@@ -93,7 +96,6 @@ from .subspaces import (
     range_basis,
     range_intersection_trivial,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __version__ = "0.1.0"
 

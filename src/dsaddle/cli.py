@@ -24,15 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import assemble
-from .errors import GenerationError, PreconditionError
+from .core import GenerationError, PreconditionError, assemble
 from .generators import GeneratorSpec, gen_instance
 from .inverses import dense_inverse_blocks, three_block_inverse, verify_identities
 from .invertibility import Verdict, diagnose, oracle_invertible
 from .mmio import canonical_json, load_block_system, save_block_system, \
     save_inverse_blocks, write_json
-from .subspaces import _spectral_norm
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .subspaces import DEFAULT_TOL, ToleranceConfig, _spectral_norm
 
 EXIT_INVERTIBLE = 0
 EXIT_SINGULAR = 1

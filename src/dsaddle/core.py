@@ -15,6 +15,8 @@ double-negation mistakes.
 A system holds one analysis per tolerance: every fact of its blocks, each
 decomposition included, that the decisions of :mod:`dsaddle.invertibility` and
 :mod:`dsaddle.inverses` read, so those decisions decompose no block themselves.
+Both check their hypotheses by name against the one table here, and raise the
+package's error types, defined here too.
 """
 
 import weakref
@@ -24,10 +26,24 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import PreconditionError
-from .subspaces import _SVD, SubspaceBasis, _SymEig, _above_cut, _as_matrix, _restricted_kernel, \
-    _symmetric, _symmetrized, intersection_kernels, is_nonsingular
-from .tolerances import ToleranceConfig, resolve
+from .subspaces import _SVD, Definiteness, SubspaceBasis, _SymEig, ToleranceConfig, _above_cut, \
+    _as_matrix, _resolve, _restricted_kernel, _symmetric, _symmetrized, intersection_kernels, \
+    is_nonsingular
+
+
+class PreconditionError(ValueError):
+    """A mathematical hypothesis of the requested operation does not hold.
+
+    Raised when the inputs are well formed but fail a condition the result
+    would silently depend on (definiteness, nullity, an admissible interval).
+    Distinguished from ValueError so callers can tell malformed arguments
+    apart from violated hypotheses.
+    """
+
+
+class GenerationError(RuntimeError):
+    """The instance generator exhausted its retry budget without hitting
+    every requested target."""
 
 
 # dense entries one block may hold, 4096^2 (128 MiB of floats): desk-scale inputs
@@ -413,13 +429,69 @@ class _Analysis:
 
 def _analysis(sys, tol) -> _Analysis:
     """The analysis a BlockSystem holds for tol (made on first use), else a fresh one."""
-    tol = resolve(tol)
+    tol = _resolve(tol)
     if not isinstance(sys, BlockSystem):
         return _Analysis(sys, tol)
     an = sys._analyses.get(tol)
     if an is None:
         an = sys._analyses[tol] = _Analysis(weakref.proxy(sys), tol)
     return an
+
+
+def _block_hypotheses(k):
+    """The definiteness, nonsingularity and zero tests of the diagonal block k."""
+    return {
+        f"{k} psd": lambda an: (getattr(an, k).definiteness.is_psd,
+                                f"{k} must be positive semidefinite"),
+        f"{k} pd": lambda an: (getattr(an, k).definiteness is Definiteness.POSITIVE_DEFINITE,
+                               f"{k} must be positive definite"),
+        f"{k} nonsingular": lambda an: (getattr(an, k).nonsingular, f"{k} must be nonsingular"),
+        f"{k} = 0": lambda an: (not getattr(an.sys, k).any(), f"{k} must be the zero block"),
+    }
+
+
+# the named hypotheses, each checked in one place for the ladder rows of dsaddle.invertibility
+# and the constructors of dsaddle.inverses: name -> predicate on an analysis, giving whether
+# it holds and the reason a constructor gives when it fails; m is read from B, so analyses of
+# loose blocks work too
+_HYPOTHESES = {
+    **_block_hypotheses("A"), **_block_hypotheses("D"), **_block_hypotheses("E"),
+    "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
+    "N2": lambda an: (an.n2.is_trivial, "ker(B^T), ker(D) and ker(C) must intersect only in {0}"),
+    "N3": lambda an: (an.n3.is_trivial, "ker(C^T) and ker(E) must intersect only in {0}"),
+    "R": lambda an: (an.r.is_trivial, "ran(B) and ran(C^T) must intersect only in {0}"),
+    "DS1": lambda an: (an.ds1, "ker(A) and ker(B) must form a direct sum of the whole space"),
+    "DS2": lambda an: (an.ds2, "ker(E) and ker(C^T) must form a direct sum of the whole space"),
+    "overlap = {0}": lambda an: (an.overlap.is_trivial,
+                                 "ker(A (+) E) and ker[B | C^T] must intersect only in {0}"),
+    "null(A) = m": lambda an: (
+        an.A.nullity == an.sys.B.shape[0],
+        f"null(A) = {an.A.nullity} must equal the row count m = {an.sys.B.shape[0]} of B"),
+    "rank(B) = m": lambda an: (an.B.rank == an.sys.B.shape[0], "B must have full row rank"),
+    "rank(C) = m": lambda an: (an.Ct.rank == an.sys.B.shape[0], "C^T must have full row rank"),
+    **{f"{a} >= {b}": lambda an, a=a, b=b: (getattr(an.sys, a) >= getattr(an.sys, b),
+                                            f"{a} must be at least {b}")
+       for a, b in ("mn", "mp")},
+    "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
+                                     "lambda_max(D) must be below 2, so that alpha = 1 is "
+                                     "admissible"),
+    "S1, S2 nonsingular": lambda an: (an.schur_nonsingular, "the Schur complements "
+                                      "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
+    "K invertible": lambda an: (an.k_nonsingular,
+                                "nullity bounds apply to invertible systems only"),
+}
+
+
+def _hold(an, names) -> bool:
+    return all(_HYPOTHESES[name](an)[0] for name in names)
+
+
+def _require(an, *names):
+    """Raise PreconditionError naming the first hypothesis that fails."""
+    for name in names:
+        holds, reason = _HYPOTHESES[name](an)
+        if not holds:
+            raise PreconditionError(reason)
 
 
 def rescale_middle(sys: BlockSystem, beta: float) -> BlockSystem:

@@ -15,10 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import BlockSystem, _analysis, _within_bound
-from .errors import GenerationError
-from .subspaces import Definiteness, _symmetrized
-from .tolerances import ToleranceConfig, resolve
+from .core import BlockSystem, GenerationError, _analysis, _within_bound
+from .subspaces import Definiteness, ToleranceConfig, _resolve, _symmetrized
 
 SPECTRUM_LOW = 0.5
 SPECTRUM_HIGH = 2.0
@@ -299,10 +297,10 @@ def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None):
     Returns ``(system, certificate)``.  Identical spec and seed give
     bitwise-identical blocks.  Targets are re-verified after construction;
     a generic draw that misses one is retried with an advanced sub-seed, and
-    exhausting the budget raises :class:`~dsaddle.errors.GenerationError`
+    exhausting the budget raises :class:`~dsaddle.core.GenerationError`
     rather than silently relaxing a target.
     """
-    tol = resolve(tol)
+    tol = _resolve(tol)
     spec = spec.validate()
     last_problems = []
     for attempt in range(DEFAULT_MAX_RETRIES):

@@ -5,7 +5,7 @@ closed-form inverses, together with nullity bounds on the middle block of
 the inverse.
 
 All identity helpers return relative residuals and raise
-:class:`~dsaddle.errors.PreconditionError` when their hypotheses fail, so a
+:class:`~dsaddle.core.PreconditionError` when their hypotheses fail, so a
 violated hypothesis can never masquerade as a small number.
 """
 
@@ -14,18 +14,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import AssembledMatrix, BlockSystem, _analysis, _block, _checked_alpha, _congruence, \
-    _dims, _m_inverse, _m_spectrum, _partition, _place, _projector_from_basis, assemble
-from .errors import PreconditionError
-from .invertibility import _require
-from .subspaces import SubspaceBasis, _above_cut, _as_matrix, _singular_values, _spectral_norm, \
-    _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
-from .tolerances import ToleranceConfig
+from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
+    _checked_alpha, _congruence, _dims, _m_inverse, _m_spectrum, _partition, _place, \
+    _projector_from_basis, _require, assemble
+from .subspaces import SubspaceBasis, ToleranceConfig, _above_cut, _as_matrix, _singular_values, \
+    _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
 
 def _blocks(tol, **blocks):
     """Analysis of loose blocks passed by name, each checked as a BlockSystem checks
-    it, the partition rule included; the named hypotheses of dsaddle.invertibility
+    it, the partition rule included; the named hypotheses of dsaddle.core
     read m from B, so they apply to it."""
     blocks = {k: _block(v, k) for k, v in blocks.items()}
     _partition(blocks)

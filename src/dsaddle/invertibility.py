@@ -2,12 +2,12 @@
 
 This module decides only: every fact it reads, each decomposition included,
 is held by the analysis of the system (see :mod:`dsaddle.core`).  Each rule is
-a row of one table: named hypotheses, read from that analysis, and a decide
-step.  A rule returns a :class:`Diagnosis`: a definitive verdict (invertible
-with the rule that fired, or singular with a unit kernel witness) or
-"undetermined" when the hypotheses do not apply.  Rules never raise on
-inapplicable input, so the ladder always terminates with a report.  The
-inverse constructors check the same named hypotheses.
+a row of one table: named hypotheses, read from that analysis through the
+table in :mod:`dsaddle.core` that the inverse constructors check too, and a
+decide step.  A rule returns a :class:`Diagnosis`: a definitive verdict
+(invertible with the rule that fired, or singular with a unit kernel witness)
+or "undetermined" when the hypotheses do not apply.  Rules never raise on
+inapplicable input, so the ladder always terminates with a report.
 
 Condition identifiers used throughout:
 
@@ -28,10 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BlockSystem, _alpha_bound, _analysis
-from .errors import PreconditionError
-from .subspaces import Definiteness
-from .tolerances import ToleranceConfig
+from .core import BlockSystem, _analysis, _hold
+from .subspaces import ToleranceConfig, _scaled
 
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
 
@@ -130,7 +128,12 @@ def _singular(an, rule, witness, report):
         return _undetermined(report)
     u = _unit(witness)
     scale = max(an.A.norm, an.D.norm, an.E.norm, an.B.norm, an.Ct.norm, 1e-300)
-    if np.linalg.norm(an.K @ u) > an.tol.residual_rtol * scale:
+    with np.errstate(over="ignore"):  # a ||K u|| whose square overflows is read scaled
+        residual = np.linalg.norm(Ku := an.K @ u)
+        if residual == np.inf:
+            Ku, e = _scaled(Ku)
+            residual = np.ldexp(np.linalg.norm(Ku), e)
+    if residual > an.tol.residual_rtol * scale:
         return _undetermined(report)
     return Diagnosis(Verdict.SINGULAR, rule, report, witness=u)
 
@@ -175,66 +178,6 @@ def _necessary_failure(an, report):
             u = _embed(an.sys, **{embed: report.witness(cond_id)})
             return _singular(an, f"necessary:{cond_id}", u, report)
     return None
-
-
-# ---------------------------------------------------------------------------
-# named hypotheses, each checked in one place: the ladder rows and the
-# constructors of dsaddle.inverses read the same entries
-# ---------------------------------------------------------------------------
-
-def _block_hypotheses(k):
-    """The definiteness, nonsingularity and zero tests of the diagonal block k."""
-    return {
-        f"{k} psd": lambda an: (getattr(an, k).definiteness.is_psd,
-                                f"{k} must be positive semidefinite"),
-        f"{k} pd": lambda an: (getattr(an, k).definiteness is Definiteness.POSITIVE_DEFINITE,
-                               f"{k} must be positive definite"),
-        f"{k} nonsingular": lambda an: (getattr(an, k).nonsingular, f"{k} must be nonsingular"),
-        f"{k} = 0": lambda an: (not getattr(an.sys, k).any(), f"{k} must be the zero block"),
-    }
-
-
-# name -> predicate on an analysis, giving whether the hypothesis holds and the
-# reason a constructor gives when it fails; m is read from B, so analyses of
-# loose blocks work too
-_HYPOTHESES = {
-    **_block_hypotheses("A"), **_block_hypotheses("D"), **_block_hypotheses("E"),
-    "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
-    "N2": lambda an: (an.n2.is_trivial, "ker(B^T), ker(D) and ker(C) must intersect only in {0}"),
-    "N3": lambda an: (an.n3.is_trivial, "ker(C^T) and ker(E) must intersect only in {0}"),
-    "R": lambda an: (an.r.is_trivial, "ran(B) and ran(C^T) must intersect only in {0}"),
-    "DS1": lambda an: (an.ds1, "ker(A) and ker(B) must form a direct sum of the whole space"),
-    "DS2": lambda an: (an.ds2, "ker(E) and ker(C^T) must form a direct sum of the whole space"),
-    "overlap = {0}": lambda an: (an.overlap.is_trivial,
-                                 "ker(A (+) E) and ker[B | C^T] must intersect only in {0}"),
-    "null(A) = m": lambda an: (
-        an.A.nullity == an.sys.B.shape[0],
-        f"null(A) = {an.A.nullity} must equal the row count m = {an.sys.B.shape[0]} of B"),
-    "rank(B) = m": lambda an: (an.B.rank == an.sys.B.shape[0], "B must have full row rank"),
-    "rank(C) = m": lambda an: (an.Ct.rank == an.sys.B.shape[0], "C^T must have full row rank"),
-    **{f"{a} >= {b}": lambda an, a=a, b=b: (getattr(an.sys, a) >= getattr(an.sys, b),
-                                            f"{a} must be at least {b}")
-       for a, b in ("mn", "mp")},
-    "lambda_max(D) < 2": lambda an: (_alpha_bound(an.D) > 1.0,
-                                     "lambda_max(D) must be below 2, so that alpha = 1 is "
-                                     "admissible"),
-    "S1, S2 nonsingular": lambda an: (an.schur_nonsingular, "the Schur complements "
-                                      "D + B A^{-1} B^T and E + C S1^{-1} C^T must be nonsingular"),
-    "K invertible": lambda an: (an.k_nonsingular,
-                                "nullity bounds apply to invertible systems only"),
-}
-
-
-def _hold(an, names) -> bool:
-    return all(_HYPOTHESES[name](an)[0] for name in names)
-
-
-def _require(an, *names):
-    """Raise PreconditionError naming the first hypothesis that fails."""
-    for name in names:
-        holds, reason = _HYPOTHESES[name](an)
-        if not holds:
-            raise PreconditionError(reason)
 
 
 # The block reversal Q K Q^T (see dsaddle.core.permute_similar) swaps these

@@ -78,7 +78,8 @@ def _parse(f) -> np.ndarray:
         M[j, i] = sign * body[:, 0] + 0.0  # a mirrored zero is +0.0, as in scipy
         return M
     i, j = body[:, 0], body[:, 1]
-    bad = (i % 1 != 0) | (j % 1 != 0) | (i < 1) | (j < 1) | (i > rows) | (j > cols)
+    # a NaN index is not its own round; no test here warns on NaN or inf
+    bad = (i != np.round(i)) | (j != np.round(j)) | (i < 1) | (j < 1) | (i > rows) | (j > cols)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(f"entry {k + 1}: ({i[k]:g}, {j[k]:g}) is no index of "

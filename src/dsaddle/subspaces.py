@@ -1,23 +1,54 @@
 """Rank-revealing subspace computations.
 
 Kernels, ranges, kernel intersections, direct sums and definiteness
-classification, all driven by the single rank policy in
-:mod:`dsaddle.tolerances`.  A general matrix is read through one full SVD
-and a symmetric one through one eigendecomposition; the singular values of a
-symmetric matrix are the moduli of its eigenvalues, so both go through the
-same rank cut.  Where only those values are needed, one ``eigvalsh`` reads a
-symmetric matrix, and a spectral norm needs no SVD.  Kernel and range bases
-are orthonormal by construction; the trivial subspace is represented
-explicitly as a basis with zero columns, never as ``None``.
+classification, all driven by the package's one tolerance policy,
+:class:`ToleranceConfig`, and its one relative rank cut, :func:`rank_threshold`
+(the dimension factor keeps stacked and assembled checks from disagreeing with
+their ingredients; a positive definite tag needs every eigenvalue past it).
+A general matrix is read through one full SVD and a symmetric one through one
+eigendecomposition; the singular values of a symmetric matrix are the moduli
+of its eigenvalues, so both go through the same rank cut.  Where only those
+values are needed, one ``eigvalsh`` reads a symmetric matrix, and a spectral
+norm needs no SVD.  Kernel and range bases are orthonormal by construction;
+the trivial subspace is a basis with zero columns, never ``None``.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .tolerances import ToleranceConfig, resolve
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Relative tolerances, each in the open interval (0, 1).
+
+    rank_rtol      singular values below rank_rtol * max(shape) * sigma_max
+                   count as zero (eigenvalues of a symmetric block likewise)
+    residual_rtol  acceptance threshold for identity and witness residuals
+    """
+
+    rank_rtol: float = 1e-10
+    residual_rtol: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("rank_rtol", "residual_rtol"):
+            value = getattr(self, name)
+            if not (0.0 < value < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+    def replace(self, **changes) -> "ToleranceConfig":
+        return dataclasses.replace(self, **changes)
+
+
+DEFAULT_TOL = ToleranceConfig()
+
+
+def _resolve(tol: ToleranceConfig | None) -> ToleranceConfig:
+    """Fall back to the package default when no config is given."""
+    return DEFAULT_TOL if tol is None else tol
 
 
 def _as_matrix(M, name="matrix"):
@@ -32,7 +63,7 @@ def _as_matrix(M, name="matrix"):
 
 def rank_threshold(sigma_max, shape, tol: ToleranceConfig | None = None):
     """Cutoff below which singular values count as zero."""
-    tol = resolve(tol)
+    tol = _resolve(tol)
     return tol.rank_rtol * max(shape[0], shape[1], 1) * sigma_max
 
 
@@ -258,13 +289,19 @@ def is_direct_sum(U: SubspaceBasis, W: SubspaceBasis, tol: ToleranceConfig | Non
 _SYM_RTOL = _NEG_RTOL = 1e-10
 
 
+def _scaled(M):
+    """M scaled exactly by a power of two to max |m_ij| ~ 1, and the exponent that undoes it."""
+    e = int(np.frexp(max(M.max(initial=0.0), -M.min(initial=0.0)))[1])
+    return np.ldexp(M, -e), e
+
+
 @np.errstate(over="ignore")  # an overflowing norm is read again on the scaled M
 def _symmetric(M) -> bool:
     """||M - M^T||_F <= _SYM_RTOL ||M||_F; both square every entry, so past ||M||_F
     = 2^(+-400) they are read on M scaled exactly by a power of two to max |m_ij| ~ 1."""
     norm = np.linalg.norm(M, "fro")
     if not 2.0 ** -400 < norm < 2.0 ** 400:
-        M = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])
+        M = _scaled(M)[0]
         norm = np.linalg.norm(M, "fro")
     return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * norm)
 
@@ -296,10 +333,16 @@ def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
 
 
 def _spectral_norm(M, symmetric=False) -> float:
-    """||M||_2 with no SVD: an asymmetric M as sqrt ||G||_2, G its smaller Gram matrix."""
+    """||M||_2 with no SVD: an asymmetric M as sqrt ||G||_2, G its smaller Gram matrix, formed
+    on M scaled exactly by a power of two when max |m_ij| is past 2^(+-480), where G could
+    over- or underflow."""
     if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
         return float(_singular_values(M, True).max(initial=0.0))
-    return float(np.sqrt(_spectral_norm(M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M, True)))
+    e = 0
+    if not 2.0 ** -480 < max(M.max(initial=0.0), -M.min(initial=0.0)) < 2.0 ** 480:
+        M, e = _scaled(M)
+    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    return float(np.ldexp(np.sqrt(_spectral_norm(G, True)), e))
 
 
 class _SymEig:
@@ -312,7 +355,7 @@ class _SymEig:
     """
 
     def __init__(self, M, tol: ToleranceConfig | None = None):
-        self.tol = resolve(tol)
+        self.tol = _resolve(tol)
         self.matrix = M = _as_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise ValueError(f"definiteness needs a square matrix, got {M.shape}")

@@ -73,6 +73,13 @@ class TestDiagnose:
         assert "verdict: undetermined" in out and "condition N1: fails" in out
         assert err == ""
 
+    def test_block_near_the_float_maximum_is_singular_with_no_warning(self, tmp_path, capsys):
+        # ||K u|| of N2's witness overflows when squared and is read scaled
+        save_block_system(tmp_path / "blk", _near_float_maximum())
+        code, out, err = run_cli(capsys, "diagnose", str(tmp_path / "blk"))
+        assert (code, err) == (1, "")
+        assert "rule: necessary:N2" in out
+
     def test_missing_directory_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "diagnose", str(tmp_path / "nope"))
         assert code == 65
@@ -138,6 +145,28 @@ class TestInvert:
         assert code == 65 and out == ""
         assert err.splitlines() == ["the system is singular: no inverse exists"]
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("dense", [(), ("--allow-dense",)])
+    def test_block_near_the_float_maximum_has_finite_residuals(self, tmp_path, capsys, dense):
+        """D[0, 0] = 1e308: the misfit K X - I is finite, and its 2-norm is read on it
+        scaled by a power of two, as its Gram matrix overflows."""
+        save_block_system(tmp_path / "blk", _near_float_maximum())
+        code, out, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
+                                 "--out", str(tmp_path / "o"), "--format", "json", *dense)
+        manifest = json.loads(out)
+        assert (code, err, manifest["constructor"]) == (0, "", "three_block")
+        assert np.isfinite(manifest["spectral_residual"])
+        assert manifest["spectral_residual"] >= manifest["max_entry_residual"] > 0.0
+
+
+def _near_float_maximum():
+    """A generated (6, 3, 2) system with D[0, 0] = 1e308."""
+    from dsaddle import BlockSystem
+    system, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, require_ds1=True, seed=3))
+    D = system.D.copy()
+    D[0, 0] = 1e308
+    return BlockSystem(system.A, system.B, system.C, D, system.E)
 
 
 class TestGenerate:
@@ -391,12 +420,10 @@ def _mutated(path, rng):
     return "".join(lines)
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_mutated_inputs_exit_with_a_defined_code(tmp_path, capsys):
     """Seeded mutations of valid block files and spec JSON, over all four
-    subcommands, exit 0, 1, 2, 64 or 65: never 70, the code of a bug.  As in a
-    CLI process, numpy's floating-point warnings (an entry near the float
-    maximum overflows products) print and do not raise."""
+    subcommands, exit 0, 1, 2, 64 or 65: never 70, the code of a bug.  None
+    raises a numpy floating-point warning, which the suite makes an error."""
     rng = random.Random(0)
     bases = [fixture_three_block(), gen_instance(GeneratorSpec(6, 3, 2, null_a=3,
                                                               require_ds1=True, seed=1))[0]]

@@ -44,8 +44,7 @@ from dsaddle import (
     z22_nullity_bounds,
 )
 
-from dsaddle import invertibility
-from dsaddle.core import _projector_from_basis
+from dsaddle.core import _HYPOTHESES, _projector_from_basis
 from dsaddle.invertibility import _analysis, _first
 from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
     max_deficient, psd_disjoint_ranges, random_systems
@@ -606,7 +605,7 @@ class TestPartitionRule:
         """ker(A) ∩ ker(B) = span(e1) makes A + B^T (2I - D) B singular; the
         factorization reports it through the named hypothesis N1."""
         sys = BlockSystem(A2, np.array([[0.0, 1.0]]), np.array([[1.0]]), None, np.array([[2.0]]))
-        holds, reason = invertibility._HYPOTHESES["N1"](_analysis(sys, None))
+        holds, reason = _HYPOTHESES["N1"](_analysis(sys, None))
         assert not holds
         with pytest.raises(PreconditionError, match=re.escape(reason)):
             factorize_transformed(sys)

@@ -1,12 +1,16 @@
 """The package's modules import one another in layers.
 
-Every package-relative import sits at module level, where a reader sees what a
-module depends on, and those imports form a chain with no cycle:
-subspaces <- core <- {invertibility, generators, mmio}, invertibility <-
-inverses, and cli over them all; file I/O depends on core alone.  A
-function-level import is how a cycle usually hides, so both are checked on
-the parsed source of every ``src/dsaddle/*.py`` module.  The ladder decides
-only: the analysis in core holds every decomposition it reads.
+Each policy has one home module, and the package-relative imports form exactly
+the graph ``LAYERS`` gives:
+subspaces (the rank policy and its cut) <- core (the block data model, its
+analysis, the named hypotheses and the error types) <- {invertibility, inverses,
+generators, mmio} <- cli, with ``__init__`` re-exporting all but cli.  So the
+inverse constructors check their hypotheses in core without importing the
+ladder, and a new import between modules, or a new module, fails here.  Every
+package-relative import sits at module level, where a reader sees what a
+module depends on; a function-level import is how a cycle usually hides, so
+both are checked on the parsed source of every ``src/dsaddle/*.py`` module.
+The ladder decides only: the analysis in core holds every decomposition it reads.
 """
 
 import ast
@@ -29,8 +33,31 @@ def _imported(node):
     return [alias.name if alias.name in MODULES else "__init__" for alias in node.names]
 
 
+def _graph():
+    return {name: {target for node in ast.walk(tree) for target in _imported(node)}
+            for name, tree in MODULES.items()}
+
+
+# module -> the package modules it imports: 20 edges
+_ALL_BUT_CLI = {"subspaces", "core", "invertibility", "inverses", "generators", "mmio"}
+LAYERS = {
+    "subspaces": set(),
+    "core": {"subspaces"},
+    "invertibility": {"core", "subspaces"},
+    "inverses": {"core", "subspaces"},
+    "generators": {"core", "subspaces"},
+    "mmio": {"core"},
+    "cli": _ALL_BUT_CLI,
+    "__init__": _ALL_BUT_CLI,
+}
+
+
 def test_modules_found():
-    assert {"core", "invertibility", "inverses", "subspaces"} <= set(MODULES)
+    assert set(MODULES) == set(LAYERS)
+
+
+def test_imports_are_the_layers():
+    assert _graph() == LAYERS
 
 
 def test_no_function_level_package_import():
@@ -42,10 +69,8 @@ def test_no_function_level_package_import():
 
 
 def test_relative_imports_have_no_cycle():
-    graph = {name: {target for node in ast.walk(tree) for target in _imported(node)}
-             for name, tree in MODULES.items()}
     try:
-        TopologicalSorter(graph).prepare()
+        TopologicalSorter(_graph()).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 

@@ -195,6 +195,10 @@ MALFORMED = (
     ("row_out_of_range", COORDINATE + "2 2 1\n3 1 1.0\n"),
     ("column_zero", COORDINATE + "2 2 1\n1 0 1.0\n"),
     ("fractional_index", COORDINATE + "2 2 1\n1 1.5 1.0\n"),
+    # refused with no warning first: the suite makes a warning an error
+    ("infinite_index", COORDINATE + "2 2 1\n1 inf 2.0\n"),
+    ("negative_infinite_index", COORDINATE + "2 2 1\n-inf 1 2.0\n"),
+    ("nan_index", COORDINATE + "2 2 1\n1 nan 2.0\n"),
     ("fractional_integer_array", "%%MatrixMarket matrix array integer general\n1 2\n1\n1.5\n"),
     ("fractional_integer_coordinate",
      "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 -0.5\n"),

@@ -340,6 +340,14 @@ def test_spectral_norm_matches_the_svd():
                 pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_spectral_norm_past_the_gram_range_is_read_scaled(k):
+    """An asymmetric M with entries near 2^k, whose Gram matrix over- or underflows,
+    reads its 2-norm on M scaled by a power of two, with no warning."""
+    M = np.ldexp(np.random.default_rng(5).standard_normal((4, 6)), k)
+    assert _spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12, abs=0.0)
+
+
 def _counting_kernels(monkeypatch):
     seen = []
     for name in ("svd", "eigvalsh"):
