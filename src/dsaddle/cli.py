@@ -143,12 +143,15 @@ def _cmd_invert(args, tol: ToleranceConfig) -> int:
                 "no structured constructor applies to this system; "
                 "rerun with --allow-dense for a dense fallback\n")
             return EXIT_DATA
-        if not oracle_invertible(system, tol):
-            _sys.stderr.write("the system is singular: no inverse exists\n")
-            return EXIT_DATA
+        inv, constructor = None, "dense"
+    # the three-block hypotheses force K invertible in exact arithmetic only: a block
+    # entry near the float maximum can meet them with K singular under the rank cut
+    if not oracle_invertible(system, tol):
+        _sys.stderr.write("the system is singular: no inverse exists\n")
+        return EXIT_DATA
+    if inv is None:
         _sys.stderr.write("warning: falling back to dense inversion\n")
         inv = dense_inverse_blocks(system)
-        constructor = "dense"
 
     misfit = assemble(system).matrix @ inv.full
     misfit[np.diag_indices_from(misfit)] -= 1.0  # K X - I

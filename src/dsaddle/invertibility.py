@@ -128,11 +128,8 @@ def _singular(an, rule, witness, report):
         return _undetermined(report)
     u = _unit(witness)
     scale = max(an.A.norm, an.D.norm, an.E.norm, an.B.norm, an.Ct.norm, 1e-300)
-    with np.errstate(over="ignore"):  # a ||K u|| whose square overflows is read scaled
-        residual = np.linalg.norm(Ku := an.K @ u)
-        if residual == np.inf:
-            Ku, e = _scaled(Ku)
-            residual = np.ldexp(np.linalg.norm(Ku), e)
+    Ku, e = _scaled(an.K @ u)  # scaled by a power of two, so no square overflows
+    residual = np.ldexp(np.linalg.norm(Ku), e)
     if residual > an.tol.residual_rtol * scale:
         return _undetermined(report)
     return Diagnosis(Verdict.SINGULAR, rule, report, witness=u)

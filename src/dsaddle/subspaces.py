@@ -338,8 +338,8 @@ def _spectral_norm(M, symmetric=False) -> float:
     over- or underflow."""
     if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
         return float(_singular_values(M, True).max(initial=0.0))
-    e = 0
-    if not 2.0 ** -480 < max(M.max(initial=0.0), -M.min(initial=0.0)) < 2.0 ** 480:
+    e, mx = 0, max(M.max(initial=0.0), -M.min(initial=0.0))
+    if mx and not 2.0 ** -480 < mx < 2.0 ** 480:
         M, e = _scaled(M)
     G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
     return float(np.ldexp(np.sqrt(_spectral_norm(G, True)), e))
