@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .core import BlockSystem, GenerationError, _analysis, _within_bound
-from .subspaces import Definiteness, ToleranceConfig, _resolve, _symmetrized
+from .subspaces import Definiteness, ToleranceConfig, _symmetrized
 
 SPECTRUM_LOW = 0.5
 SPECTRUM_HIGH = 2.0
@@ -209,7 +209,7 @@ class InstanceCertificate:
         return {**asdict(self), "dims": list(self.dims)}
 
 
-def _measure(sys: BlockSystem, tol: ToleranceConfig, seed, attempt) -> InstanceCertificate:
+def _measure(sys: BlockSystem, tol: ToleranceConfig | None, seed, attempt) -> InstanceCertificate:
     an = _analysis(sys, tol)
     return InstanceCertificate(
         dims=sys.dims,
@@ -300,7 +300,6 @@ def gen_instance(spec: GeneratorSpec, tol: ToleranceConfig | None = None):
     exhausting the budget raises :class:`~dsaddle.core.GenerationError`
     rather than silently relaxing a target.
     """
-    tol = _resolve(tol)
     spec = spec.validate()
     last_problems = []
     for attempt in range(DEFAULT_MAX_RETRIES):

@@ -17,8 +17,8 @@ import numpy as np
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
     _checked_alpha, _congruence, _dims, _m_inverse, _m_spectrum, _partition, _place, \
     _projector_from_basis, _require, assemble
-from .subspaces import SubspaceBasis, ToleranceConfig, _above_cut, _as_matrix, _singular_values, \
-    _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
+from .subspaces import SubspaceBasis, ToleranceConfig, _above_cut, _as_matrix, _scaled, \
+    _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
 
 def _blocks(tol, **blocks):
@@ -41,9 +41,11 @@ def _finite(alpha, *values):
 
 def _fro_ratio(num, den) -> float:
     """||num||_F / ||den||_F, each a sequence of arrays read as one vector, every array scaled
-    exactly by the power of two that brings the largest |entry| of den near 1, as in
-    subspaces._symmetric, so no squared norm overflows or underflows.  den is a list;
-    num may be a generator, whose arrays are then formed, measured and dropped in turn."""
+    exactly by the power of two that brings the largest |entry| of den near 1, so no squared
+    norm overflows or underflows.  Unlike subspaces._scaled this scales on every call: num
+    sits about eps below den, so a window read on den alone would let the squares of num go
+    subnormal.  den is a list; num may be a generator, whose arrays are then formed,
+    measured and dropped in turn."""
     e = -np.frexp(max(np.abs(M).max(initial=0.0) for M in den))[1]
     scaled = lambda M: np.linalg.norm(np.ldexp(M, e))
     num, den = (np.linalg.norm(list(map(scaled, Ms))) for Ms in (num, den))
@@ -156,11 +158,12 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
     _require(an, "rank(B) = m")
     if Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
-    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails; both
-    # read B Z and ||B||_2 scaled by the power of two that brings ||B||_2 near 1
-    e = -np.frexp(an.B.norm)[1]
-    BZ, cut = np.ldexp(B @ Z.basis, e), an.tol.residual_rtol * np.ldexp(an.B.norm, e)
-    if np.linalg.norm(BZ) > cut and np.linalg.norm(BZ, 2) > cut:
+    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails.  Both
+    # are read on _scaled(B Z), so a residual-sized B Z is scaled on its own; its exponent
+    # scales down the cut or the norm, never up, so neither overflows
+    BZ, e = _scaled(B @ Z.basis)
+    cut = np.ldexp(an.tol.residual_rtol * an.B.norm, -max(e, 0))
+    if all(np.ldexp(np.linalg.norm(BZ, order), min(e, 0)) > cut for order in (None, 2)):
         raise PreconditionError("Z is not a kernel basis of B")
     # B^T (B B^T)^{-1} B = Q Q^T from a fresh QR of B^T, which squares neither the
     # condition nor the scale of B as B B^T would; B's held SVD would only check that SVD.
@@ -197,9 +200,8 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
     if not is_nonsingular(Z.T @ A @ Z, tol):
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; "
                                 "ker(A) and ker(B) must intersect trivially with A semidefinite")
-    scale = max(_spectral_norm(proj.V, symmetric=True), 1.0)
-    if _spectral_norm(_projector_from_basis(A, proj.Z) - proj.V, symmetric=True) > \
-            tol.residual_rtol * scale:
+    scale = max(_spectral_norm(proj.V), 1.0)
+    if _spectral_norm(_projector_from_basis(A, proj.Z) - proj.V) > tol.residual_rtol * scale:
         raise PreconditionError("projector was not built from this A")
     return _fixed_point_residual(A, proj)
 
@@ -548,7 +550,7 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
     if null_e == 0:
         remark = min(null_a, m) <= null_z22 <= null_a
     corner = (null_a == m and null_e == 0)
-    corner_ok = (z22_norm <= tol.rank_rtol * inverse_norm) if corner else None
+    corner_ok = (null_z22 == m) if corner else None
 
     return NullityBoundReport(
         null_a=null_a, null_e=null_e, null_z22=null_z22, m=m,

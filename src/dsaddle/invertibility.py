@@ -203,8 +203,7 @@ _CASE_1 = ("psd_ladder:case1", (*_PSD, "N2"), ("A pd", "N3"), None)
 # singular when the fourth hold (never when None), else undetermined.
 _LADDER = (
     ("schur_sufficient", ("A nonsingular",), ("S1, S2 nonsingular",), None),
-    ("e_iff", ("A psd", "D psd", "N1", "N2", "N3", "null(A) = m", "lambda_max(D) < 2"),
-     ("E nonsingular",), ()),
+    ("e_iff", ("A psd", "D psd", "N1", "N2", "N3", "null(A) = m"), ("E nonsingular",), ()),
     _COROLLARY_B, _reversed(_COROLLARY_B, "corollary_c_full_rank"),
     ("corollary_middle_kernels", ("D = 0", "A pd", "E pd"), _PSD_IFF, ()),
     _RANK_B, _reversed(_RANK_B, "rank_c_iff"),
@@ -318,11 +317,12 @@ def rank_c_iff(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosi
 def e_iff_rule(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """For a maximally rank-deficient leading block, E decides.
 
-    Hypotheses: A and D positive semidefinite, N1, N2, N3, null(A) = m and
-    lambda_max(D) < 2.  The system is then invertible exactly when E is
-    nonsingular.  By N1, B maps ker(A) onto R^m, so the witness of a
-    singular verdict is the first overlap vector [x; 0; z].  When
-    lambda_max(D) >= 2, rescale first (see :func:`dsaddle.core.rescale_middle`).
+    Hypotheses: A and D positive semidefinite, N1, N2, N3 and null(A) = m.
+    The system is then invertible exactly when E is nonsingular.  The paper
+    also asks lambda_max(D) < 2, but :func:`dsaddle.core.rescale_middle`
+    reaches that bound keeping K's invertibility and every other hypothesis,
+    so the verdict does not depend on it.  By N1, B maps ker(A) onto R^m, so
+    the witness of a singular verdict is the first overlap vector [x; 0; z].
     """
     return _view(sys, tol, "e_iff")
 

@@ -290,20 +290,16 @@ _SYM_RTOL = _NEG_RTOL = 1e-10
 
 
 def _scaled(M):
-    """M scaled exactly by a power of two to max |m_ij| ~ 1, and the exponent that undoes it."""
+    """M, or past max |m_ij| = 2^(+-480), where a square of it could over- or underflow,
+    M scaled exactly by a power of two to max |m_ij| ~ 1; and the exponent that undoes it."""
     e = int(np.frexp(max(M.max(initial=0.0), -M.min(initial=0.0)))[1])
-    return np.ldexp(M, -e), e
+    return (M, 0) if -480 < e <= 480 else (np.ldexp(M, -e), e)
 
 
-@np.errstate(over="ignore")  # an overflowing norm is read again on the scaled M
 def _symmetric(M) -> bool:
-    """||M - M^T||_F <= _SYM_RTOL ||M||_F; both square every entry, so past ||M||_F
-    = 2^(+-400) they are read on M scaled exactly by a power of two to max |m_ij| ~ 1."""
-    norm = np.linalg.norm(M, "fro")
-    if not 2.0 ** -400 < norm < 2.0 ** 400:
-        M = _scaled(M)[0]
-        norm = np.linalg.norm(M, "fro")
-    return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * norm)
+    """||M - M^T||_F <= _SYM_RTOL ||M||_F, both read on _scaled(M)."""
+    M = _scaled(M)[0]
+    return bool(np.linalg.norm(M - M.T, "fro") <= _SYM_RTOL * np.linalg.norm(M, "fro"))
 
 
 def _symmetrized(X, copy=False):
@@ -314,11 +310,11 @@ def _symmetrized(X, copy=False):
     return X
 
 
-def _singular_values(M, symmetric=False) -> np.ndarray:
-    """Singular values of M, unordered: for M symmetric by construction or by
-    the symmetry test, the |eigenvalues| of one eigvalsh of its symmetric
-    part, at half the cost of the SVD that reads any other M."""
-    if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
+def _singular_values(M) -> np.ndarray:
+    """Singular values of M, unordered: for an M that passes the symmetry test, the
+    |eigenvalues| of one eigvalsh of its symmetric part, at half the cost of the SVD
+    that reads any other M."""
+    if M.shape[0] == M.shape[1] and _symmetric(M):
         return np.abs(np.linalg.eigvalsh(_symmetrized(M, copy=True)))
     return np.linalg.svd(M, compute_uv=False)
 
@@ -332,17 +328,14 @@ def is_nonsingular(M, tol: ToleranceConfig | None = None) -> bool:
     return bool(_above_cut(_singular_values(M), M.shape, tol).all())
 
 
-def _spectral_norm(M, symmetric=False) -> float:
-    """||M||_2 with no SVD: an asymmetric M as sqrt ||G||_2, G its smaller Gram matrix, formed
-    on M scaled exactly by a power of two when max |m_ij| is past 2^(+-480), where G could
-    over- or underflow."""
-    if symmetric or M.shape[0] == M.shape[1] and _symmetric(M):
-        return float(_singular_values(M, True).max(initial=0.0))
-    e, mx = 0, max(M.max(initial=0.0), -M.min(initial=0.0))
-    if mx and not 2.0 ** -480 < mx < 2.0 ** 480:
-        M, e = _scaled(M)
+def _spectral_norm(M) -> float:
+    """||M||_2 with no SVD: a symmetric M as its largest |eigenvalue|, any other as
+    sqrt ||G||_2, G the smaller Gram matrix of _scaled(M)."""
+    if M.shape[0] == M.shape[1] and _symmetric(M):
+        return float(_singular_values(M).max(initial=0.0))
+    M, e = _scaled(M)
     G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    return float(np.ldexp(np.sqrt(_spectral_norm(G, True)), e))
+    return float(np.ldexp(np.sqrt(_spectral_norm(G)), e))
 
 
 class _SymEig:

@@ -1,5 +1,6 @@
 """Projector identities, factorization and explicit inverse formulas."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -205,6 +206,16 @@ class TestProjectorComplement:
                 with pytest.raises(PreconditionError, match="not a kernel basis"):
                     projector_complement_residual(B, SubspaceBasis(np.linalg.qr(Z)[0]))
 
+    def test_kernel_check_past_the_window_raises_no_warning(self):
+        """B Z past 2^(+-480) is read scaled with no overflow: a wrong Z of a B near the
+        float maximum, whose ||B Z||_F exceeds it, is refused, and a B Z of subnormal
+        entries, which the scaling brings up to 1, passes the check."""
+        huge = np.diag([1.5e308, 1.5e308]) @ np.eye(2, 4)
+        with pytest.raises(PreconditionError, match="not a kernel basis"):
+            projector_complement_residual(huge, SubspaceBasis(np.eye(4)[:, :2]))
+        tiny = np.array([[1.0, 0.0, 1e-320]])
+        assert projector_complement_residual(tiny, SubspaceBasis(np.eye(3)[:, 1:])) < 1e-300
+
     def test_empty_b_has_zero_residual(self):
         # both projectors vanish: B^T (B B^T)^{-1} B and I - Z Z^T with Z = I
         assert projector_complement_residual(np.zeros((0, 3)), SubspaceBasis(np.eye(3))) == 0.0
@@ -220,9 +231,16 @@ class TestReducedProjector:
     def test_mismatched_a_raises(self):
         sys, _ = max_deficient(seed=0)
         proj = reduced_hessian_projector(sys.A, sys.B)
-        other = sys.A + np.eye(sys.n)
-        with pytest.raises(PreconditionError, match="built"):
-            reduced_projector_residual(other, proj)
+        # V with an antisymmetric error of 1e-3 is no projector of its A either
+        near, _ = gen_instance(GeneratorSpec(6, 3, 2, null_a=3, require_ds1=True, seed=1))
+        near_proj = reduced_hessian_projector(near.A, near.B)
+        V = near_proj.V.copy()
+        V[0, 1] += 1e-3
+        V[1, 0] -= 1e-3
+        for A, P in ((sys.A + np.eye(sys.n), proj),
+                     (near.A, ReducedHessianProjector(V, near_proj.Z))):
+            with pytest.raises(PreconditionError, match="built"):
+                reduced_projector_residual(A, P)
 
     def test_singular_reduced_hessian_raises(self):
         sys, _ = max_deficient(seed=0)
@@ -682,6 +700,17 @@ class TestNullityBounds:
         report = z22_nullity_bounds(sys, dense_inverse_blocks(sys))
         assert report.refined_lower == 2 and report.null_z22 == 2
         assert report.satisfied
+
+    def test_corner_reads_the_one_rank_cut(self):
+        """In the null(A) = m, null(E) = 0 corner, a Z22 that the rank cut counts as
+        zero (||Z22|| <= rank_rtol * m * ||K^-1||) meets the corner's Z22 = 0."""
+        sys, _ = gen_instance(GeneratorSpec(12, 6, 3, null_a=6, require_ds1=True, seed=2))
+        inv = three_block_inverse(sys)
+        inverse_norm = 1.0 / np.abs(np.linalg.eigvalsh(assemble(sys).matrix)).min()
+        z22 = 3e-10 * inverse_norm * np.eye(sys.m)
+        report = z22_nullity_bounds(sys, dataclasses.replace(inv, z22=z22))
+        assert report.corner_expected and report.null_z22 == report.m
+        assert report.corner_zero_ok and report.satisfied
 
     def test_singular_system_raises(self):
         singular = BlockSystem(np.zeros((1, 1)), np.zeros((1, 1)),

@@ -330,13 +330,14 @@ class TestEIffRule:
         assert diag.verdict is Verdict.SINGULAR
         assert witness_is_sound(sys, diag)
 
-    def test_large_d_undetermined_until_rescaled(self):
+    def test_large_d_decided_without_rescaling(self):
+        """lambda_max(D) = 5 leaves the verdict to E, as on its rescaling below 2."""
         sys = BlockSystem(np.diag([0.0, 1.0]), np.array([[1.0, 0.0]]),
                           np.array([[1.0]]), np.array([[5.0]]), np.array([[2.0]]))
-        assert e_iff_rule(sys).verdict is Verdict.UNDETERMINED
         shrunk = rescale_middle(sys, 0.5)
-        diag = e_iff_rule(shrunk)
-        assert diag.verdict is Verdict.INVERTIBLE
+        for system in (sys, shrunk):
+            diag = e_iff_rule(system)
+            assert (diag.verdict, diag.rule) == (Verdict.INVERTIBLE, "e_iff")
         assert oracle_invertible(sys) == oracle_invertible(shrunk) is True
 
     def test_singular_e_family(self):

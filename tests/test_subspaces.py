@@ -19,7 +19,7 @@ from dsaddle import (
     range_basis,
     range_intersection_trivial,
 )
-from dsaddle.subspaces import _SymEig, _singular_values, _spectral_norm
+from dsaddle.subspaces import _SymEig, _singular_values, _spectral_norm, _symmetric
 
 
 def random_rank_matrix(rng, rows, cols, rank):
@@ -335,17 +335,21 @@ def test_spectral_norm_matches_the_svd():
     largest singular value."""
     for M in _seeded_matrices():
         assert _spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12), M.shape
-        if M.shape[0] == M.shape[1] and (M == M.T).all():
-            assert _spectral_norm(M, symmetric=True) == \
-                pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("k", [-1000, -600, -490, -470, 470, 490, 600, 1000])
 def test_spectral_norm_past_the_gram_range_is_read_scaled(k):
-    """An asymmetric M with entries near 2^k, whose Gram matrix over- or underflows,
-    reads its 2-norm on M scaled by a power of two, with no warning."""
-    M = np.ldexp(np.random.default_rng(5).standard_normal((4, 6)), k)
+    """An asymmetric M with entries near 2^k, whose Gram matrix over- or underflows
+    past the 2^(+-480) window, reads its 2-norm on M scaled by a power of two, with
+    no warning; the symmetry test reads the same window."""
+    rng = np.random.default_rng(5)
+    M = np.ldexp(rng.standard_normal((4, 6)), k)
     assert _spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12, abs=0.0)
+    N = rng.standard_normal((5, 5))
+    S, W = N + N.T, N - N.T
+    skew = 0.5e-9 * np.linalg.norm(S) / np.linalg.norm(W) * W  # ||M - M^T|| = 1e-9 ||S||
+    assert _symmetric(np.ldexp(S, k))
+    assert not _symmetric(np.ldexp(S + skew, k))
 
 
 def _counting_kernels(monkeypatch):
