@@ -24,7 +24,6 @@ from .core import (
     block_reversal_permutation,
     congruence_transform,
     default_alpha,
-    lambda_max_sym,
     permute_similar,
     rescale_middle,
 )
@@ -113,7 +112,7 @@ __all__ = [
     "gen_psd_with_nullity", "gen_rank", "haar_orthogonal",
     "inner_inverse_residual", "intersection_kernels",
     "inverse_via_factorization", "is_direct_sum", "is_nonsingular",
-    "kernel_basis", "lambda_max_sym", "load_block_system", "matrix_rank",
+    "kernel_basis", "load_block_system", "matrix_rank",
     "necessary_conditions", "nullity", "oracle_invertible", "permute_similar",
     "projector_complement_residual", "psd_iff", "psd_ladder", "range_basis",
     "range_intersection_trivial", "rank_b_iff", "rank_c_iff", "read_matrix",

@@ -53,7 +53,7 @@ def _tolerance(field):
     """Argument type for one ToleranceConfig field, checked by the config itself."""
     def parse(text):
         try:
-            return getattr(DEFAULT_TOL.replace(**{field: float(text)}), field)
+            return getattr(replace(DEFAULT_TOL, **{field: float(text)}), field)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse

@@ -223,11 +223,6 @@ def permute_similar(sys: BlockSystem) -> BlockSystem:
     return BlockSystem(sys.E, sys.C.T, sys.B.T, sys.D, sys.A)
 
 
-def lambda_max_sym(M) -> float:
-    """Largest eigenvalue of a symmetric matrix (0 for an empty one)."""
-    return _SymEig(M).lambda_max
-
-
 def _alpha_bound(D: _SymEig) -> float:
     """2 / lambda_max(D), or inf when no eigenvalue of D is positive past D's
     rank cut: a rounding-level lambda_max does not constrain alpha."""
@@ -249,19 +244,19 @@ def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
     return alpha
 
 
-def alpha_upper_bound(sys: BlockSystem) -> float:
+def alpha_upper_bound(sys: BlockSystem, tol: ToleranceConfig | None = None) -> float:
     """Upper end of the admissible scaling interval (inf when unconstrained).
 
     The congruence transform needs 2 I - alpha D positive definite, which
     constrains alpha only when D has a positive eigenvalue that passes the
     rank cut.
     """
-    return _alpha_bound(_analysis(sys, None).D)
+    return _alpha_bound(_analysis(sys, tol).D)
 
 
-def default_alpha(sys: BlockSystem) -> float:
+def default_alpha(sys: BlockSystem, tol: ToleranceConfig | None = None) -> float:
     """Midpoint of the admissible interval, or 1 when it is unbounded."""
-    return _checked_alpha(_analysis(sys, None).D)
+    return _checked_alpha(_analysis(sys, tol).D)
 
 
 def _m_spectrum(D: _SymEig, alpha: float) -> np.ndarray:

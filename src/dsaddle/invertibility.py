@@ -22,7 +22,6 @@ N1, N2, N3 are necessary for invertibility; a failure of any of them yields
 an explicit kernel vector of the assembled matrix.
 """
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -177,38 +176,25 @@ def _necessary_failure(an, report):
     return None
 
 
-# The block reversal Q K Q^T (see dsaddle.core.permute_similar) swaps these
-# names and fixes D, m, N2, R and the overlap, so a rule read on the reversed
-# system is its row with the names swapped, read on the system itself.
-_SWAP = {"A": "E", "B": "C", "n": "p", "N1": "N3", "DS1": "DS2"}
-_SWAP.update({v: k for k, v in _SWAP.items()})
-_SWAP_WORD = re.compile(r"\b(?:%s)\b" % "|".join(_SWAP))
-
-
-def _reversed(row, name):
-    """The row ``row`` applied to the block reversal, named ``name``."""
-    swap = lambda h: _SWAP_WORD.sub(lambda w: _SWAP[w[0]], h)
-    return (name, *(names and tuple(map(swap, names)) for names in row[1:]))
-
-
 _PSD = ("A psd", "D psd", "E psd")
 # with A, D and E semidefinite, null(K) = dim N2 + dim of the overlap
 _PSD_IFF = ("N2", "overlap = {0}")
-_COROLLARY_B = ("corollary_b_full_rank", ("A = 0", "m >= n", "D pd", "E pd"), _PSD_IFF, ())
-_RANK_B = ("rank_b_iff", ("N3", "rank(B) = m", "DS1", "A psd"), ("R",), ("E = 0",))
-_CASE_1 = ("psd_ladder:case1", (*_PSD, "N2"), ("A pd", "N3"), None)
 
 # The ladder in diagnose order.  A row is a rule name, the hypotheses that make
 # it apply and its decide step: invertible when the third names hold, else
-# singular when the fourth hold (never when None), else undetermined.
+# singular when the fourth hold (never when None), else undetermined.  The _c_
+# rows and case2 are the _b_ rows and case1 read on the block reversal.
 _LADDER = (
     ("schur_sufficient", ("A nonsingular",), ("S1, S2 nonsingular",), None),
     ("e_iff", ("A psd", "D psd", "N1", "N2", "N3", "null(A) = m"), ("E nonsingular",), ()),
-    _COROLLARY_B, _reversed(_COROLLARY_B, "corollary_c_full_rank"),
+    ("corollary_b_full_rank", ("A = 0", "m >= n", "D pd", "E pd"), _PSD_IFF, ()),
+    ("corollary_c_full_rank", ("E = 0", "m >= p", "D pd", "A pd"), _PSD_IFF, ()),
     ("corollary_middle_kernels", ("D = 0", "A pd", "E pd"), _PSD_IFF, ()),
-    _RANK_B, _reversed(_RANK_B, "rank_c_iff"),
+    ("rank_b_iff", ("N3", "rank(B) = m", "DS1", "A psd"), ("R",), ("E = 0",)),
+    ("rank_c_iff", ("N1", "rank(C) = m", "DS2", "E psd"), ("R",), ("A = 0",)),
     ("direct_sum_iff", (*_PSD, "N1", "N3", "N2"), ("R",), ("DS1", "DS2")),
-    _CASE_1, _reversed(_CASE_1, "psd_ladder:case2"),
+    ("psd_ladder:case1", (*_PSD, "N2"), ("A pd", "N3"), None),
+    ("psd_ladder:case2", ("E psd", "D psd", "A psd", "N2"), ("E pd", "N1"), None),
     ("psd_ladder:case3", (*_PSD, "N2"), ("R", "N3", "N1"), None),
     ("psd_iff", _PSD, _PSD_IFF, ()),
 )

@@ -13,7 +13,6 @@ norm needs no SVD.  Kernel and range bases are orthonormal by construction;
 the trivial subspace is a basis with zero columns, never ``None``.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,9 +37,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-
-    def replace(self, **changes) -> "ToleranceConfig":
-        return dataclasses.replace(self, **changes)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -116,11 +112,6 @@ class SubspaceBasis:
     @classmethod
     def trivial(cls, ambient_dim: int) -> "SubspaceBasis":
         return cls(np.zeros((ambient_dim, 0)))
-
-    @classmethod
-    def from_spanning(cls, columns, tol: ToleranceConfig | None = None) -> "SubspaceBasis":
-        """Orthonormal basis of the column span of an arbitrary matrix."""
-        return range_basis(columns, tol)
 
 
 class Definiteness(Enum):
@@ -343,7 +334,7 @@ class _SymEig:
 
     Holds the ascending ``eigenvalues`` and ``eigenvectors`` of the symmetric
     part, and the mask ``nonzero`` of the eigenvalues past the rank cut.  From
-    them come the definiteness tag, nullity, kernel, lambda_max, the 2-norm,
+    them come the definiteness tag, nullity, kernel, the 2-norm,
     nonsingularity and inverses.
     """
 
@@ -380,10 +371,6 @@ class _SymEig:
     @cached_property
     def kernel(self) -> SubspaceBasis:
         return SubspaceBasis(self.eigenvectors[:, ~self.nonzero])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1]) if self.eigenvalues.size else 0.0
 
     @property
     def norm(self) -> float:

@@ -11,6 +11,7 @@ from dsaddle import (
     GeneratorSpec,
     InverseBlocks,
     PreconditionError,
+    ToleranceConfig,
     alpha_upper_bound,
     assemble,
     block_reversal_permutation,
@@ -18,7 +19,6 @@ from dsaddle import (
     default_alpha,
     diagnose,
     gen_instance,
-    lambda_max_sym,
     matrix_rank,
     permute_similar,
     rescale_middle,
@@ -201,13 +201,25 @@ class TestCongruence:
         # positive number, which must not shrink the interval to (0, ~1e17)
         s, _ = gen_instance(GeneratorSpec(n=1, m=2, p=1, null_d=1,
                                           def_d="indefinite", seed=9))
-        assert abs(lambda_max_sym(s.D)) < 1e-15
+        assert abs(np.linalg.eigvalsh(s.D)[-1]) < 1e-15
         assert alpha_upper_bound(s) == np.inf
         assert default_alpha(s) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             entries = verify_identities(s)
         assert {e["id"]: e["status"] for e in entries}["congruence"] == "ok"
+
+    def test_alpha_reads_the_callers_tolerance(self):
+        # D's eigenvalue 3 is below the default rank cut of D (2e-10 * 1e12) but
+        # past a 1e-13 one, where it bounds alpha by 2/3
+        s = BlockSystem(np.eye(3), np.ones((2, 3)), np.ones((1, 2)),
+                        np.diag([-1e12, 3.0]), np.eye(1))
+        tol = ToleranceConfig(rank_rtol=1e-13)
+        assert alpha_upper_bound(s, tol) == pytest.approx(2 / 3)
+        assert default_alpha(s, tol) == pytest.approx(1 / 3)
+        congruence_transform(s, default_alpha(s, tol), tol)
+        assert alpha_upper_bound(s) == np.inf
+        assert default_alpha(s) == 1.0
 
     def test_negative_definite_d_is_unconstrained(self):
         # 2I - alpha D stays positive definite for every alpha > 0

@@ -1,6 +1,7 @@
 """Rule-by-rule tests for the invertibility decision ladder."""
 
 import ast
+import dataclasses
 import gc
 import weakref
 from itertools import islice
@@ -419,6 +420,18 @@ class TestLadderTable:
         assert rows["psd_ladder:case2"] == (("E psd", "D psd", "A psd", "N2"),
                                             ("E pd", "N1"), None)
 
+    def test_no_invertible_exit_is_shadowed_but_case3(self):
+        """A row decides invertible in diagnose only if no earlier row needs a
+        subset of its hypotheses, its invertible side and N1-N3 (which diagnose
+        passed before the walk).  psd_ladder:case3 is the one such row: where
+        it decides invertible, direct_sum_iff already has, so it fires only
+        through the psd_ladder view."""
+        facts = [(name, {*hypotheses, *invertible_if})
+                 for name, hypotheses, invertible_if, _ in invertibility._LADDER]
+        shadowed = [(later, earlier) for j, (later, holds) in enumerate(facts)
+                    for earlier, needs in facts[:j] if needs <= holds | {"N1", "N2", "N3"}]
+        assert shadowed == [("psd_ladder:case3", "direct_sum_iff")]
+
 
 def _oracle_nullity(sys):
     """null(K) from an SVD of the assembled matrix under the default rank cut."""
@@ -448,7 +461,7 @@ def test_witness_failing_its_check_is_undetermined():
     # ||K u|| = 1e-7 for its witness u = e2, above residual_rtol times every block norm
     sys = BlockSystem(np.diag([1.0, 1e-7]), np.array([[1.0, 0.0]]), np.array([[1.0]]),
                       np.array([[0.0]]), np.array([[1.0]]))
-    tol = DEFAULT_TOL.replace(rank_rtol=1e-6)
+    tol = dataclasses.replace(DEFAULT_TOL, rank_rtol=1e-6)
     assert not condition_report(sys, tol).holds("N1")
     diag = diagnose(sys, tol)
     assert (diag.verdict, diag.rule, diag.witness) == (Verdict.UNDETERMINED, None, None)
@@ -563,7 +576,7 @@ class TestHeldAnalysis:
         # ker(A) ∩ ker(B) = span(e2) under the looser rank cut only
         blocks = (np.diag([1.0, 1e-9]), np.array([[1.0, 0.0]]), np.array([[1.0]]),
                   np.array([[0.0]]), np.array([[1.0]]))
-        tols = (DEFAULT_TOL, DEFAULT_TOL.replace(rank_rtol=1e-8), DEFAULT_TOL)
+        tols = (DEFAULT_TOL, dataclasses.replace(DEFAULT_TOL, rank_rtol=1e-8), DEFAULT_TOL)
         held = BlockSystem(*blocks)
         seen = [diagnose(held, tol).to_dict() for tol in tols]
         assert seen == [diagnose(BlockSystem(*blocks), tol).to_dict() for tol in tols]

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+import dsaddle
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dsaddle"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
@@ -66,6 +68,18 @@ def test_no_function_level_package_import():
               for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if _imported(node)]
     assert nested == []
+
+
+def test_all_is_what_init_imports():
+    """__all__ names each name __init__ imports, once, and a star import binds each."""
+    imported = [alias.asname or alias.name for node in ast.walk(MODULES["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert len(dsaddle.__all__) == len(set(dsaddle.__all__))
+    assert set(imported) == set(dsaddle.__all__)
+    namespace = {}
+    exec("from dsaddle import *", namespace)
+    assert set(dsaddle.__all__) <= set(namespace)
 
 
 def test_relative_imports_have_no_cycle():
