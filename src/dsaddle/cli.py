@@ -3,7 +3,7 @@
 Subcommands:
 
     diagnose   run the invertibility ladder on a directory of block files
-    invert     compute a structured inverse and write it out
+    invert     write the three-block inverse where it applies, else the dense one
     generate   build a seeded random instance from a JSON spec
     verify     recompute every identity on an instance and report residuals
 
@@ -77,11 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_dir", help="directory holding A.mtx, B.mtx, C.mtx [D.mtx E.mtx]")
     add_common(p)
 
-    p = sub.add_parser("invert", help="compute a structured inverse")
+    p = sub.add_parser("invert", help="compute the inverse, structured where possible")
     p.add_argument("input_dir")
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    p.add_argument("--allow-dense", action="store_true",
-                   help="fall back to dense inversion when no formula applies")
     add_common(p)
 
     p = sub.add_parser("generate", help="generate a seeded random instance")
@@ -132,26 +130,16 @@ def _cmd_diagnose(args, tol: ToleranceConfig) -> int:
 
 def _cmd_invert(args, tol: ToleranceConfig) -> int:
     system = load_block_system(args.input_dir)
-    # inverse_via_factorization is no fallback: null(A) = m and N1 force
-    # rank(B) = m and so DS1, so its hypotheses imply the three-block ones.
-    try:
-        inv = three_block_inverse(system, tol)
-        constructor = "three_block"
-    except PreconditionError:
-        if not args.allow_dense:
-            _sys.stderr.write(
-                "no structured constructor applies to this system; "
-                "rerun with --allow-dense for a dense fallback\n")
-            return EXIT_DATA
-        inv, constructor = None, "dense"
-    # the three-block hypotheses force K invertible in exact arithmetic only: a block
-    # entry near the float maximum can meet them with K singular under the rank cut
     if not oracle_invertible(system, tol):
         _sys.stderr.write("the system is singular: no inverse exists\n")
         return EXIT_DATA
-    if inv is None:
-        _sys.stderr.write("warning: falling back to dense inversion\n")
-        inv = dense_inverse_blocks(system)
+    # inverse_via_factorization is no fallback: null(A) = m and N1 force
+    # rank(B) = m and so DS1, so its hypotheses imply the three-block ones.
+    try:
+        inv, constructor = three_block_inverse(system, tol), "three_block"
+    except PreconditionError as exc:
+        _log.info("dense inverse: %s", exc)
+        inv, constructor = dense_inverse_blocks(system), "dense"
 
     misfit = assemble(system).matrix @ inv.full
     misfit[np.diag_indices_from(misfit)] -= 1.0  # K X - I

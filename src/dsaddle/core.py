@@ -309,11 +309,18 @@ def _congruence(sys: BlockSystem, alpha: float, leading=True) -> tuple:
     return (sys.A + alpha * B.T @ (B + K21) if leading else None), K21, alpha * sys.C @ B
 
 
+_SINGULAR_REDUCED_HESSIAN = ("reduced Hessian Z^T A Z is numerically singular; "
+                            "ker(A) and ker(B) must intersect trivially with A semidefinite")
+
+
 def _projector_from_basis(A, Z: SubspaceBasis):
-    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for a Z^T A Z the caller knows nonsingular."""
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized; a PreconditionError if Z^T A Z is singular."""
     if Z.dim == 0:
         return np.zeros((A.shape[0], A.shape[0]))
-    return _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T))
+    try:
+        return _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T))
+    except np.linalg.LinAlgError:
+        raise PreconditionError(_SINGULAR_REDUCED_HESSIAN) from None
 
 
 class _Analysis:
@@ -338,8 +345,8 @@ class _Analysis:
     # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
-    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every
-    # reader requires A psd and N1, which make Z^T A Z definite, so N1 decides it
+    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every reader
+    # requires A psd and N1, but both cut with slack, so Z^T A Z may still be singular
     projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel))
 
     @cached_property

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
     _checked_alpha, _congruence, _dims, _m_inverse, _m_spectrum, _partition, _place, \
-    _projector_from_basis, _require, assemble
+    _SINGULAR_REDUCED_HESSIAN, _projector_from_basis, _require, assemble
 from .subspaces import SubspaceBasis, ToleranceConfig, _above_cut, _as_matrix, _scaled, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
@@ -198,8 +198,7 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
     tol, A, Z = an.tol, an.sys.A, proj.Z.basis
     # no analysis has decided N1 for this A, so Z^T A Z is tested here
     if not is_nonsingular(Z.T @ A @ Z, tol):
-        raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; "
-                                "ker(A) and ker(B) must intersect trivially with A semidefinite")
+        raise PreconditionError(_SINGULAR_REDUCED_HESSIAN)
     scale = max(_spectral_norm(proj.V), 1.0)
     if _spectral_norm(_projector_from_basis(A, proj.Z) - proj.V) > tol.residual_rtol * scale:
         raise PreconditionError("projector was not built from this A")
@@ -312,6 +311,8 @@ class InverseBlocks:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims))
+        for name in ("z11", "z12", "z13", "z22", "z23", "z33"):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name.upper()))
         _partition(self.blocks(), **dict(zip("nmp", self.dims)))
 
     @classmethod
@@ -346,6 +347,8 @@ class TwoBlockInverse:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims, 2))
+        for name in ("x11", "x12", "x22"):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name.upper()))
         _partition({"X11": self.x11, "X12": self.x12, "X22": self.x22},
                    **dict(zip("nm", self.dims)))
 

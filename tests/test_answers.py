@@ -100,3 +100,15 @@ def test_cli_transcript_reaches_every_exit_and_repeats(capsys):
             assert {status for _, status in pairs} <= {"ok", "failed", "skipped"}, line
             reports += 1
     assert reports
+
+
+def test_cli_transcript_succeeds_silently(capsys):
+    """Every invocation of tools/cli_answers.py that exits 0 writes nothing to
+    stderr: diagnostics go through logging, not stderr."""
+    tool = answers_tool("cli_answers")
+    assert tool.main() == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    succeeded = [line for line in lines if " exit=0 " in line]
+    assert succeeded
+    empty = tool.digest(b"")
+    assert [line for line in succeeded if f" stderr={empty} " not in line] == []

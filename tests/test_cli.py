@@ -2,6 +2,7 @@
 a malformed file could crash the process."""
 
 import json
+import logging
 import os
 import random
 import subprocess
@@ -121,18 +122,20 @@ class TestInvert:
         full = np.triu(full) + np.triu(full, 1).T
         np.testing.assert_allclose(full, fixture_three_block_inverse(), atol=1e-12)
 
-    def test_dense_fallback_requires_flag(self, tmp_path, capsys):
+    def test_dense_inverse_is_the_last_constructor(self, tmp_path, capsys, caplog):
         from dsaddle import BlockSystem
         # invertible but A is indefinite, so no structured formula applies
         sys = BlockSystem(np.array([[-2.0]]), np.array([[1.0]]),
                           np.array([[1.0]]), np.array([[0.0]]), np.array([[3.0]]))
         save_block_system(tmp_path / "blk", sys)
-        code, _, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
-                               "--out", str(tmp_path / "o1"))
-        assert code == 65 and "--allow-dense" in err
-        code, _, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
-                               "--out", str(tmp_path / "o2"), "--allow-dense")
-        assert code == 0 and "dense" in err
+        with caplog.at_level(logging.INFO, logger="dsaddle.cli"):
+            code, _, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
+                                   "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["constructor"] == "dense"
+        assert manifest["spectral_residual"] < 1e-10
+        assert [r.levelno for r in caplog.records] == [logging.INFO]
 
     def test_dense_fallback_refuses_a_singular_system(self, tmp_path, capsys):
         from dsaddle import GeneratorSpec, diagnose, gen_instance
@@ -141,7 +144,7 @@ class TestInvert:
         assert diagnose(system).verdict.value == "singular"
         save_block_system(tmp_path / "blk", system)
         code, out, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
-                                 "--out", str(tmp_path / "o"), "--allow-dense")
+                                 "--out", str(tmp_path / "o"))
         assert code == 65 and out == ""
         assert err.splitlines() == ["the system is singular: no inverse exists"]
         assert not (tmp_path / "o").exists()
@@ -450,7 +453,7 @@ def test_mutated_inputs_exit_with_a_defined_code(tmp_path, capsys):
             else:
                 path.write_text(_mutated(path, rng))
             argv = [command, str(directory)] + {
-                "diagnose": [], "invert": ["--out", out] + ["--allow-dense"] * rng.randrange(2),
+                "diagnose": [], "invert": ["--out", out],
                 "verify": ["--alpha", rng.choice(("0.5", "5.0", "nan", "1e300"))] * rng.randrange(2),
             }[command]
         code = main(argv + ["--format", rng.choice(("text", "json"))])

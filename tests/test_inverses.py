@@ -52,6 +52,10 @@ from _families import direct_sum_singular, fixture_three_block, fixture_three_bl
 
 A2 = np.diag([0.0, 1.0])
 B2 = np.array([[1.0, 0.0]])
+# A psd holds (its eigenvalue -1e-8 is inside the slack) and N1 holds at the stacked
+# cut, yet Z = ker(B) = e1 gives Z^T A Z = A[0, 0] = 0 exactly
+A_SCALED = np.array([[0.0, 1.0], [1.0, 1e8]])
+B_SCALED = np.array([[0.0, 1e8]])
 
 
 class TestReducedHessianProjector:
@@ -88,6 +92,20 @@ class TestReducedHessianProjector:
     def test_rejects_indefinite_a(self):
         with pytest.raises(PreconditionError, match="semidefinite"):
             reduced_hessian_projector(np.diag([1.0, -1.0]), B2)
+
+    def test_exactly_singular_reduced_hessian_is_a_precondition_error(self):
+        """np.linalg.solve raised LinAlgError on Z^T A Z = 0."""
+        with pytest.raises(PreconditionError, match="reduced Hessian"):
+            reduced_hessian_projector(A_SCALED, B_SCALED)
+
+    def test_verify_skips_the_identities_an_exactly_singular_reduced_hessian_stops(self):
+        """verify_identities raised LinAlgError on Z^T A Z = 0."""
+        entries = verify_identities(BlockSystem(A_SCALED, B_SCALED, np.array([[1.0]])))
+        assert [(e["id"], e["status"]) for e in entries] == [
+            ("weight_recovery", "skipped"), ("inner_inverse", "skipped"),
+            ("projector_complement", "ok"), ("reduced_projector", "skipped"),
+            ("congruence", "ok"), ("nullity_bounds", "skipped")]
+        assert "reduced Hessian" in entries[1]["reason"]
 
 
 class TestInnerInverse:
@@ -611,6 +629,22 @@ class TestPartitionRule:
             InverseBlocks(*(np.zeros((2, 2)),) * 6, dims=(20, 10, 5))
         blocks = InverseBlocks(*(np.zeros((1, 1)),) * 6, dims=[1, 1, 1])
         assert blocks.dims == (1, 1, 1) and blocks.full.shape == (3, 3)
+
+    def test_inverse_blocks_read_each_block_as_a_float_matrix(self):
+        """A list block raised AttributeError and an integer block stayed integer."""
+        blocks = InverseBlocks([[1.0]], [[0]], [[0]], [[2]], [[0]], [[1]], dims=(1, 1, 1))
+        assert all(isinstance(Z, np.ndarray) and Z.dtype == float
+                   for Z in blocks.blocks().values())
+        two = TwoBlockInverse([[1]], [[0]], [[0]], dims=(1, 1))
+        assert all(X.dtype == float for X in (two.x11, two.x12, two.x22))
+
+    def test_a_non_finite_inverse_block_is_named(self):
+        """A NaN Z22 was accepted, and z22_nullity_bounds then failed inside numpy."""
+        one = [[1.0]]
+        with pytest.raises(ValueError, match="^Z22 contains non-finite entries$"):
+            InverseBlocks(one, one, one, [[np.nan]], one, one, dims=(1, 1, 1))
+        with pytest.raises(ValueError, match="^X11 contains non-finite entries$"):
+            TwoBlockInverse([[np.nan]], one, one, dims=(1, 1))
 
     def test_projector_checks_v_against_z(self):
         Z = SubspaceBasis(np.eye(12)[:, :8])

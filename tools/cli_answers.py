@@ -18,12 +18,14 @@ The corpus:
 - ``invertible``, ``singular``, ``undetermined``: seeded ``gen_instance``
   systems on which ``diagnose`` exits 0, 1 and 2;
 - ``no_d``: the ``invertible`` system without ``D.mtx`` (a zero D);
-- ``no_a``: the fixture without ``A.mtx``.
+- ``no_a``: the fixture without ``A.mtx``;
+- ``scaled``: blocks whose entries span eight orders of magnitude, where
+  ``A psd`` and N1 hold under their cuts but Z^T A Z = 0 for Z = ker(B).
 
-Each system runs every subcommand in both formats, plus ``--alpha``,
-``--allow-dense`` and the tolerance flags; ``generate`` runs on a feasible,
-an infeasible and a missing spec; a bad tolerance, an unknown subcommand and
-a bad ``--format`` are usage errors.
+Each system runs every subcommand in both formats, plus ``--alpha`` and the
+tolerance flags; ``generate`` runs on a feasible, an infeasible and a missing
+spec; a bad tolerance, an unknown subcommand and a bad ``--format`` are usage
+errors.
 """
 
 import contextlib
@@ -36,10 +38,12 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from _families import fixture_three_block  # noqa: E402
-from dsaddle import GeneratorSpec, gen_instance, save_block_system  # noqa: E402
+from dsaddle import BlockSystem, GeneratorSpec, gen_instance, save_block_system  # noqa: E402
 from dsaddle.cli import main as dsaddle_main  # noqa: E402
 
 PLACEHOLDER = "<tmp>"
@@ -56,6 +60,8 @@ def build_corpus(root: Path) -> dict:
     systems = {"fixture": fixture_three_block()}
     systems.update((name, gen_instance(spec)[0]) for name, spec in GENERATED)
     systems["no_d"], systems["no_a"] = systems["invertible"], systems["fixture"]
+    systems["scaled"] = BlockSystem(np.array([[0.0, 1.0], [1.0, 1e8]]), np.array([[0.0, 1e8]]),
+                                    np.array([[1.0]]))
     paths = {name: root / name for name in systems}
     for name, system in systems.items():
         save_block_system(paths[name], system)
@@ -71,11 +77,10 @@ def build_corpus(root: Path) -> dict:
 
 def invocations():
     """argv templates; {out} is a fresh output directory per invocation."""
-    for name in ("fixture", "invertible", "singular", "undetermined", "no_d", "no_a"):
+    for name in ("fixture", "invertible", "singular", "undetermined", "no_d", "no_a", "scaled"):
         for fmt in ("text", "json"):
             yield ["diagnose", f"{{{name}}}", "--format", fmt]
             yield ["invert", f"{{{name}}}", "--out", "{out}", "--format", fmt]
-            yield ["invert", f"{{{name}}}", "--out", "{out}", "--allow-dense", "--format", fmt]
             yield ["verify", f"{{{name}}}", "--format", fmt]
         yield ["diagnose", f"{{{name}}}", "--tol-rank", "1e-6"]
         yield ["diagnose", f"{{{name}}}", "--tol-rank", "1e-12", "--tol-residual", "1e-6"]
