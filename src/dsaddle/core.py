@@ -28,7 +28,7 @@ import numpy as np
 
 from .subspaces import _SVD, Definiteness, SubspaceBasis, _SymEig, ToleranceConfig, _above_cut, \
     _as_matrix, _resolve, _restricted_kernel, _symmetric, _symmetrized, intersection_kernels, \
-    is_nonsingular
+    is_nonsingular, rank_threshold
 
 
 class PreconditionError(ValueError):
@@ -309,18 +309,22 @@ def _congruence(sys: BlockSystem, alpha: float, leading=True) -> tuple:
     return (sys.A + alpha * B.T @ (B + K21) if leading else None), K21, alpha * sys.C @ B
 
 
-_SINGULAR_REDUCED_HESSIAN = ("reduced Hessian Z^T A Z is numerically singular; "
-                            "ker(A) and ker(B) must intersect trivially with A semidefinite")
-
-
-def _projector_from_basis(A, Z: SubspaceBasis):
-    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized; a PreconditionError if Z^T A Z is singular."""
+@np.errstate(all="ignore")  # a V that overflows is refused, not a warning
+def _projector_from_basis(A: _SymEig, Z: SubspaceBasis):
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for the held eigh of A.  A PreconditionError
+    unless ||V||_F < 1 / A's rank cut: ||V||_F >= ||V||_2 = 1 / lambda_min(Z^T A Z) for an
+    orthonormal Z, so an eigenvalue under the cut is refused with no decomposition, and
+    so is one under sqrt(dim Z) times it."""
     if Z.dim == 0:
-        return np.zeros((A.shape[0], A.shape[0]))
+        return np.zeros(A.matrix.shape)
     try:
-        return _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A @ Z.basis, Z.basis.T))
-    except np.linalg.LinAlgError:
-        raise PreconditionError(_SINGULAR_REDUCED_HESSIAN) from None
+        V = _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A.matrix @ Z.basis, Z.basis.T))
+    except np.linalg.LinAlgError:  # Z^T A Z exactly singular
+        V = None
+    if V is None or not np.linalg.norm(V * rank_threshold(A.norm, A.matrix.shape, A.tol)) < 1:
+        raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; ker(A) and "
+                                "ker(B) must intersect trivially with A semidefinite")
+    return V
 
 
 class _Analysis:
@@ -347,7 +351,7 @@ class _Analysis:
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
     # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every reader
     # requires A psd and N1, but both cut with slack, so Z^T A Z may still be singular
-    projector = cached_property(lambda an: _projector_from_basis(an.sys.A, an.B.kernel))
+    projector = cached_property(lambda an: _projector_from_basis(an.A, an.B.kernel))
 
     @cached_property
     def eigenbasis_rv(self):

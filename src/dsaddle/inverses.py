@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
     _checked_alpha, _congruence, _dims, _m_inverse, _m_spectrum, _partition, _place, \
-    _SINGULAR_REDUCED_HESSIAN, _projector_from_basis, _require, assemble
-from .subspaces import SubspaceBasis, ToleranceConfig, _above_cut, _as_matrix, _scaled, \
+    _projector_from_basis, _require, assemble
+from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _scaled, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
 
@@ -195,14 +195,11 @@ def reduced_projector_residual(A, proj: ReducedHessianProjector,
                                tol: ToleranceConfig | None = None) -> float:
     """Residual of Z Z^T A V = Z Z^T, the fixed-point property of V on ker(B)."""
     an = _blocks(tol, V=proj.V, A=A)
-    tol, A, Z = an.tol, an.sys.A, proj.Z.basis
-    # no analysis has decided N1 for this A, so Z^T A Z is tested here
-    if not is_nonsingular(Z.T @ A @ Z, tol):
-        raise PreconditionError(_SINGULAR_REDUCED_HESSIAN)
+    # no analysis has decided N1 for this A: _projector_from_basis tests Z^T A Z
     scale = max(_spectral_norm(proj.V), 1.0)
-    if _spectral_norm(_projector_from_basis(A, proj.Z) - proj.V) > tol.residual_rtol * scale:
+    if _spectral_norm(_projector_from_basis(an.A, proj.Z) - proj.V) > an.tol.residual_rtol * scale:
         raise PreconditionError("projector was not built from this A")
-    return _fixed_point_residual(A, proj)
+    return _fixed_point_residual(an.sys.A, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +459,10 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
 
 
 def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:
-    """Reference inverse by dense LU of the assembled matrix, every block of
-    it; :func:`verify_identities` solves for Z22 alone with the same LU."""
-    K = assemble(sys).matrix
-    return InverseBlocks.from_full(np.linalg.inv(K), sys.dims)
+    """Reference inverse Q L^{-1} Q^T from one eigh of the assembled matrix.  It is
+    symmetric as formed, so its upper blocks stand for it: an LU inverse is not, and on
+    an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding."""
+    return InverseBlocks.from_full(_SymEig(assemble(sys).matrix).inverse, sys.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,22 @@ class TestInvert:
         assert manifest["spectral_residual"] < 1e-10
         assert [r.levelno for r in caplog.records] == [logging.INFO]
 
+    def test_dense_inverse_of_an_ill_conditioned_system_meets_k_x_eq_i(self, tmp_path, capsys):
+        """cond(K) = 4.5e8: the upper blocks of an LU inverse, mirrored, missed K X = I
+        by 0.74 while the LU inverse itself missed it by 7.5e-9."""
+        from dsaddle import BlockSystem, oracle_invertible
+        sys = BlockSystem(np.array([[0.0, -1.0], [-1.0, 2.0]]), np.array([[3.0, -1.0]]),
+                          np.array([[3.0], [1e8], [1e8]]), np.array([[0.0]]),
+                          np.array([[2.0, 3.0, 1.0], [3.0, 1.0, 1e-9], [1.0, 1e-9, 2.0]]))
+        assert oracle_invertible(sys)
+        save_block_system(tmp_path / "blk", sys)
+        code, _, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
+                               "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["constructor"] == "dense"
+        assert manifest["spectral_residual"] < 1e-6
+
     def test_dense_fallback_refuses_a_singular_system(self, tmp_path, capsys):
         from dsaddle import GeneratorSpec, diagnose, gen_instance
         system, _ = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True,

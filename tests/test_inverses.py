@@ -53,7 +53,7 @@ from _families import direct_sum_singular, fixture_three_block, fixture_three_bl
 A2 = np.diag([0.0, 1.0])
 B2 = np.array([[1.0, 0.0]])
 # A psd holds (its eigenvalue -1e-8 is inside the slack) and N1 holds at the stacked
-# cut, yet Z = ker(B) = e1 gives Z^T A Z = A[0, 0] = 0 exactly
+# cut, yet Z = ker(B) = e1 gives Z^T A Z = A[0, 0] = 0
 A_SCALED = np.array([[0.0, 1.0], [1.0, 1e8]])
 B_SCALED = np.array([[0.0, 1e8]])
 
@@ -93,14 +93,24 @@ class TestReducedHessianProjector:
         with pytest.raises(PreconditionError, match="semidefinite"):
             reduced_hessian_projector(np.diag([1.0, -1.0]), B2)
 
-    def test_exactly_singular_reduced_hessian_is_a_precondition_error(self):
-        """np.linalg.solve raised LinAlgError on Z^T A Z = 0."""
+    @pytest.mark.parametrize("corner", [0.0, 1e-30])
+    def test_numerically_singular_reduced_hessian_is_a_precondition_error(self, corner):
+        """Z^T A Z = A[0, 0]: np.linalg.solve raised LinAlgError on 0, and on 1e-30,
+        far under A's rank cut, it returned a V of norm 1e30."""
+        A = A_SCALED.copy()
+        A[0, 0] = corner
         with pytest.raises(PreconditionError, match="reduced Hessian"):
-            reduced_hessian_projector(A_SCALED, B_SCALED)
+            reduced_hessian_projector(A, B_SCALED)
+        with pytest.raises(PreconditionError, match="reduced Hessian"):
+            reduced_projector_residual(A, ReducedHessianProjector(np.zeros((2, 2)),
+                                                                  SubspaceBasis(np.eye(2)[:, :1])))
 
-    def test_verify_skips_the_identities_an_exactly_singular_reduced_hessian_stops(self):
+    @pytest.mark.parametrize("corner", [0.0, 1e-30])
+    def test_verify_skips_the_identities_a_singular_reduced_hessian_stops(self, corner):
         """verify_identities raised LinAlgError on Z^T A Z = 0."""
-        entries = verify_identities(BlockSystem(A_SCALED, B_SCALED, np.array([[1.0]])))
+        A = A_SCALED.copy()
+        A[0, 0] = corner
+        entries = verify_identities(BlockSystem(A, B_SCALED, np.array([[1.0]])))
         assert [(e["id"], e["status"]) for e in entries] == [
             ("weight_recovery", "skipped"), ("inner_inverse", "skipped"),
             ("projector_complement", "ok"), ("reduced_projector", "skipped"),
@@ -481,7 +491,7 @@ class TestEigenbasisFact:
         a_tilde = A + B.T @ (2.0 * np.eye(m) - D) @ B
         bound = 1e-13 * np.linalg.cond(a_tilde)
         rel = lambda X, Y: np.linalg.norm(X - Y, 2) / np.linalg.norm(Y, 2)
-        assert rel(V, _projector_from_basis(A, an.B.kernel)) <= bound
+        assert rel(V, _projector_from_basis(an.A, an.B.kernel)) <= bound
         assert rel(R, np.linalg.solve(B @ B.T, B @ (np.eye(n) - A @ V))) <= bound
         assert rel(V + R.T @ np.linalg.inv(2.0 * np.eye(m) - D) @ R, np.linalg.inv(a_tilde)) <= bound
         return an
