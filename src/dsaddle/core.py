@@ -244,6 +244,15 @@ def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
     return alpha
 
 
+def _finite(alpha, *values):
+    """The values, each checked finite (None passes): a value that overflows or is 0/0
+    makes an identity or a transform inapplicable, at the scale alpha when one is given."""
+    if not all(v is None or np.isfinite(v).all() for v in values):
+        raise PreconditionError("the identity overflows floating point" if alpha is None
+                                else f"alpha={float(alpha)!r} overflows the scaled blocks")
+    return values
+
+
 def alpha_upper_bound(sys: BlockSystem, tol: ToleranceConfig | None = None) -> float:
     """Upper end of the admissible scaling interval (inf when unconstrained).
 
@@ -292,10 +301,11 @@ def congruence_transform(sys: BlockSystem, alpha: float,
     D = 0 any positive alpha is admissible.
     """
     alpha = _checked_alpha(_analysis(sys, tol).D, alpha)
-    K11, K21, K31 = _congruence(sys, alpha)
+    with np.errstate(all="ignore"):  # _finite refuses an alpha that overflows
+        K11, K21, K31, N = _finite(alpha, *_congruence(sys, alpha), alpha * sys.B)
     Kt = _place(sys.dims, {(0, 0): K11, (1, 0): K21, (2, 0): K31, (1, 1): -sys.D,
                            (2, 1): sys.C, (2, 2): sys.E}, mirror=True)
-    W = _place(sys.dims, {(1, 0): alpha * sys.B})
+    W = _place(sys.dims, {(1, 0): N})
     np.fill_diagonal(W, 1.0)
     return AssembledMatrix(Kt, sys.dims), AssembledMatrix(W, sys.dims)
 
@@ -465,6 +475,8 @@ _HYPOTHESES = {
     "N1": lambda an: (an.n1.is_trivial, "ker(A) and ker(B) must intersect only in {0}"),
     "N2": lambda an: (an.n2.is_trivial, "ker(B^T), ker(D) and ker(C) must intersect only in {0}"),
     "N3": lambda an: (an.n3.is_trivial, "ker(C^T) and ker(E) must intersect only in {0}"),
+    **{f"{c} fails": lambda an, c=c: (not getattr(an, c.lower()).is_trivial, f"{c} must fail")
+       for c in ("N1", "N2", "N3")},
     "R": lambda an: (an.r.is_trivial, "ran(B) and ran(C^T) must intersect only in {0}"),
     "DS1": lambda an: (an.ds1, "ker(A) and ker(B) must form a direct sum of the whole space"),
     "DS2": lambda an: (an.ds2, "ker(E) and ker(C^T) must form a direct sum of the whole space"),
@@ -489,7 +501,8 @@ _HYPOTHESES = {
 
 
 def _hold(an, names) -> bool:
-    return all(_HYPOTHESES[name](an)[0] for name in names)
+    """Whether every named hypothesis holds; a side that is None never holds."""
+    return names is not None and all(_HYPOTHESES[name](an)[0] for name in names)
 
 
 def _require(an, *names):

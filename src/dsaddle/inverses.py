@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
-    _checked_alpha, _congruence, _dims, _m_inverse, _m_spectrum, _partition, _place, \
+    _checked_alpha, _congruence, _dims, _finite, _m_inverse, _m_spectrum, _partition, _place, \
     _projector_from_basis, _require, assemble
 from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _scaled, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
@@ -28,15 +28,6 @@ def _blocks(tol, **blocks):
     blocks = {k: _block(v, k) for k, v in blocks.items()}
     _partition(blocks)
     return _analysis(SimpleNamespace(**blocks), tol)
-
-
-def _finite(alpha, *values):
-    """The values, each checked finite (None passes): a value that overflows or
-    is 0/0 makes an identity inapplicable, at the scale alpha when one is given."""
-    if not all(v is None or np.isfinite(v).all() for v in values):
-        raise PreconditionError("the identity overflows floating point" if alpha is None
-                                else f"alpha={float(alpha)!r} overflows the scaled blocks")
-    return values
 
 
 def _fro_ratio(num, den) -> float:
@@ -222,11 +213,12 @@ def transformed_schur_complement(sys: BlockSystem, alpha: float | None,
     """
     D = _analysis(sys, tol).D
     alpha = _checked_alpha(D, alpha)
-    Minv = _m_inverse(D, alpha)
-    CM = sys.C @ Minv
-    S22 = _symmetrized(sys.E - alpha * CM @ sys.C.T)
-    return _place((sys.m, sys.p), {(0, 0): -(1.0 / alpha) * Minv, (1, 0): CM, (1, 1): S22},
-                  mirror=True)
+    with np.errstate(all="ignore"):  # _finite refuses an alpha that overflows
+        Minv = _m_inverse(D, alpha)
+        CM = sys.C @ Minv
+        S11, S22 = _finite(alpha, -(1.0 / alpha) * Minv,
+                           _symmetrized(sys.E - alpha * CM @ sys.C.T))
+    return _place((sys.m, sys.p), {(0, 0): S11, (1, 0): CM, (1, 1): S22}, mirror=True)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ This module decides only: every fact it reads, each decomposition included,
 is held by the analysis of the system (see :mod:`dsaddle.core`).  Each rule is
 a row of one table: named hypotheses, read from that analysis through the
 table in :mod:`dsaddle.core` that the inverse constructors check too, and a
-decide step.  A rule returns a :class:`Diagnosis`: a definitive verdict
-(invertible with the rule that fired, or singular with a unit kernel witness)
-or "undetermined" when the hypotheses do not apply.  Rules never raise on
-inapplicable input, so the ladder always terminates with a report.
+decide step.  A rule returns a :class:`Diagnosis`: invertible with the rule
+that fired, singular with a unit kernel witness (one rule picks it for every
+row), or "undetermined" when no row decides.  The first row that decides ends
+the walk, a singular one whose witness fails its check as undetermined.  Rules
+never raise on inapplicable input, so the ladder always ends with a report.
 
 Condition identifiers used throughout:
 
@@ -18,8 +19,8 @@ Condition identifiers used throughout:
     DS1  ker(A) (+) ker(B)   = R^n   (direct sum)
     DS2  ker(E) (+) ker(C^T) = R^p   (direct sum)
 
-N1, N2, N3 are necessary for invertibility; a failure of any of them yields
-an explicit kernel vector of the assembled matrix.
+N1, N2, N3 are necessary for invertibility and head the ladder: a failure of
+any of them yields an explicit kernel vector of the assembled matrix.
 """
 
 from dataclasses import dataclass, field
@@ -166,25 +167,16 @@ def necessary_conditions(sys: BlockSystem, tol: ToleranceConfig | None = None) -
     return ConditionReport(entries={c: _entry(an, c) for c in ("N1", "N2", "N3")})
 
 
-def _necessary_failure(an, report):
-    """The singular (or, past the witness check, undetermined) diagnosis of
-    the first failed necessary condition; None when all three hold."""
-    for cond_id, embed in (("N1", "x"), ("N2", "y"), ("N3", "z")):
-        if not report.holds(cond_id):
-            u = _embed(an.sys, **{embed: report.witness(cond_id)})
-            return _singular(an, f"necessary:{cond_id}", u, report)
-    return None
-
-
 _PSD = ("A psd", "D psd", "E psd")
 # with A, D and E semidefinite, null(K) = dim N2 + dim of the overlap
 _PSD_IFF = ("N2", "overlap = {0}")
 
 # The ladder in diagnose order.  A row is a rule name, the hypotheses that make
 # it apply and its decide step: invertible when the third names hold, else
-# singular when the fourth hold (never when None), else undetermined.  The _c_
-# rows and case2 are the _b_ rows and case1 read on the block reversal.
+# singular when the fourth hold (a None side never holds), else undetermined.
+# The _c_ rows and case2 are the _b_ rows and case1 read on the block reversal.
 _LADDER = (
+    *((f"necessary:{c}", (f"{c} fails",), None, ()) for c in ("N1", "N2", "N3")),
     ("schur_sufficient", ("A nonsingular",), ("S1, S2 nonsingular",), None),
     ("e_iff", ("A psd", "D psd", "N1", "N2", "N3", "null(A) = m"), ("E nonsingular",), ()),
     ("corollary_b_full_rank", ("A = 0", "m >= n", "D pd", "E pd"), _PSD_IFF, ()),
@@ -201,31 +193,33 @@ _LADDER = (
 
 
 def _kernel_witness(an):
-    """N2's [0; y; 0] when N2 fails, else the first overlap vector [x; 0; z]
+    """The witness of every singular verdict: the first failing N1, N2 or N3 as
+    [x; 0; 0], [0; y; 0] or [0; 0; z], else the first overlap vector [x; 0; z]
     (None for {0}), which has A x = 0, E z = 0 and B x + C^T z = 0."""
-    if not an.n2.is_trivial:
-        return _embed(an.sys, y=_first(an.n2))
+    for cond_id, block in (("n1", "x"), ("n2", "y"), ("n3", "z")):
+        w = _first(getattr(an, cond_id))
+        if w is not None:
+            return _embed(an.sys, **{block: w})
     v = _first(an.overlap)
     return None if v is None else _embed(an.sys, x=v[:an.sys.n], z=v[an.sys.n:])
 
 
 def _walk(an, report, prefix=""):
-    """The first definite verdict of the ladder rows whose names start with
-    ``prefix``, or undetermined when none decides."""
+    """The verdict of the first row named from ``prefix`` that decides, where a
+    failed witness ends the walk as undetermined; undetermined when none does."""
     for name, hypotheses, invertible_if, singular_if in _LADDER:
         if not name.startswith(prefix) or not _hold(an, hypotheses):
             continue
         if _hold(an, invertible_if):
             return Diagnosis(Verdict.INVERTIBLE, name, report)
-        if singular_if is not None and _hold(an, singular_if):
-            diagnosis = _singular(an, name, _kernel_witness(an), report)
-            if diagnosis.verdict is Verdict.SINGULAR:
-                return diagnosis
+        if _hold(an, singular_if):
+            return _singular(an, name, _kernel_witness(an), report)
     return _undetermined(report)
 
 
 def _view(sys, tol, prefix):
-    """A public rule: its ladder rows, decided on this system's report."""
+    """The ladder rows named from ``prefix`` (all of them for ""), decided on this
+    system's report: a public rule, or diagnose."""
     an = _analysis(sys, tol)
     return _walk(an, condition_report(sys, an.tol), prefix)
 
@@ -329,13 +323,12 @@ def oracle_invertible(sys: BlockSystem, tol: ToleranceConfig | None = None) -> b
 def diagnose(sys: BlockSystem, tol: ToleranceConfig | None = None) -> Diagnosis:
     """Run the whole ladder and return the first definitive verdict.
 
-    Order: the necessary conditions (any failure short-circuits to
-    singular, or undetermined when its witness fails), then schur_sufficient,
+    Order: the necessary conditions N1, N2, N3, then schur_sufficient,
     e_iff_rule, corollary_rules, rank_b_iff, rank_c_iff, direct_sum_iff,
-    psd_ladder, psd_iff.  The order is fixed so reports are reproducible.
-    Every rule, and every later call on the same system and tolerance, reads
-    the one analysis the system holds, :func:`oracle_invertible` included.
+    psd_ladder, psd_iff.  The first row that decides ends the walk; a singular
+    one whose witness fails its check answers undetermined.  The order is
+    fixed so reports are reproducible.  Every rule, and every later call on
+    the same system and tolerance, reads the one analysis the system holds,
+    :func:`oracle_invertible` included.
     """
-    an = _analysis(sys, tol)
-    report = condition_report(sys, an.tol)
-    return _necessary_failure(an, report) or _walk(an, report)
+    return _view(sys, tol, "")

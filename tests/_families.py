@@ -80,6 +80,17 @@ def direct_sum_singular(seed):
     return gen_instance(spec)
 
 
+def range_angle(theta, m=20) -> BlockSystem:
+    """n = p = 1, A = E = 0, D = I_m, B = e_1 and C^T the unit vector at the
+    angle theta to B in the (e_1, e_2) plane.  K is invertible for every
+    theta > 0, but sigma_min(K) falls like theta^2 while the range tests read
+    sin(theta), so near theta = 1e-8 the oracle's cut calls K singular while
+    R fails and the overlap is still {0}."""
+    e = np.eye(m)
+    c = np.cos(theta) * e[:1] + np.sin(theta) * e[1:2]
+    return BlockSystem(np.zeros((1, 1)), e[:, :1], c, e, np.zeros((1, 1)))
+
+
 def random_systems(count, seed, deficient_every=0):
     """Seeded small gen_instance specs with random nullities, ranks and flags.
 

@@ -196,6 +196,14 @@ class TestCongruence:
         assert default_alpha(s) == 1.0
         congruence_transform(s, 100.0)  # any positive alpha is admissible
 
+    def test_alpha_that_overflows_is_refused_with_no_warning(self):
+        # D = 0 admits every alpha > 0, but alpha B^T (2I - alpha D) B overflows at 1e308
+        s = BlockSystem(np.eye(2), np.array([[1.0, 0.0]]), np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="alpha=1e\\+308 overflows"):
+                congruence_transform(s, 1e308)
+
     def test_rounding_level_lambda_max_is_unconstrained(self):
         # D is negative semidefinite; its zero eigenvalue comes out as a tiny
         # positive number, which must not shrink the interval to (0, ~1e17)

@@ -13,11 +13,12 @@ The inverse constructors read R, V and a_tilde^{-1} from the eigh of A and the
 SVD of B Q0 (Q0 A's kernel eigenvectors) that N1's restricted step ran, both
 held: no eigh of a_tilde = A + B^T (2I - D) B, and no solve with B B^T or
 Z^T A Z.  verify's reduced-Hessian projector is held there too, built once
-by one solve with Z^T A Z, whose nonsingularity is the held N1, so no
-eigvalsh tests it again.
+by one solve with Z^T A Z and refused when ||V||_F passes the inverse of A's
+rank cut, so no eigvalsh tests Z^T A Z.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
-answers the oracle and ||K^{-1}||_2, and no eigenvectors of K are ever
-needed.  verify inverts no matrix: it reads Z22 from one LU solve of K
+answers the oracle and ||K^{-1}||_2; only dense_inverse_blocks, the last
+constructor of invert, runs an eigh of K for its eigenvectors, and no
+diagnose or verify does.  verify inverts no matrix: it reads Z22 from one LU solve of K
 against its m middle unit columns, and reads every spectral norm and
 nonsingularity test of an n x n or ell x ell matrix through eigenvalues, so
 it runs no SVD on such a matrix.  Witnesses are checked against the

@@ -329,6 +329,12 @@ class TestTransformedSchur:
         with pytest.raises(PreconditionError):
             transformed_schur_complement(sys, 0.0)
 
+    def test_alpha_that_overflows_is_refused(self):
+        # D = 0 admits every alpha > 0, but -(1/alpha) M^{-1} overflows at 1e-320
+        sys = BlockSystem(np.eye(2), np.array([[1.0, 0.0]]), np.array([[1.0]]))
+        with pytest.raises(PreconditionError, match="alpha=1e-320 overflows"):
+            transformed_schur_complement(sys, 1e-320)
+
     def test_none_takes_the_default_alpha(self):
         for seed in range(4):
             sys, _ = max_deficient(seed, null_d=seed % 2)

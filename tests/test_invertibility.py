@@ -49,6 +49,7 @@ from _families import (
     noisy,
     psd_disjoint_ranges,
     random_systems,
+    range_angle,
 )
 from dsaddle.core import _HYPOTHESES, _analysis
 from dsaddle.subspaces import nullity, rank_threshold
@@ -400,6 +401,34 @@ class TestLadderTable:
                 checked += 1
         assert checked >= 200
 
+    @pytest.mark.parametrize("theta", [5e-9, 6e-9, 7e-9])
+    def test_a_singular_row_whose_witness_fails_ends_the_walk(self, theta):
+        """On the range-angle system R fails, so direct_sum_iff proves singular,
+        but the overlap is still {0} and no witness exists: diagnose answers
+        undetermined rather than psd_iff's invertible against the oracle."""
+        system = range_angle(theta)
+        assert not oracle_invertible(system)
+        assert diagnose(system).verdict is Verdict.UNDETERMINED
+        assert direct_sum_iff(system).verdict is Verdict.UNDETERMINED
+
+    def test_every_singular_view_carries_a_kernel_witness(self):
+        """Every singular verdict of every public rule on the hand and spec
+        corpora carries a sound witness, on systems failing N1 or N3 too, where
+        the witness is that condition's vector."""
+        checked = failing = 0
+        for name, corpus in answers_tool().CORPORA:
+            if name not in ("hand", "spec"):
+                continue
+            for system in corpus(1):
+                report = necessary_conditions(system)
+                for rule in PUBLIC_RULES:
+                    diag = rule(system)
+                    if diag.verdict is Verdict.SINGULAR:
+                        assert witness_is_sound(system, diag), (name, rule.__name__)
+                        checked += 1
+                        failing += not (report.holds("N1") and report.holds("N3"))
+        assert checked >= 200 and failing >= 100
+
     def test_every_hypothesis_name_is_in_the_table(self):
         used = {h for _, *groups in invertibility._LADDER for names in groups if names
                 for h in names}
@@ -422,11 +451,11 @@ class TestLadderTable:
 
     def test_no_invertible_exit_is_shadowed_but_case3(self):
         """A row decides invertible in diagnose only if no earlier row needs a
-        subset of its hypotheses, its invertible side and N1-N3 (which diagnose
-        passed before the walk).  psd_ladder:case3 is the one such row: where
+        subset of its hypotheses, its invertible side and N1-N3 (which hold past
+        the ladder's necessary rows).  psd_ladder:case3 is the one such row: where
         it decides invertible, direct_sum_iff already has, so it fires only
         through the psd_ladder view."""
-        facts = [(name, {*hypotheses, *invertible_if})
+        facts = [(name, {*hypotheses, *(invertible_if or ())})
                  for name, hypotheses, invertible_if, _ in invertibility._LADDER]
         shadowed = [(later, earlier) for j, (later, holds) in enumerate(facts)
                     for earlier, needs in facts[:j] if needs <= holds | {"N1", "N2", "N3"}]

@@ -20,12 +20,16 @@ The corpus:
 - ``no_d``: the ``invertible`` system without ``D.mtx`` (a zero D);
 - ``no_a``: the fixture without ``A.mtx``;
 - ``scaled``: blocks whose entries span eight orders of magnitude, where
-  ``A psd`` and N1 hold under their cuts but Z^T A Z = 0 for Z = ker(B).
+  ``A psd`` and N1 hold under their cuts but Z^T A Z = 0 for Z = ker(B);
+- ``angle``: ``tests/_families.py``'s range-angle system at theta = 6e-9,
+  which the oracle calls singular while ``direct_sum_iff`` proves singular
+  with no witness, so ``diagnose`` exits 2 and ``invert`` 65.
 
 Each system runs every subcommand in both formats, plus ``--alpha`` and the
 tolerance flags; ``generate`` runs on a feasible, an infeasible and a missing
 spec; a bad tolerance, an unknown subcommand and a bad ``--format`` are usage
-errors.
+errors.  ``angle`` runs last, so the lines before it keep their output
+directories.
 """
 
 import contextlib
@@ -42,7 +46,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from _families import fixture_three_block  # noqa: E402
+from _families import fixture_three_block, range_angle  # noqa: E402
 from dsaddle import BlockSystem, GeneratorSpec, gen_instance, save_block_system  # noqa: E402
 from dsaddle.cli import main as dsaddle_main  # noqa: E402
 
@@ -62,6 +66,7 @@ def build_corpus(root: Path) -> dict:
     systems["no_d"], systems["no_a"] = systems["invertible"], systems["fixture"]
     systems["scaled"] = BlockSystem(np.array([[0.0, 1.0], [1.0, 1e8]]), np.array([[0.0, 1e8]]),
                                     np.array([[1.0]]))
+    systems["angle"] = range_angle(6e-9)
     paths = {name: root / name for name in systems}
     for name, system in systems.items():
         save_block_system(paths[name], system)
@@ -75,9 +80,9 @@ def build_corpus(root: Path) -> dict:
     return paths
 
 
-def invocations():
-    """argv templates; {out} is a fresh output directory per invocation."""
-    for name in ("fixture", "invertible", "singular", "undetermined", "no_d", "no_a", "scaled"):
+def system_invocations(*names):
+    """The argv templates that run every subcommand on each named system."""
+    for name in names:
         for fmt in ("text", "json"):
             yield ["diagnose", f"{{{name}}}", "--format", fmt]
             yield ["invert", f"{{{name}}}", "--out", "{out}", "--format", fmt]
@@ -87,6 +92,12 @@ def invocations():
         yield ["verify", f"{{{name}}}", "--tol-residual", "1e-300", "--format", "json"]
         for alpha in ("0.5", "5.0", "nan"):
             yield ["verify", f"{{{name}}}", "--alpha", alpha]
+
+
+def invocations():
+    """argv templates; {out} is a fresh output directory per invocation."""
+    yield from system_invocations("fixture", "invertible", "singular", "undetermined", "no_d",
+                                  "no_a", "scaled")
     for fmt in ("text", "json"):
         yield ["generate", "--spec", "{spec}", "--out", "{out}", "--format", fmt]
         yield ["generate", "--spec", "{spec}", "--out", "{out}", "--seed", "7", "--format", fmt]
@@ -103,6 +114,7 @@ def invocations():
     yield []
     for command in ("diagnose", "invert", "generate", "verify"):
         yield [command, "--help"]
+    yield from system_invocations("angle")
 
 
 def digest(data: bytes) -> str:
