@@ -30,6 +30,10 @@ from .subspaces import _SVD, Definiteness, SubspaceBasis, _SymEig, ToleranceConf
     _as_matrix, _resolve, _restricted_kernel, _symmetric, _symmetrized, intersection_kernels, \
     is_nonsingular, rank_threshold
 
+__all__ = ["AssembledMatrix", "BlockSystem", "GenerationError", "PreconditionError",
+           "alpha_upper_bound", "assemble", "block_reversal_permutation", "congruence_transform",
+           "default_alpha", "permute_similar", "rescale_middle"]
+
 
 class PreconditionError(ValueError):
     """A mathematical hypothesis of the requested operation does not hold.
@@ -381,13 +385,17 @@ class _Analysis:
         return R, Y @ Y.T
 
     @cached_property
+    @np.errstate(all="ignore")  # an S1 or S2 that overflows certifies nothing
     def schur_nonsingular(self) -> bool:
         """S1 = D + B A^{-1} B^T and then S2 = E + C S1^{-1} C^T nonsingular, with
         A^{-1} read from A's held eigh and S1 tested and inverted through one eigh."""
         s, lam, Q = self.sys, self.A.eigenvalues, self.A.eigenvectors
         BQ = s.B @ Q
-        s1 = _SymEig(s.D + (BQ / lam) @ BQ.T, self.tol)
-        return s1.nonsingular and is_nonsingular(s.E + s.C @ s1.inverse @ s.C.T, self.tol)
+        S1 = s.D + (BQ / lam) @ BQ.T
+        if not np.isfinite(S1).all() or not (s1 := _SymEig(S1, self.tol)).nonsingular:
+            return False
+        S2 = s.E + s.C @ s1.inverse @ s.C.T
+        return bool(np.isfinite(S2).all()) and is_nonsingular(S2, self.tol)
 
     # N1..N3, the overlap and R restrict the later blocks to the near-kernel of the
     # first, read from its held decomposition; near the rank cut the stacked SVD decides.

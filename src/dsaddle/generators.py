@@ -18,6 +18,9 @@ import numpy as np
 from .core import BlockSystem, GenerationError, _analysis, _within_bound
 from .subspaces import Definiteness, ToleranceConfig, _symmetrized
 
+__all__ = ["GeneratorSpec", "InstanceCertificate", "gen_instance", "gen_psd_with_nullity",
+           "gen_rank", "haar_orthogonal"]
+
 SPECTRUM_LOW = 0.5
 SPECTRUM_HIGH = 2.0
 DEFAULT_MAX_RETRIES = 32
@@ -115,6 +118,7 @@ class GeneratorSpec:
         return spec
 
     def validate(self) -> "GeneratorSpec":
+        _check_types(vars(self))
         spec = self.resolved()
         n, m, p = spec.n, spec.m, spec.p
         if min(n, m, p) < 1:
@@ -171,18 +175,24 @@ class GeneratorSpec:
         """Spec from decoded JSON; field types are checked, never coerced."""
         if not isinstance(data, dict):
             raise ValueError("a generator spec must be a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown, missing = set(data) - set(fields), {"n", "m", "p"} - set(data)
+        unknown, missing = set(data) - set(cls.__dataclass_fields__), {"n", "m", "p"} - set(data)
         if unknown or missing:
             raise ValueError(f"unknown generator spec fields: {sorted(unknown)}" if unknown
                              else f"generator spec misses the fields {sorted(missing)}")
-        for name, value in data.items():
-            expected = fields[name].type
-            # bool is a subclass of int, but a flag is no count
-            if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
-                raise ValueError(f"generator spec field {name!r} must be of type "
-                                 f"{getattr(expected, '__name__', expected)}, got {value!r}")
+        _check_types(data)
         return cls(**data)
+
+
+def _check_types(values: dict) -> None:
+    """A ValueError for the first spec field whose value is not of the field's type,
+    never a coercion.  An int field takes a numpy integer but no bool, as dims do."""
+    for name, value in values.items():
+        expected = GeneratorSpec.__dataclass_fields__[name].type
+        fits = isinstance(value, (expected, np.integer) if issubclass(int, expected) else expected)
+        # bool is a subclass of int, but a flag is no count
+        if not fits or (isinstance(value, bool) and expected is not bool):
+            raise ValueError(f"generator spec field {name!r} must be of type "
+                             f"{getattr(expected, '__name__', expected)}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ All identity helpers return relative residuals and raise
 violated hypothesis can never masquerade as a small number.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +19,14 @@ from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _b
     _projector_from_basis, _require, assemble
 from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _scaled, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
+
+__all__ = ["InverseBlocks", "NullityBoundReport", "ReducedHessianProjector",
+           "TransformedFactorization", "TwoBlockInverse", "dense_inverse_blocks",
+           "factorize_transformed", "inner_inverse_residual", "inverse_via_factorization",
+           "projector_complement_residual", "reduced_hessian_projector",
+           "reduced_projector_residual", "three_block_inverse", "transformed_schur_complement",
+           "two_block_inverse", "verify_identities", "weight_recovery_residual",
+           "z22_nullity_bounds"]
 
 
 def _blocks(tol, **blocks):
@@ -282,13 +290,35 @@ def _factor_blocks(an, b_one, cb):
 # explicit inverses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InverseBlocks:
-    """Symmetric 3 x 3 block partition of an inverse.
+class _UpperBlocks:
+    """The upper blocks of a symmetric block partition, one dataclass field each
+    beside dims, named by letter, block row and block column (z12 is block
+    (1, 2)).  Only they are stored; the assembled matrix mirrors them, so the
+    result is symmetric by construction."""
 
-    Only the upper blocks are stored; the assembled matrix mirrors them, so
-    the result is symmetric by construction.
-    """
+    def _upper(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dims"}
+
+    def __post_init__(self):
+        upper = self._upper()
+        diagonal = sum(name[1] == name[2] for name in upper)  # one size per diagonal block
+        object.__setattr__(self, "dims", _dims(self.dims, diagonal))
+        for name, M in upper.items():
+            object.__setattr__(self, name, _as_matrix(M, name.upper()))
+        _partition(self.blocks(), **dict(zip("nmp", self.dims)))
+
+    @property
+    def full(self) -> np.ndarray:
+        return _place(self.dims, {(int(k[1]) - 1, int(k[2]) - 1): M
+                                  for k, M in self._upper().items()}, mirror=True)
+
+    def blocks(self) -> dict:
+        return {name.upper(): M for name, M in self._upper().items()}
+
+
+@dataclass(frozen=True)
+class InverseBlocks(_UpperBlocks):
+    """Symmetric 3 x 3 block partition of an inverse."""
 
     z11: np.ndarray
     z12: np.ndarray
@@ -298,12 +328,6 @@ class InverseBlocks:
     z33: np.ndarray
     dims: tuple[int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _dims(self.dims))
-        for name in ("z11", "z12", "z13", "z22", "z23", "z33"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name.upper()))
-        _partition(self.blocks(), **dict(zip("nmp", self.dims)))
-
     @classmethod
     def from_full(cls, M, dims) -> "InverseBlocks":
         part = AssembledMatrix(_as_matrix(M, "inverse"), dims)
@@ -311,19 +335,9 @@ class InverseBlocks:
         sym = lambda i: _symmetrized(block(i, i))
         return cls(sym(0), block(0, 1), block(0, 2), sym(1), block(1, 2), sym(2), part.dims)
 
-    @property
-    def full(self) -> np.ndarray:
-        return _place(self.dims, {(0, 0): self.z11, (0, 1): self.z12, (0, 2): self.z13,
-                                  (1, 1): self.z22, (1, 2): self.z23, (2, 2): self.z33},
-                      mirror=True)
-
-    def blocks(self) -> dict:
-        return {"Z11": self.z11, "Z12": self.z12, "Z13": self.z13,
-                "Z22": self.z22, "Z23": self.z23, "Z33": self.z33}
-
 
 @dataclass(frozen=True)
-class TwoBlockInverse:
+class TwoBlockInverse(_UpperBlocks):
     """Inverse of the 2 x 2 block matrix [[A, B^T], [B, -D]].
 
     The trailing block is exactly zero by construction.
@@ -333,18 +347,6 @@ class TwoBlockInverse:
     x12: np.ndarray
     x22: np.ndarray
     dims: tuple[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _dims(self.dims, 2))
-        for name in ("x11", "x12", "x22"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name.upper()))
-        _partition({"X11": self.x11, "X12": self.x12, "X22": self.x22},
-                   **dict(zip("nm", self.dims)))
-
-    @property
-    def full(self) -> np.ndarray:
-        return _place(self.dims, {(0, 0): self.x11, (0, 1): self.x12, (1, 1): self.x22},
-                      mirror=True)
 
 
 def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockInverse:

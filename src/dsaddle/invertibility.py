@@ -31,6 +31,11 @@ import numpy as np
 from .core import BlockSystem, _analysis, _hold
 from .subspaces import ToleranceConfig, _scaled
 
+__all__ = ["ConditionEntry", "ConditionReport", "Diagnosis", "Verdict", "condition_report",
+           "corollary_rules", "diagnose", "direct_sum_iff", "e_iff_rule", "necessary_conditions",
+           "oracle_invertible", "psd_iff", "psd_ladder", "rank_b_iff", "rank_c_iff",
+           "schur_sufficient"]
+
 CONDITION_ORDER = ("N1", "N2", "N3", "R", "DS1", "DS2")
 
 

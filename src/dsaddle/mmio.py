@@ -20,6 +20,9 @@ import numpy as np
 
 from .core import BlockSystem, _within_bound
 
+__all__ = ["load_block_system", "read_matrix", "save_block_system", "save_inverse_blocks",
+           "write_matrix"]
+
 _MIRROR = {"general": 0, "symmetric": 1, "skew-symmetric": -1}  # sign of a_ji / a_ij
 
 

@@ -19,6 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
+__all__ = ["DEFAULT_TOL", "Definiteness", "SubspaceBasis", "ToleranceConfig",
+           "classify_definiteness", "intersection_kernels", "is_direct_sum", "is_nonsingular",
+           "kernel_basis", "matrix_rank", "nullity", "range_basis", "range_intersection_trivial"]
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:

@@ -105,15 +105,15 @@ def _necessary_violation(seed):
 
 def _schur_family(seed):
     spec = GeneratorSpec(n=4, m=3, p=2, null_a=0, null_d=seed % 2,
-                         null_e=seed % 3 == 0, rank_b=2, rank_c=2,
+                         null_e=int(seed % 3 == 0), rank_b=2, rank_c=2,
                          def_d="indefinite" if seed % 5 == 0 else "psd",
                          seed=seed)
     return gen_instance(spec)
 
 
 def _psd_family(seed):
-    spec = GeneratorSpec(n=5, m=3, p=3, null_a=seed % 2, null_d=seed % 3 == 0,
-                         null_e=seed % 4 == 0, rank_b=2 + seed % 2, rank_c=2,
+    spec = GeneratorSpec(n=5, m=3, p=3, null_a=seed % 2, null_d=int(seed % 3 == 0),
+                         null_e=int(seed % 4 == 0), rank_b=2 + seed % 2, rank_c=2,
                          seed=seed)
     return gen_instance(spec)
 
@@ -149,7 +149,7 @@ def _rank_c_zero_a(seed):
 
 
 def _e_iff_family(seed):
-    return max_deficient(seed, null_e=seed % 3 == 0, null_d=seed % 2)
+    return max_deficient(seed, null_e=int(seed % 3 == 0), null_d=seed % 2)
 
 
 def test_criterion_2_diagnosis_soundness():
@@ -216,7 +216,7 @@ def test_criterion_4_identity_suite():
     rng = np.random.default_rng(0)
     worst = 0.0
     for seed in range(200):
-        sys, _ = max_deficient(seed, null_d=seed % 3 == 0,
+        sys, _ = max_deficient(seed, null_d=int(seed % 3 == 0),
                                def_d="indefinite" if seed % 7 == 0 else "psd")
         proj = reduced_hessian_projector(sys.A, sys.B)
         if seed % 2:
@@ -268,7 +268,7 @@ def test_criterion_5_inverse_constructors():
     for seed in range(60):
         n, m, p = shapes[seed % len(shapes)]
         spec = GeneratorSpec(n=n, m=m, p=p, null_a=m, rank_b=m,
-                             null_d=seed % 3 == 0, rank_c=min(p, m) - seed % 2,
+                             null_d=int(seed % 3 == 0), rank_c=min(p, m) - seed % 2,
                              def_d="indefinite" if seed % 5 == 0 else "psd",
                              seed=seed)
         sys, _ = gen_instance(spec)
@@ -335,7 +335,7 @@ def test_criterion_7_schur_equivalence():
     agreements = 0
     total = 0
     for seed in range(200):
-        sys, _ = max_deficient(seed, null_e=seed % 3 == 0, null_d=seed % 2)
+        sys, _ = max_deficient(seed, null_e=int(seed % 3 == 0), null_d=seed % 2)
         lam = np.linalg.eigvalsh(sys.D)[-1]
         bound = 2.0 / lam if lam > 0 else 4.0
         truth = oracle_invertible(sys)

@@ -134,6 +134,22 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=match):
             GeneratorSpec(**{"n": 4, "m": 2, "p": 2, **overrides}).validate()
 
+    @pytest.mark.parametrize("spec, message", [
+        (GeneratorSpec(3, 1, 1, null_a=1.5), "'null_a' must be of type int, got 1.5"),
+        (GeneratorSpec(3, 1, 1, rank_b="1"), "'rank_b' must be of type int | None, got '1'"),
+        (GeneratorSpec(True, 1, 1), "'n' must be of type int, got True"),
+    ], ids=["float", "str", "bool"])
+    def test_spec_built_in_python_has_its_field_types_checked(self, spec, message):
+        """gen_instance refuses a wrongly typed field by name, as from_dict does,
+        rather than failing inside numpy."""
+        with pytest.raises(ValueError) as refused:
+            gen_instance(spec)
+        assert str(refused.value) == f"generator spec field {message}"
+
+    def test_numpy_integer_fields_are_counts(self):
+        spec = GeneratorSpec(np.int64(3), np.int32(1), 1, rank_b=np.int64(1))
+        assert gen_instance(spec)[1].dims == (3, 1, 1)
+
     def test_spec_roundtrip(self):
         spec = GeneratorSpec(n=4, m=2, p=3, null_e=1, rank_c=2, seed=42)
         again = GeneratorSpec.from_dict(spec.to_dict())

@@ -289,7 +289,7 @@ class TestTransformedSchur:
         for seed in range(12):
             singular = seed % 2 == 1
             sys, _ = max_deficient(seed=seed, null_e=1 if singular else 0,
-                                   null_d=seed % 3 == 0)
+                                   null_d=int(seed % 3 == 0))
             bound = 2.0 / max(np.linalg.eigvalsh(sys.D)[-1], 1e-9)
             alphas = [f * min(bound, 4.0) for f in (0.2, 0.5, 0.9)]
             for alpha in alphas:
@@ -302,7 +302,7 @@ class TestTransformedSchur:
         # S is the Schur complement of the transformed matrix's leading
         # block: the 2 x 2 block LDL^T with it reconstructs the transform
         for seed in range(8):
-            sys, _ = max_deficient(seed, null_d=seed % 2, null_e=seed % 3 == 0)
+            sys, _ = max_deficient(seed, null_d=seed % 2, null_e=int(seed % 3 == 0))
             lam = np.linalg.eigvalsh(sys.D)[-1]
             for factor in (0.3, 0.8):
                 alpha = factor * (2.0 / lam if lam > 0 else 2.0)
@@ -690,7 +690,7 @@ class TestThreeBlockInverse:
 
     def test_matches_dense_oracle(self):
         for seed in range(10):
-            sys, _ = max_deficient(seed=seed, null_d=seed % 3 == 0,
+            sys, _ = max_deficient(seed=seed, null_d=int(seed % 3 == 0),
                                    def_d="indefinite" if seed % 3 == 1 else "psd")
             inv = three_block_inverse(sys)
             dense = dense_inverse_blocks(sys)

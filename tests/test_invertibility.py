@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import random
 import weakref
 from itertools import islice
 from pathlib import Path
@@ -123,6 +124,15 @@ class TestSchurSufficient:
             diag = schur_sufficient(sys)
             if diag.verdict is Verdict.INVERTIBLE:
                 assert oracle_invertible(sys)
+
+    def test_overflowing_schur_complement_certifies_nothing(self):
+        # S1 = D + B A^{-1} B^T = 1e320 overflows, so the Schur test is inconclusive
+        # and the walk goes on to the corollary the oracle agrees with
+        sys = scalar_system(1.0, 1e160, 1.0, 0.0, 1.0)
+        assert schur_sufficient(sys).verdict is Verdict.UNDETERMINED
+        diag = diagnose(sys)
+        assert (diag.verdict, diag.rule) == (Verdict.SINGULAR, "corollary_middle_kernels")
+        assert not oracle_invertible(sys)
 
 
 class TestPsdLadder:
@@ -494,6 +504,33 @@ def test_witness_failing_its_check_is_undetermined():
     assert not condition_report(sys, tol).holds("N1")
     diag = diagnose(sys, tol)
     assert (diag.verdict, diag.rule, diag.witness) == (Verdict.UNDETERMINED, None, None)
+
+
+EXTREME_ENTRIES = (0.0, 1.0, -1.0, 2.0, 0.5, 1e160, 1e-160, 1e300, -1e300, 1e-310)
+
+
+def extreme_scale_systems(count, seed=0):
+    """Systems with n, m, p drawn from 1..3 and entries from EXTREME_ENTRIES, A, D
+    and E mirroring their upper triangle; a draw BlockSystem refuses is skipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m, p = (rng.randint(1, 3) for _ in range(3))
+        blocks = [np.array([[rng.choice(EXTREME_ENTRIES) for _ in range(c)] for _ in range(r)])
+                  for r, c in ((n, n), (m, n), (p, m), (m, m), (p, p))]
+        for i in (0, 3, 4):
+            blocks[i] = np.triu(blocks[i]) + np.triu(blocks[i], 1).T
+        try:
+            yield BlockSystem(*blocks)
+        except ValueError:
+            continue
+
+
+def test_diagnose_reports_on_extreme_scale_blocks():
+    """Entries from 1e-310 to 1e300 overflow products such as the Schur
+    complements, yet diagnose ends with a report on every system and, under the
+    suite's error filter, warns nothing."""
+    verdicts = {diagnose(system).verdict for system in extreme_scale_systems(300)}
+    assert verdicts == set(Verdict)
 
 
 def test_tags_read_the_rank_cut_on_noisy_systems():

@@ -11,6 +11,9 @@ package-relative import sits at module level, where a reader sees what a
 module depends on; a function-level import is how a cycle usually hides, so
 both are checked on the parsed source of every ``src/dsaddle/*.py`` module.
 The ladder decides only: the analysis in core holds every decomposition it reads.
+Each public name is declared once, in the ``__all__`` of the module that defines
+it; ``__init__`` star-imports those modules and concatenates their lists, so no
+module re-exports another's name and no name is public twice.
 """
 
 import ast
@@ -70,16 +73,43 @@ def test_no_function_level_package_import():
     assert nested == []
 
 
-def test_all_is_what_init_imports():
-    """__all__ names each name __init__ imports, once, and a star import binds each."""
-    imported = [alias.asname or alias.name for node in ast.walk(MODULES["__init__"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(imported) == len(set(imported))
-    assert len(dsaddle.__all__) == len(set(dsaddle.__all__))
-    assert set(imported) == set(dsaddle.__all__)
+def _defined(tree):
+    """The names a module's top level binds by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {leaf.id for target in targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)}
+    return names
+
+
+def test_init_reexports_each_modules_all():
+    """__init__ imports modules and their star exports only; each star-imported
+    module's __all__ names what its own top level defines, no name is in two
+    lists, dsaddle.__all__ is their concatenation, and a star import binds each."""
+    starred = []
+    for node in ast.walk(MODULES["__init__"]):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1, ast.unparse(node)
+            if node.module:
+                assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+                starred.append(node.module)
+            else:
+                assert all(alias.name in MODULES and not alias.asname for alias in node.names)
+    lists = {}
+    for name in starred:
+        assert "__all__" in _defined(MODULES[name]), name
+        lists[name] = getattr(dsaddle, name).__all__
+        assert set(lists[name]) <= _defined(MODULES[name]), name
+    flat = [public for names in lists.values() for public in names]
+    assert len(flat) == len(set(flat))
+    assert dsaddle.__all__ == flat
     namespace = {}
     exec("from dsaddle import *", namespace)
-    assert set(dsaddle.__all__) <= set(namespace)
+    assert set(flat) <= set(namespace)
 
 
 def test_relative_imports_have_no_cycle():

@@ -23,13 +23,18 @@ The corpus:
   ``A psd`` and N1 hold under their cuts but Z^T A Z = 0 for Z = ker(B);
 - ``angle``: ``tests/_families.py``'s range-angle system at theta = 6e-9,
   which the oracle calls singular while ``direct_sum_iff`` proves singular
-  with no witness, so ``diagnose`` exits 2 and ``invert`` 65.
+  with no witness, so ``diagnose`` exits 2 and ``invert`` 65;
+- ``overflow``: A = C = E = 1, D = 0 and B = 1e160, whose Schur complement
+  S1 = D + B A^{-1} B^T overflows, so the Schur test is inconclusive and
+  ``diagnose`` answers singular by a corollary.
 
 Each system runs every subcommand in both formats, plus ``--alpha`` and the
 tolerance flags; ``generate`` runs on a feasible, an infeasible and a missing
-spec; a bad tolerance, an unknown subcommand and a bad ``--format`` are usage
-errors.  ``angle`` runs last, so the lines before it keep their output
-directories.
+spec, and on a spec with a float ``n`` and one with a string ``seed`` that
+``--seed`` replaces; a bad tolerance, an unknown subcommand and a bad
+``--format`` are usage errors.  The systems and specs added last (``angle``,
+then ``overflow`` and the two mistyped specs) run after the others, so the
+lines before them keep their output directories.
 """
 
 import contextlib
@@ -67,6 +72,7 @@ def build_corpus(root: Path) -> dict:
     systems["scaled"] = BlockSystem(np.array([[0.0, 1.0], [1.0, 1e8]]), np.array([[0.0, 1e8]]),
                                     np.array([[1.0]]))
     systems["angle"] = range_angle(6e-9)
+    systems["overflow"] = BlockSystem([[1.0]], [[1e160]], [[1.0]], [[0.0]], [[1.0]])
     paths = {name: root / name for name in systems}
     for name, system in systems.items():
         save_block_system(paths[name], system)
@@ -77,6 +83,9 @@ def build_corpus(root: Path) -> dict:
     paths["infeasible"] = root / "infeasible.json"
     paths["infeasible"].write_text(json.dumps({**SPEC, "null_a": 9}), encoding="utf-8")
     paths["missing_spec"] = root / "missing.json"
+    for name, field in (("float_n", {"n": 4.5}), ("string_seed", {"seed": "x"})):
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps({**SPEC, **field}), encoding="utf-8")
     return paths
 
 
@@ -115,6 +124,9 @@ def invocations():
     for command in ("diagnose", "invert", "generate", "verify"):
         yield [command, "--help"]
     yield from system_invocations("angle")
+    yield from system_invocations("overflow")
+    yield ["generate", "--spec", "{float_n}", "--out", "{out}"]
+    yield ["generate", "--spec", "{string_seed}", "--out", "{out}", "--seed", "7"]
 
 
 def digest(data: bytes) -> str:
