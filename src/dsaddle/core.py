@@ -231,7 +231,8 @@ def _alpha_bound(D: _SymEig) -> float:
     """2 / lambda_max(D), or inf when no eigenvalue of D is positive past D's
     rank cut: a rounding-level lambda_max does not constrain alpha."""
     lam, nonzero = D.eigenvalues, D.nonzero
-    return 2.0 / lam[-1] if lam[-1] > 0.0 and nonzero[-1] else np.inf
+    with np.errstate(over="ignore"):  # a subnormal lambda_max gives inf: unconstrained too
+        return 2.0 / lam[-1] if lam[-1] > 0.0 and nonzero[-1] else np.inf
 
 
 def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
@@ -250,9 +251,12 @@ def _checked_alpha(D: _SymEig, alpha: float | None = None) -> float:
 
 def _finite(alpha, *values):
     """The values, each checked finite (None passes): a value that overflows or is 0/0
-    makes an identity or a transform inapplicable, at the scale alpha when one is given."""
-    if not all(v is None or np.isfinite(v).all() for v in values):
-        raise PreconditionError("the identity overflows floating point" if alpha is None
+    makes an identity, a transform or an inverse inapplicable, at the scale alpha when one
+    is given.  min and max propagate NaN, so two reductions read each value in place, with
+    no boolean temporary of its size."""
+    if not all(v is None or -np.inf < np.min(v, initial=0.0) and np.max(v, initial=0.0) < np.inf
+               for v in values):
+        raise PreconditionError("the result overflows floating point" if alpha is None
                                 else f"alpha={float(alpha)!r} overflows the scaled blocks")
     return values
 

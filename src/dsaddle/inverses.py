@@ -252,6 +252,7 @@ class TransformedFactorization:
         return self.L @ self.mid @ self.L.T
 
 
+@np.errstate(all="ignore")  # _finite refuses a factor that overflows
 def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) -> TransformedFactorization:
     """Factor the alpha = 1 congruence transform of the system.
 
@@ -260,30 +261,32 @@ def factorize_transformed(sys: BlockSystem, tol: ToleranceConfig | None = None) 
     rank deficiency then shows up in the middle factor.
     """
     an = _analysis(sys, tol)
-    a_tilde, b_one, cb = _congruence(sys, 1.0)
-    _, L21, L31 = _factor_blocks(an, b_one, cb)
+    a_tilde, b_one, _, L21, L31 = _factor_blocks(an, leading=True)
     L = _place(sys.dims, {(1, 0): L21, (2, 0): L31, (2, 1): -sys.C})
     np.fill_diagonal(L, 1.0)
     mid = _place(sys.dims, {(0, 0): _symmetrized(a_tilde), (1, 1): -_m_inverse(an.D, 1.0),
                             (2, 2): sys.E})
-    return TransformedFactorization(a_tilde, b_one, L, mid, sys.dims)
+    return TransformedFactorization(*_finite(None, a_tilde, b_one, L, mid), sys.dims)
 
 
-def _factor_blocks(an, b_one, cb):
-    """a_tilde^{-1}, and L21 = b_one a_tilde^{-1} and L31 = C B a_tilde^{-1} of the unit
-    triangular factor (L32 is -C) at alpha = 1, from the congruence blocks b_one = B - D B
-    and cb = C B.  Under the hypotheses A R^T = 0,
-    B R^T = I and B V = 0 make a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V
-    from A's held eigenbasis.  With Q_D and Lambda_D from D's held eigh,
-    2 - lambda > 0 under lambda_max(D) < 2, so the second term is the one product
-    S^T S for S = (2I - Lambda_D)^{-1/2} Q_D^T R and a_tilde^{-1} is symmetric as
-    formed; 2I - D must still pass the rank cut, but its inverse is not formed."""
+def _factor_blocks(an, *hypotheses, leading=False):
+    """a_tilde (None unless leading) and b_one = B - D B of the congruence at alpha = 1,
+    then a_tilde^{-1}, L21 = b_one a_tilde^{-1} and L31 = C B a_tilde^{-1} of the unit
+    triangular factor (L32 is -C), formed once its hypotheses, 2I - D past the rank cut
+    and then the named ones hold.  A R^T = 0, B R^T = I and B V = 0 make
+    a_tilde^{-1} = V + R^T (2I - D)^{-1} R, with R and V from A's held eigenbasis.  With
+    Q_D and Lambda_D from D's held eigh, 2 - lambda > 0 under lambda_max(D) < 2, so the
+    second term is the one product S^T S for S = (2I - Lambda_D)^{-1/2} Q_D^T R and
+    a_tilde^{-1} is symmetric as formed; the inverse of 2I - D is not formed."""
     _require(an, "A psd", "null(A) = m", "lambda_max(D) < 2", "N1")
+    mu = _m_spectrum(an.D, 1.0)
+    _require(an, *hypotheses)
+    a_tilde, b_one, cb = _congruence(an.sys, 1.0, leading)
     R, V = an.eigenbasis_rv
-    S = (an.D.eigenvectors.T @ R) / np.sqrt(_m_spectrum(an.D, 1.0))[:, None]
+    S = (an.D.eigenvectors.T @ R) / np.sqrt(mu)[:, None]
     a_inv = S.T @ S
     a_inv += V
-    return a_inv, b_one @ a_inv, cb @ a_inv
+    return a_tilde, b_one, a_inv, b_one @ a_inv, cb @ a_inv
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +317,13 @@ class _UpperBlocks:
 
     def blocks(self) -> dict:
         return {name.upper(): M for name, M in self._upper().items()}
+
+    @classmethod
+    def _of(cls, dims, **upper):
+        """The blocks a constructor formed, refused with PreconditionError unless each is
+        finite: an input that meets every hypothesis may still overflow."""
+        _finite(None, *upper.values())
+        return cls(**upper, dims=dims)
 
 
 @dataclass(frozen=True)
@@ -349,6 +359,7 @@ class TwoBlockInverse(_UpperBlocks):
     dims: tuple[int, int]
 
 
+@np.errstate(all="ignore")  # _UpperBlocks._of refuses a block that overflows
 def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockInverse:
     """Closed-form inverse of [[A, B^T], [B, -D]].
 
@@ -364,18 +375,20 @@ def two_block_inverse(A, B, D, tol: ToleranceConfig | None = None) -> TwoBlockIn
     """
     an = _blocks(tol, A=A, B=B, D=D)
     m, n = an.sys.B.shape
-    x11, R = _two_block(an, an.sys.D)
-    return TwoBlockInverse(x11, R.T.copy(), np.zeros((m, m)), (n, m))
+    x11, R = _two_block(an)
+    return TwoBlockInverse._of((n, m), x11=x11, x12=R.T.copy(), x22=np.zeros((m, m)))
 
 
-def _two_block(an, D):
-    """Leading block R^T D R + V of the two-block inverse, and R, both from the
-    eigenbasis fact of the analysis."""
-    _require(an, "A psd", "null(A) = m", "DS1")
+def _two_block(an, coupled=False):
+    """R^T D R + V, the leading block of the two-block inverse, and R from the analysis'
+    eigenbasis, once the hypotheses hold; coupled, E nonsingular first, D is D + C^T E^{-1} C."""
+    _require(an, *("E nonsingular",) * coupled, "A psd", "null(A) = m", "DS1")
+    D = an.sys.D + an.sys.C.T @ an.E.inverse @ an.sys.C if coupled else an.sys.D
     R, V = an.eigenbasis_rv
     return _symmetrized(R.T @ D @ R + V), R
 
 
+@np.errstate(all="ignore")  # _UpperBlocks._of refuses a block that overflows
 def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
     """Closed-form inverse of the full system for nonsingular E.
 
@@ -392,21 +405,20 @@ def three_block_inverse(sys: BlockSystem, tol: ToleranceConfig | None = None) ->
     :func:`two_block_inverse`.
     """
     an = _analysis(sys, tol)
-    m, p = sys.m, sys.p
-    _require(an, "E nonsingular")
+    T, R = _two_block(an, coupled=True)
     Einv = an.E.inverse
-    T, R = _two_block(an, sys.D + sys.C.T @ Einv @ sys.C)
-    return InverseBlocks(
+    return InverseBlocks._of(
+        sys.dims,
         z11=T,
         z12=R.T.copy(),
         z13=(-Einv @ (sys.C @ R)).T.copy(),
-        z22=np.zeros((m, m)),
-        z23=np.zeros((m, p)),
+        z22=np.zeros((sys.m, sys.m)),
+        z23=np.zeros((sys.m, sys.p)),
         z33=Einv.copy(),  # the analysis keeps E^{-1} for later calls
-        dims=sys.dims,
     )
 
 
+@np.errstate(all="ignore")  # _UpperBlocks._of refuses a block that overflows
 def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
     """Inverse assembled blockwise from the alpha = 1 factorization.
 
@@ -430,8 +442,7 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     Requires the factorization hypotheses plus nonsingular E.
     """
     an = _analysis(sys, tol)
-    a_inv, L21, L31 = _factor_blocks(an, *_congruence(sys, 1.0, leading=False)[1:])
-    _require(an, "E nonsingular")
+    a_inv, L21, L31 = _factor_blocks(an, "E nonsingular")[2:]
     B, C, Einv = sys.B, sys.C, an.E.inverse
     I = np.eye(sys.m)
     M = 2.0 * I - sys.D
@@ -441,22 +452,24 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
     z11 = a_inv  # a fresh array, summed into in place
     z11 += L3.T @ EL3
     z11 -= L21.T @ ML21
-    return InverseBlocks(
+    return InverseBlocks._of(
+        sys.dims,
         z11=_symmetrized(z11),
         z12=T + L3.T @ EH3 + ML21.T @ H2,
         z13=EL3.T.copy(),
         z22=_symmetrized(B @ T + H3.T @ EH3 - H2.T @ (M @ H2)),
         z23=EH3.T.copy(),
         z33=Einv.copy(),
-        dims=sys.dims,
     )
 
 
+@np.errstate(all="ignore")  # _finite refuses a Q L^{-1} Q^T that overflows
 def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:
     """Reference inverse Q L^{-1} Q^T from one eigh of the assembled matrix.  It is
     symmetric as formed, so its upper blocks stand for it: an LU inverse is not, and on
-    an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding."""
-    return InverseBlocks.from_full(_SymEig(assemble(sys).matrix).inverse, sys.dims)
+    an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding.  A
+    zero eigenvalue, or one whose reciprocal overflows, raises PreconditionError."""
+    return InverseBlocks.from_full(*_finite(None, _SymEig(assemble(sys).matrix).inverse), sys.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ reproduce exactly.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,25 @@ def random_systems(count, seed, deficient_every=0):
         except (ValueError, GenerationError):  # an infeasible draw
             continue
         made += 1
+
+
+EXTREME_ENTRIES = (0.0, 1.0, -1.0, 2.0, 0.5, 1e160, 1e-160, 1e300, -1e300, 1e-310)
+
+
+def extreme_scale_systems(count, seed=0):
+    """Systems with n, m, p drawn from 1..3 and entries from EXTREME_ENTRIES, A, D
+    and E mirroring their upper triangle; a draw BlockSystem refuses is skipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m, p = (rng.randint(1, 3) for _ in range(3))
+        blocks = [np.array([[rng.choice(EXTREME_ENTRIES) for _ in range(c)] for _ in range(r)])
+                  for r, c in ((n, n), (m, n), (p, m), (m, m), (p, p))]
+        for i in (0, 3, 4):
+            blocks[i] = np.triu(blocks[i]) + np.triu(blocks[i], 1).T
+        try:
+            yield BlockSystem(*blocks)
+        except ValueError:
+            continue
 
 
 def noisy(system, rng):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from dsaddle import GeneratorSpec, gen_instance, load_block_system, read_matrix,
     save_block_system
 from dsaddle.cli import main
 
-from _families import fixture_three_block, fixture_three_block_inverse
+from _families import extreme_scale_systems, fixture_three_block, fixture_three_block_inverse
 
 
 @pytest.fixture()
@@ -121,6 +122,18 @@ class TestInvert:
         full[n + m:, n + m:] = read_matrix(out_dir / "Z33.mtx")
         full = np.triu(full) + np.triu(full, 1).T
         np.testing.assert_allclose(full, fixture_three_block_inverse(), atol=1e-12)
+
+    def test_overflowing_system_falls_back_to_the_dense_inverse(self, tmp_path, capsys):
+        """Draw 80 of the extreme-scale family, dims (2, 1, 1), is invertible with
+        null(A) = 0, so the three-block inverse is refused before it forms
+        D + C^T E^{-1} C, which overflows at C = -1e300; under the suite's error filter
+        a warning would exit 70."""
+        system = next(islice(extreme_scale_systems(81), 80, None))
+        assert system.dims == (2, 1, 1)
+        save_block_system(tmp_path / "blk", system)
+        code, out, err = run_cli(capsys, "invert", str(tmp_path / "blk"),
+                                 "--out", str(tmp_path / "inv"), "--format", "json")
+        assert (code, err, json.loads(out)["constructor"]) == (0, "", "dense")
 
     def test_dense_inverse_is_the_last_constructor(self, tmp_path, capsys, caplog):
         from dsaddle import BlockSystem

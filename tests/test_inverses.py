@@ -47,8 +47,9 @@ from dsaddle import (
 
 from dsaddle.core import _HYPOTHESES, _projector_from_basis
 from dsaddle.invertibility import _analysis, _first
-from _families import direct_sum_singular, fixture_three_block, fixture_three_block_inverse, \
-    max_deficient, psd_disjoint_ranges, random_systems
+from _families import cold_copy, direct_sum_singular, extreme_scale_systems, \
+    fixture_three_block, fixture_three_block_inverse, max_deficient, psd_disjoint_ranges, \
+    random_systems
 
 A2 = np.diag([0.0, 1.0])
 B2 = np.array([[1.0, 0.0]])
@@ -472,6 +473,72 @@ def test_factorization_never_succeeds_alone():
         three_block_inverse(sys)
         factorized += 1
     assert factorized >= 20
+
+
+# the four constructors, each called on one system
+CONSTRUCTORS = {
+    "three_block_inverse": three_block_inverse,
+    "inverse_via_factorization": inverse_via_factorization,
+    "factorize_transformed": factorize_transformed,
+    "two_block_inverse": lambda system: two_block_inverse(system.A, system.B, system.D),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_refused_hypothesis_forms_no_block_product(name):
+    """An indefinite A is refused before any block product: with B at 1e200 and C at
+    1e300, C^T E^{-1} C, C B and B^T B would each overflow, and under the suite's error
+    filter a warning would raise in place of the constructor's own PreconditionError."""
+    system = BlockSystem(np.diag([1.0, -1.0]), [[1e200, 0.0]], [[1e300]], [[1.0]], [[1.0]])
+    with pytest.raises(PreconditionError, match="A must be positive semidefinite"):
+        CONSTRUCTORS[name](system)
+
+
+@pytest.mark.parametrize("name", ["three_block_inverse", "inverse_via_factorization"])
+def test_accepted_system_that_overflows_is_refused(name):
+    """Every hypothesis holds, but E = 1e-310 passes its own rank cut and
+    E^{-1} = 1 / 1e-310 overflows: a PreconditionError, not a non-finite block."""
+    system = BlockSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]], [[1e-310]])
+    with pytest.raises(PreconditionError, match="the result overflows floating point"):
+        CONSTRUCTORS[name](system)
+
+
+# every entry point that forms block products, with the arrays of its result
+EXTREME_CALLS = {
+    **{name: lambda s, call=call: call(s).blocks().values()
+       for name, call in CONSTRUCTORS.items() if name != "factorize_transformed"},
+    "factorize_transformed": lambda s: dataclasses.astuple(factorize_transformed(s))[:4],
+    "transformed_schur_complement": lambda s: [transformed_schur_complement(s, None)],
+    "congruence_transform": lambda s: [M.matrix
+                                       for M in congruence_transform(s, default_alpha(s))],
+    "verify_identities": lambda s: [e.get("residual", 0.0) for e in verify_identities(s)],
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_CALLS)
+def test_extreme_scale_blocks_give_finite_results_or_precondition_errors(name):
+    """Entries from 1e-310 to 1e300 overflow block products, yet each entry point
+    returns finite arrays or raises PreconditionError and, under the suite's error
+    filter, warns nothing."""
+    for system in extreme_scale_systems(300):
+        try:
+            arrays = EXTREME_CALLS[name](cold_copy(system))
+        except PreconditionError:
+            continue
+        assert all(np.isfinite(M).all() for M in arrays), name
+
+
+def test_dense_inverse_of_an_invertible_extreme_scale_system_is_finite():
+    """The dense inverse, which dsaddle invert falls back to after the oracle, returns
+    finite blocks or raises PreconditionError on every oracle-invertible draw."""
+    for system in extreme_scale_systems(300):
+        if not oracle_invertible(system):
+            continue
+        try:
+            inv = dense_inverse_blocks(system)
+        except PreconditionError:
+            continue
+        assert np.isfinite(inv.full).all()
 
 
 def _stacked_n1_system():

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import gc
-import random
 import weakref
 from itertools import islice
 from pathlib import Path
@@ -45,6 +44,7 @@ from _families import (
     answers_tool,
     cold_copy,
     direct_sum_singular,
+    extreme_scale_systems,
     fixture_three_block,
     max_deficient,
     noisy,
@@ -504,25 +504,6 @@ def test_witness_failing_its_check_is_undetermined():
     assert not condition_report(sys, tol).holds("N1")
     diag = diagnose(sys, tol)
     assert (diag.verdict, diag.rule, diag.witness) == (Verdict.UNDETERMINED, None, None)
-
-
-EXTREME_ENTRIES = (0.0, 1.0, -1.0, 2.0, 0.5, 1e160, 1e-160, 1e300, -1e300, 1e-310)
-
-
-def extreme_scale_systems(count, seed=0):
-    """Systems with n, m, p drawn from 1..3 and entries from EXTREME_ENTRIES, A, D
-    and E mirroring their upper triangle; a draw BlockSystem refuses is skipped."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n, m, p = (rng.randint(1, 3) for _ in range(3))
-        blocks = [np.array([[rng.choice(EXTREME_ENTRIES) for _ in range(c)] for _ in range(r)])
-                  for r, c in ((n, n), (m, n), (p, m), (m, m), (p, p))]
-        for i in (0, 3, 4):
-            blocks[i] = np.triu(blocks[i]) + np.triu(blocks[i], 1).T
-        try:
-            yield BlockSystem(*blocks)
-        except ValueError:
-            continue
 
 
 def test_diagnose_reports_on_extreme_scale_blocks():

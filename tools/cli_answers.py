@@ -26,15 +26,19 @@ The corpus:
   with no witness, so ``diagnose`` exits 2 and ``invert`` 65;
 - ``overflow``: A = C = E = 1, D = 0 and B = 1e160, whose Schur complement
   S1 = D + B A^{-1} B^T overflows, so the Schur test is inconclusive and
-  ``diagnose`` answers singular by a corollary.
+  ``diagnose`` answers singular by a corollary;
+- ``scale``: draw 80 of ``tests/_families.py``'s extreme-scale family, dims
+  (2, 1, 1) with entries from 1e-310 to 1e300, invertible with null(A) = 0, so
+  ``invert`` refuses the three-block inverse before D + C^T E^{-1} C overflows
+  and writes the dense one.
 
 Each system runs every subcommand in both formats, plus ``--alpha`` and the
 tolerance flags; ``generate`` runs on a feasible, an infeasible and a missing
 spec, and on a spec with a float ``n`` and one with a string ``seed`` that
 ``--seed`` replaces; a bad tolerance, an unknown subcommand and a bad
 ``--format`` are usage errors.  The systems and specs added last (``angle``,
-then ``overflow`` and the two mistyped specs) run after the others, so the
-lines before them keep their output directories.
+then ``overflow`` and the two mistyped specs, then ``scale``) run after the
+others, so the lines before them keep their output directories.
 """
 
 import contextlib
@@ -44,6 +48,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -51,7 +56,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from _families import fixture_three_block, range_angle  # noqa: E402
+from _families import extreme_scale_systems, fixture_three_block, range_angle  # noqa: E402
 from dsaddle import BlockSystem, GeneratorSpec, gen_instance, save_block_system  # noqa: E402
 from dsaddle.cli import main as dsaddle_main  # noqa: E402
 
@@ -73,6 +78,7 @@ def build_corpus(root: Path) -> dict:
                                     np.array([[1.0]]))
     systems["angle"] = range_angle(6e-9)
     systems["overflow"] = BlockSystem([[1.0]], [[1e160]], [[1.0]], [[0.0]], [[1.0]])
+    systems["scale"] = next(islice(extreme_scale_systems(81), 80, None))
     paths = {name: root / name for name in systems}
     for name, system in systems.items():
         save_block_system(paths[name], system)
@@ -127,6 +133,7 @@ def invocations():
     yield from system_invocations("overflow")
     yield ["generate", "--spec", "{float_n}", "--out", "{out}"]
     yield ["generate", "--spec", "{string_seed}", "--out", "{out}", "--seed", "7"]
+    yield from system_invocations("scale")
 
 
 def digest(data: bytes) -> str:
