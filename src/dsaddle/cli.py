@@ -64,18 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
                      description="invertibility analysis for double saddle-point systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, residual=False):
         p.add_argument("--tol-rank", type=_tolerance("rank_rtol"), default=DEFAULT_TOL.rank_rtol,
                        help="relative rank tolerance (default 1e-10)")
-        p.add_argument("--tol-residual", type=_tolerance("residual_rtol"),
-                       default=DEFAULT_TOL.residual_rtol,
-                       help="relative residual tolerance (default 1e-8)")
+        if residual:  # only diagnose and verify accept a residual: a witness, an identity
+            p.add_argument("--tol-residual", type=_tolerance("residual_rtol"),
+                           default=DEFAULT_TOL.residual_rtol,
+                           help="relative residual tolerance (default 1e-8)")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text", help="report format")
 
     p = sub.add_parser("diagnose", help="decide invertibility of a block system")
     p.add_argument("input_dir", help="directory holding A.mtx, B.mtx, C.mtx [D.mtx E.mtx]")
-    add_common(p)
+    add_common(p, residual=True)
 
     p = sub.add_parser("invert", help="compute the inverse, structured where possible")
     p.add_argument("input_dir")
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_dir")
     p.add_argument("--alpha", type=float, default=None,
                    help="congruence scaling (default: interval midpoint)")
-    add_common(p)
+    add_common(p, residual=True)
     return parser
 
 
@@ -205,7 +206,8 @@ def run(args) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args, ToleranceConfig(args.tol_rank, args.tol_residual))
+        tol = ToleranceConfig(args.tol_rank, getattr(args, "tol_residual", DEFAULT_TOL.residual_rtol))
+        return handlers[args.command](args, tol)
     except (OSError, ValueError, GenerationError) as exc:
         _sys.stderr.write(f"dsaddle {args.command}: {exc}\n")
         return EXIT_DATA

@@ -27,8 +27,8 @@ from itertools import accumulate
 import numpy as np
 
 from .subspaces import _SVD, Definiteness, SubspaceBasis, _SymEig, ToleranceConfig, _above_cut, \
-    _as_matrix, _resolve, _restricted_kernel, _symmetric, _symmetrized, intersection_kernels, \
-    is_nonsingular, rank_threshold
+    _as_matrix, _norm, _resolve, _restricted_kernel, _symmetric, _symmetrized, \
+    intersection_kernels, is_nonsingular, rank_threshold
 
 __all__ = ["AssembledMatrix", "BlockSystem", "GenerationError", "PreconditionError",
            "alpha_upper_bound", "assemble", "block_reversal_permutation", "congruence_transform",
@@ -339,7 +339,7 @@ def _projector_from_basis(A: _SymEig, Z: SubspaceBasis):
         V = _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A.matrix @ Z.basis, Z.basis.T))
     except np.linalg.LinAlgError:  # Z^T A Z exactly singular
         V = None
-    if V is None or not np.linalg.norm(V * rank_threshold(A.norm, A.matrix.shape, A.tol)) < 1:
+    if V is None or not _norm(V) * rank_threshold(A.norm, A.matrix.shape, A.tol) < 1:
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; ker(A) and "
                                 "ker(B) must intersect trivially with A semidefinite")
     return V

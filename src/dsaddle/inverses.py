@@ -17,7 +17,7 @@ import numpy as np
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
     _checked_alpha, _congruence, _dims, _finite, _m_inverse, _m_spectrum, _partition, _place, \
     _projector_from_basis, _require, assemble
-from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _scaled, \
+from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _norm, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
 __all__ = ["InverseBlocks", "NullityBoundReport", "ReducedHessianProjector",
@@ -39,15 +39,10 @@ def _blocks(tol, **blocks):
 
 
 def _fro_ratio(num, den) -> float:
-    """||num||_F / ||den||_F, each a sequence of arrays read as one vector, every array scaled
-    exactly by the power of two that brings the largest |entry| of den near 1, so no squared
-    norm overflows or underflows.  Unlike subspaces._scaled this scales on every call: num
-    sits about eps below den, so a window read on den alone would let the squares of num go
-    subnormal.  den is a list; num may be a generator, whose arrays are then formed,
-    measured and dropped in turn."""
-    e = -np.frexp(max(np.abs(M).max(initial=0.0) for M in den))[1]
-    scaled = lambda M: np.linalg.norm(np.ldexp(M, e))
-    num, den = (np.linalg.norm(list(map(scaled, Ms))) for Ms in (num, den))
+    """||num||_F / ||den||_F, each a sequence of arrays read as one vector: the _norm of their
+    _norms.  den is a list; num may be a generator, whose arrays are then formed, measured
+    and dropped in turn."""
+    num, den = (_norm(np.fromiter(map(_norm, Ms), float)) for Ms in (num, den))
     return float(num / den) if num else 0.0
 
 
@@ -157,12 +152,9 @@ def _projector_complement(an, Z: SubspaceBasis) -> float:
     _require(an, "rank(B) = m")
     if Z.dim != n - m:
         raise PreconditionError("Z does not have the dimensions of ker(B)")
-    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails.  Both
-    # are read on _scaled(B Z), so a residual-sized B Z is scaled on its own; its exponent
-    # scales down the cut or the norm, never up, so neither overflows
-    BZ, e = _scaled(B @ Z.basis)
-    cut = np.ldexp(an.tol.residual_rtol * an.B.norm, -max(e, 0))
-    if all(np.ldexp(np.linalg.norm(BZ, order), min(e, 0)) > cut for order in (None, 2)):
+    # ||B Z||_2 <= ||B Z||_F, so the SVD runs only when the Frobenius norm fails
+    BZ = B @ Z.basis
+    if all(_norm(BZ, order) > an.tol.residual_rtol * an.B.norm for order in (None, 2)):
         raise PreconditionError("Z is not a kernel basis of B")
     # B^T (B B^T)^{-1} B = Q Q^T from a fresh QR of B^T, which squares neither the
     # condition nor the scale of B as B B^T would; B's held SVD would only check that SVD.
@@ -468,8 +460,13 @@ def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:
     """Reference inverse Q L^{-1} Q^T from one eigh of the assembled matrix.  It is
     symmetric as formed, so its upper blocks stand for it: an LU inverse is not, and on
     an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding.  A
-    zero eigenvalue, or one whose reciprocal overflows, raises PreconditionError."""
-    return InverseBlocks.from_full(*_finite(None, _SymEig(assemble(sys).matrix).inverse), sys.dims)
+    zero eigenvalue, one whose reciprocal overflows, or an eigh of K that does not
+    converge raises PreconditionError."""
+    try:
+        eig = _SymEig(assemble(sys).matrix)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"K has no eigendecomposition: {exc}") from exc
+    return InverseBlocks.from_full(*_finite(None, eig.inverse), sys.dims)
 
 
 # ---------------------------------------------------------------------------

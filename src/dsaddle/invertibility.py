@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .core import BlockSystem, _analysis, _hold
-from .subspaces import ToleranceConfig, _scaled
+from .subspaces import ToleranceConfig, _norm
 
 __all__ = ["ConditionEntry", "ConditionReport", "Diagnosis", "Verdict", "condition_report",
            "corollary_rules", "diagnose", "direct_sum_iff", "e_iff_rule", "necessary_conditions",
@@ -133,9 +133,7 @@ def _singular(an, rule, witness, report):
         return _undetermined(report)
     u = _unit(witness)
     scale = max(an.A.norm, an.D.norm, an.E.norm, an.B.norm, an.Ct.norm, 1e-300)
-    Ku, e = _scaled(an.K @ u)  # scaled by a power of two, so no square overflows
-    residual = np.ldexp(np.linalg.norm(Ku), e)
-    if residual > an.tol.residual_rtol * scale:
+    if _norm(an.K @ u) > an.tol.residual_rtol * scale:
         return _undetermined(report)
     return Diagnosis(Verdict.SINGULAR, rule, report, witness=u)
 

@@ -291,6 +291,13 @@ def _scaled(M):
     return (M, 0) if -480 < e <= 480 else (np.ldexp(M, -e), e)
 
 
+@np.errstate(over="ignore")  # past the float range the norm reads inf
+def _norm(M, ord=None) -> float:
+    """||M||_F, or np.linalg.norm's ord, read on _scaled(M) and scaled back."""
+    M, e = _scaled(M)
+    return np.ldexp(np.linalg.norm(M, ord), e)
+
+
 def _symmetric(M) -> bool:
     """||M - M^T||_F <= _SYM_RTOL ||M||_F, both read on _scaled(M)."""
     M = _scaled(M)[0]

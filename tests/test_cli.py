@@ -343,11 +343,16 @@ class TestVerify:
 COMPLEX_MTX = "%%MatrixMarket matrix array complex general\n1 1\n1.0 2.0\n"
 
 # (case, argv with {blocks}/{spec}/{out} placeholders, spec override, exit code):
-# bad tolerances are usage errors, bad spec fields, files and paths are data errors
+# bad tolerances, and a residual tolerance where no residual is read, are usage errors;
+# bad spec fields, files and paths are data errors.  None of them writes anything
 MALFORMED = (
     ("tol_rank_zero", ["diagnose", "{blocks}", "--tol-rank", "0"], None, 64),
     ("tol_rank_nan", ["diagnose", "{blocks}", "--tol-rank", "nan"], None, 64),
     ("tol_residual_one", ["verify", "{blocks}", "--tol-residual", "1"], None, 64),
+    ("invert_tol_residual", ["invert", "{blocks}", "--out", "{out}", "--tol-residual", "1e-6"],
+     None, 64),
+    ("generate_tol_residual",
+     ["generate", "--spec", "{spec}", "--out", "{out}", "--tol-residual", "1e-6"], None, 64),
     ("spec_string_dimension", ["generate", "--spec", "{spec}", "--out", "{out}"],
      {"n": "5"}, 65),
     ("spec_float_nullity", ["generate", "--spec", "{spec}", "--out", "{out}"],
@@ -377,6 +382,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, override, expected):
     code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == expected
     assert out == ""
+    assert not paths["out"].exists()
 
 
 def _short_symmetric(matrix):

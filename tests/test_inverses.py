@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -539,6 +540,17 @@ def test_dense_inverse_of_an_invertible_extreme_scale_system_is_finite():
         except PreconditionError:
             continue
         assert np.isfinite(inv.full).all()
+
+
+def test_dense_inverse_whose_eigh_does_not_converge_is_a_precondition_error():
+    """On draws 43 and 755 of the extreme-scale family, both singular by the oracle,
+    eigh(K) does not converge: the dense inverse, and so the nullity bounds that read
+    it, raise PreconditionError, not numpy's LinAlgError."""
+    draws = dict(islice(enumerate(extreme_scale_systems(1500)), 756))
+    for i in (43, 755):
+        assert not oracle_invertible(draws[i]), i
+        with pytest.raises(PreconditionError, match="no eigendecomposition"):
+            dense_inverse_blocks(draws[i])
 
 
 def _stacked_n1_system():

@@ -19,7 +19,8 @@ from dsaddle import (
     range_basis,
     range_intersection_trivial,
 )
-from dsaddle.subspaces import _SymEig, _singular_values, _spectral_norm, _symmetric
+from dsaddle.inverses import _fro_ratio
+from dsaddle.subspaces import _norm, _SymEig, _singular_values, _spectral_norm, _symmetric
 
 
 def random_rank_matrix(rng, rows, cols, rank):
@@ -345,6 +346,30 @@ def test_spectral_norm_past_the_gram_range_is_read_scaled(k):
     skew = 0.5e-9 * np.linalg.norm(S) / np.linalg.norm(W) * W  # ||M - M^T|| = 1e-9 ||S||
     assert _symmetric(np.ldexp(S, k))
     assert not _symmetric(np.ldexp(S + skew, k))
+
+
+def test_norm_is_exact_under_power_of_two_scaling():
+    """_norm(2^k M) is 2^k ||M||_F bit for bit wherever 2^k M and the result are normal (to
+    rounding where entries go subnormal), reads inf past the float range and a nonzero
+    norm of subnormal entries, with no warning; and _fro_ratio, built on it, does not
+    move when num and den are scaled by one power of two."""
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((4, 6))
+    tiny = np.finfo(float).tiny
+    for k in range(-1070, 1021):
+        expected = np.ldexp(np.linalg.norm(M), k)
+        if tiny <= expected < np.inf:
+            scaled = np.ldexp(M, k)
+            rel = 0.0 if np.abs(scaled).min() >= tiny else 4 * np.finfo(float).eps
+            assert _norm(scaled) == pytest.approx(expected, rel=rel, abs=0.0), k
+    assert _norm(np.full((3, 3), 1.5e308)) == np.inf
+    assert _norm(np.full((3, 3), 1.5e308), 2) == np.inf
+    assert _norm(np.array([[5e-324, 0.0], [0.0, 1e-320]])) > 0.0
+    num = [1e-16 * rng.standard_normal((3, 3)), 1e-17 * rng.standard_normal((3, 2))]
+    den = [rng.standard_normal((3, 3)), rng.standard_normal((3, 2))]
+    base = _fro_ratio(num, den)
+    for k in (-960, -600, -481, -480, 480, 481, 600, 1000):
+        assert _fro_ratio((np.ldexp(N, k) for N in num), [np.ldexp(D, k) for D in den]) == base
 
 
 def _counting_kernels(monkeypatch):

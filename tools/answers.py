@@ -22,6 +22,13 @@ The corpora:
 - ``noisy``: generated systems with noise of 10^U(-13, -7) on A, D and E,
   near the rank cut.
 
+After them comes the ``graded`` table: families K(eps), each exactly singular
+at eps = 0 and invertible for eps > 0, run over one grid of eps (``GRADED``,
+``GRADED_EPS``).  One line per system, labelled ``graded:<family>:<eps>``, then
+per family a summary: the first eps where the oracle and where ``diagnose``
+answer invertible, and the number of wrong-side answers (a definite verdict the
+oracle disagrees with).  The graded table is no member of ``CORPORA``.
+
 The oracle is independent of dsaddle: K is invertible when its smallest
 singular value passes rank_rtol * ell * sigma_max.  Systems are never
 filtered: a contradiction is counted and shown, not hidden.
@@ -43,6 +50,7 @@ from _families import (  # noqa: E402
     noisy,
     psd_disjoint_ranges,
     random_systems,
+    range_angle,
 )
 from dsaddle import DEFAULT_TOL, BlockSystem, assemble, diagnose, \
     verify_identities  # noqa: E402
@@ -91,6 +99,27 @@ def noisy_corpus(seed):
 CORPORA = (("family", family_corpus), ("spec", spec_corpus), ("hand", hand_corpus),
            ("noisy", noisy_corpus))
 
+GRADED_EPS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 1e-2)
+
+
+def _overlap(eps, D):
+    """A = E = 0 (1 x 1), B = e_1 and C^T = e_1 + eps e_2: ran(B) and ran(C^T) meet at eps = 0."""
+    return BlockSystem(np.zeros((1, 1)), np.eye(2, 1), [[1.0, eps]], D, np.zeros((1, 1)))
+
+
+# (family, K(eps)): N1 fails at eps = 0 with D = 0 (sigma_min(K) first order in eps) and
+# with D = 1 (second order); N2 fails; the ranges overlap with D = I_2 and with D = 0; and
+# C^T leaves B at the angle eps
+GRADED = (
+    ("N1_D0", lambda eps: BlockSystem(np.diag([0.0, 1.0]), [[eps, 1.0]], [[1.0]], [[0.0]], [[1.0]])),
+    ("N1_D1", lambda eps: BlockSystem(np.diag([0.0, 1.0]), [[eps, 1.0]], [[1.0]], [[1.0]], [[1.0]])),
+    ("N2", lambda eps: BlockSystem(np.eye(2), np.diag([eps, 1.0]), [[0.0, 1.0]],
+                                   np.diag([0.0, 1.0]), [[1.0]])),
+    ("overlap_DI", lambda eps: _overlap(eps, np.eye(2))),
+    ("overlap_D0", lambda eps: _overlap(eps, np.zeros((2, 2)))),
+    ("range_angle", range_angle),
+)
+
 
 def oracle_invertible(system) -> bool:
     s = np.linalg.svd(assemble(system).matrix, compute_uv=False)
@@ -130,6 +159,25 @@ def answer(system):
     return fields, contradiction
 
 
+def graded_table():
+    """The graded lines, and per family the first eps where the oracle and where
+    diagnose answer invertible (None when neither does) and the wrong-side count."""
+    lines, summary = [], {}
+    for family, build in GRADED:
+        first_oracle = first_diagnose = None
+        wrong = 0
+        for eps in GRADED_EPS:
+            fields, contradiction = answer(build(eps))
+            lines.append(" ".join([f"graded:{family}:{eps:g}", *fields]) + "\n")
+            if first_oracle is None and "oracle=1" in fields:
+                first_oracle = eps
+            if first_diagnose is None and fields[2] == "invertible":
+                first_diagnose = eps
+            wrong += contradiction
+        summary[family] = first_oracle, first_diagnose, wrong
+    return lines, summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
@@ -149,6 +197,16 @@ def main(argv=None) -> int:
             undetermined += fields[2] == "undetermined"
         summary.append(f"corpus {name} systems {count} contradictions {contradictions} "
                        f"undetermined {undetermined} sha256 {digest.hexdigest()}\n")
+    lines, families = graded_table()
+    sys.stdout.writelines(lines)
+    table.update("".join(lines).encode())
+    summary.append(f"graded systems {len(lines)} sha256 "
+                   f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}\n")
+    for family, (first_oracle, first_diagnose, wrong) in families.items():
+        oracle, diagnosed = ("none" if eps is None else f"{eps:g}"
+                             for eps in (first_oracle, first_diagnose))
+        summary.append(f"graded {family} oracle-invertible-from {oracle} "
+                       f"diagnose-invertible-from {diagnosed} wrong-side {wrong}\n")
     sys.stdout.writelines(summary)
     sys.stdout.write(f"table sha256 {table.hexdigest()}\n")
     return 0

@@ -6,11 +6,14 @@ runs ``dsaddle.cli.main(argv)`` in process over a fixed corpus and prints one
 line per invocation: the argv, the exit code, and a sha256 of stdout, of
 stderr and of the files the invocation wrote.  A ``verify`` report (exit 0, 1
 or 2) adds its ordered ``id:status`` list, so a status that changes reads apart
-from residual digits that move.  The temporary directory that
-holds the corpus is replaced by ``<tmp>`` before anything is printed or
-hashed.  The last line is a sha256 of all the lines.  Two runs print the same
-bytes, so the transcript of one commit diffs against another's: run it once
-per checkout with that checkout's ``src`` on ``PYTHONPATH``.
+from residual digits that move.  Before anything is printed or hashed, each
+invocation's own output directory is replaced by ``<out>`` and the temporary
+directory that holds the corpus by ``<tmp>``, in argv, stdout and stderr
+alike; the written files are hashed by their paths relative to ``<out>``.  So
+no line depends on its position, and a line added or removed moves no other.
+The last line is a sha256 of all the lines.  Two runs print the same bytes,
+so the transcript of one commit diffs against another's: run it once per
+checkout with that checkout's ``src`` on ``PYTHONPATH``.
 
 The corpus:
 
@@ -36,9 +39,7 @@ Each system runs every subcommand in both formats, plus ``--alpha`` and the
 tolerance flags; ``generate`` runs on a feasible, an infeasible and a missing
 spec, and on a spec with a float ``n`` and one with a string ``seed`` that
 ``--seed`` replaces; a bad tolerance, an unknown subcommand and a bad
-``--format`` are usage errors.  The systems and specs added last (``angle``,
-then ``overflow`` and the two mistyped specs, then ``scale``) run after the
-others, so the lines before them keep their output directories.
+``--format`` are usage errors.
 """
 
 import contextlib
@@ -60,7 +61,7 @@ from _families import extreme_scale_systems, fixture_three_block, range_angle  #
 from dsaddle import BlockSystem, GeneratorSpec, gen_instance, save_block_system  # noqa: E402
 from dsaddle.cli import main as dsaddle_main  # noqa: E402
 
-PLACEHOLDER = "<tmp>"
+PLACEHOLDER, OUT_PLACEHOLDER = "<tmp>", "<out>"
 GENERATED = (
     ("invertible", GeneratorSpec(6, 3, 2, null_a=3, require_ds1=True, seed=1)),
     ("singular", GeneratorSpec(6, 3, 2, null_a=3, require_ds1=True, null_e=1, seed=1)),
@@ -112,13 +113,15 @@ def system_invocations(*names):
 def invocations():
     """argv templates; {out} is a fresh output directory per invocation."""
     yield from system_invocations("fixture", "invertible", "singular", "undetermined", "no_d",
-                                  "no_a", "scaled")
+                                  "no_a", "scaled", "angle", "overflow", "scale")
     for fmt in ("text", "json"):
         yield ["generate", "--spec", "{spec}", "--out", "{out}", "--format", fmt]
         yield ["generate", "--spec", "{spec}", "--out", "{out}", "--seed", "7", "--format", fmt]
     yield ["generate", "--spec", "{spec}", "--out", "{out}", "--tol-rank", "1e-8"]
     yield ["generate", "--spec", "{infeasible}", "--out", "{out}"]
     yield ["generate", "--spec", "{missing_spec}", "--out", "{out}"]
+    yield ["generate", "--spec", "{float_n}", "--out", "{out}"]
+    yield ["generate", "--spec", "{string_seed}", "--out", "{out}", "--seed", "7"]
     # usage errors
     yield ["diagnose", "{fixture}", "--tol-rank", "0"]
     yield ["diagnose", "{fixture}", "--tol-rank", "nan"]
@@ -129,11 +132,6 @@ def invocations():
     yield []
     for command in ("diagnose", "invert", "generate", "verify"):
         yield [command, "--help"]
-    yield from system_invocations("angle")
-    yield from system_invocations("overflow")
-    yield ["generate", "--spec", "{float_n}", "--out", "{out}"]
-    yield ["generate", "--spec", "{string_seed}", "--out", "{out}", "--seed", "7"]
-    yield from system_invocations("scale")
 
 
 def digest(data: bytes) -> str:
@@ -159,13 +157,17 @@ def statuses(argv, report: str) -> str:
     return ",".join(f"{name}:{rest.split()[0]}" for name, rest in pairs)
 
 
-def run(argv, root: str) -> str:
-    """The transcript line of one invocation."""
+def run(argv, root: str, out_dir: str) -> str:
+    """The transcript line of one invocation, its output directory read as <out>."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = dsaddle_main(argv)
-    out, err = (s.getvalue().replace(root, PLACEHOLDER).encode() for s in (stdout, stderr))
-    fields = [json.dumps([a.replace(root, PLACEHOLDER) for a in argv]), f"exit={code}",
+
+    def placed(text):
+        return text.replace(out_dir, OUT_PLACEHOLDER).replace(root, PLACEHOLDER)
+
+    out, err = (placed(s.getvalue()).encode() for s in (stdout, stderr))
+    fields = [json.dumps(list(map(placed, argv))), f"exit={code}",
               f"stdout={digest(out)}", f"stderr={digest(err)}"]
     if argv[:1] == ["verify"] and "--help" not in argv and code in (0, 1, 2):
         fields.append(f"identities={statuses(argv, out.decode())}")
@@ -181,7 +183,7 @@ def main() -> int:
         for i, template in enumerate(invocations()):
             out = root / "out" / f"{i:03d}"
             argv = [arg.format(out=out, **paths) for arg in template]
-            line = f"{run(argv, tmp)} files={files_digest(out)}\n"
+            line = f"{run(argv, tmp, str(out))} files={files_digest(out)}\n"
             sys.stdout.write(line)
             table.update(line.encode())
     sys.stdout.write(f"transcript sha256 {table.hexdigest()}\n")
