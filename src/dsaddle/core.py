@@ -329,16 +329,19 @@ def _congruence(sys: BlockSystem, alpha: float, leading=True) -> tuple:
 
 @np.errstate(all="ignore")  # a V that overflows is refused, not a warning
 def _projector_from_basis(A: _SymEig, Z: SubspaceBasis):
-    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for the held eigh of A.  A PreconditionError
-    unless ||V||_F < 1 / A's rank cut: ||V||_F >= ||V||_2 = 1 / lambda_min(Z^T A Z) for an
-    orthonormal Z, so an eigenvalue under the cut is refused with no decomposition, and
-    so is one under sqrt(dim Z) times it."""
-    if Z.dim == 0:
-        return np.zeros(A.matrix.shape)
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for the held eigh of A (0 for dim Z = 0)."""
     try:
         V = _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A.matrix @ Z.basis, Z.basis.T))
     except np.linalg.LinAlgError:  # Z^T A Z exactly singular
         V = None
+    return _checked_projector(A, V)
+
+
+@np.errstate(all="ignore")  # an inf ||V||_F against a cut that underflows to 0 is refused
+def _checked_projector(A: _SymEig, V):
+    """V, or a PreconditionError unless ||V||_F < 1 / A's rank cut: ||V||_F >= ||V||_2 =
+    1 / lambda_min(Z^T A Z) for an orthonormal Z of ker(B), so an eigenvalue under the cut
+    is refused with no decomposition, and so is one under sqrt(dim Z) times it."""
     if V is None or not _norm(V) * rank_threshold(A.norm, A.matrix.shape, A.tol) < 1:
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; ker(A) and "
                                 "ker(B) must intersect trivially with A semidefinite")
@@ -367,11 +370,14 @@ class _Analysis:
     # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
-    # V of the reduced-Hessian projector over Z = ker(B), from B's held SVD; every reader
-    # requires A psd and N1, but both cut with slack, so Z^T A Z may still be singular
-    projector = cached_property(lambda an: _projector_from_basis(an.A, an.B.kernel))
+    # V over Z = ker(B): every reader requires A psd and N1, eigenbasis_rv's hypotheses where
+    # null(A) = m, else one solve; both cut with slack, so either V is checked
+    projector = cached_property(lambda an: _checked_projector(an.A, an.eigenbasis_rv[1])
+                                if an.A.nullity == an.sys.B.shape[0]
+                                else _projector_from_basis(an.A, an.B.kernel))
 
     @cached_property
+    @np.errstate(all="ignore")  # an R or V that overflows is refused by its reader
     def eigenbasis_rv(self):
         """R and V of the structured inverses from A's held eigh, for a reader that
         requires A psd, null(A) = m and N1 (null-space elimination).  With Q0, Q+ and

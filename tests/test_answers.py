@@ -8,13 +8,16 @@ the Schur and semidefinite rules still contradict the oracle (ROADMAP items 2
 and 3); there its counts, like the undetermined counts of the clean corpora,
 stay under ceilings at seed 0.  The graded table repeats byte for byte, and
 each of its families answers on the wrong side of the oracle at most as often
-as its ceiling allows.
+as its ceiling allows.  Against K's exact rank (tests/_exact.py) the oracle
+agrees on every hand system at seeds 0, 1 and 2, and on each graded family it
+disagrees at most as often as its ceiling allows.
 """
 
 import functools
 
 import pytest
 
+import _exact
 from _families import answers_tool
 from dsaddle import condition_report, range_intersection_trivial
 
@@ -27,7 +30,12 @@ SEEDS = (0, 1, 2)
 # Ceilings on the wrong-side counts of the graded families, gates like CEILINGS: the
 # certificates and the one rank cut of ROADMAP items 3 and 4 are to lower them
 GRADED_CEILINGS = {"N1_D0": 6, "N1_D1": 6, "N2": 5, "overlap_DI": 6, "overlap_D0": 0,
-                   "range_angle": 5}
+                   "range_angle": 5, "N3_D0": 6, "N3_D1": 6, "E_D0": 0, "E_D1": 1}
+# Ceilings on how many members of each graded family the oracle reads otherwise than K's
+# exact rank, gates like GRADED_CEILINGS: every member is exactly invertible, so these count
+# where the oracle's normwise cut calls an invertible K singular
+EXACT_CEILINGS = {"N1_D0": 6, "N1_D1": 6, "N2": 5, "overlap_DI": 6, "overlap_D0": 0,
+                  "range_angle": 6, "N3_D0": 6, "N3_D1": 6, "E_D0": 0, "E_D1": 1}
 
 
 @functools.cache
@@ -79,6 +87,31 @@ def test_graded_table_repeats_and_stays_under_its_ceilings():
     wrong = {family: count for family, (_, _, count) in summary.items()}
     assert wrong.keys() == GRADED_CEILINGS.keys()
     assert all(wrong[family] <= GRADED_CEILINGS[family] for family in wrong), wrong
+
+
+def test_exact_rank_reads_every_float_exactly():
+    """A last bit of difference is rank, where a float SVD calls it rounding."""
+    assert _exact.rank([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]]) == 2
+    assert _exact.rank([[1.0, 1.0], [1.0, 1.0 + 1e-17]]) == 1  # 1 + 1e-17 rounds to 1
+    assert _exact.rank([[0.0, 0.0], [0.0, 5e-324]]) == 1
+    assert _exact.rank([[2.0, 4.0, 6.0], [1.0, 2.0, 3.0]]) == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_oracle_agrees_with_exact_rank_on_the_hand_corpus(seed):
+    """On small-integer and half-integer blocks the oracle's cut is far from every
+    singular value, so it calls K invertible exactly when K's exact rank is ell."""
+    answers = answers_tool()
+    agree = [answers.exact_agrees(system) for system in answers.hand_corpus(seed)]
+    assert (sum(agree), len(agree)) == (300, 300), [i for i, a in enumerate(agree) if not a]
+
+
+def test_graded_oracle_disagrees_with_exact_rank_under_its_ceilings():
+    answers = answers_tool()
+    disagree = {family: sum(not answers.exact_agrees(build(eps)) for eps in answers.GRADED_EPS)
+                for family, build in answers.GRADED}
+    assert disagree.keys() == EXACT_CEILINGS.keys()
+    assert all(disagree[family] <= EXACT_CEILINGS[family] for family in disagree), disagree
 
 
 @pytest.mark.parametrize("seed", SEEDS)

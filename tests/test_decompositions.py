@@ -12,9 +12,11 @@ congruence route reads the same analysis, so it decomposes D once per call.
 The inverse constructors read R, V and a_tilde^{-1} from the eigh of A and the
 SVD of B Q0 (Q0 A's kernel eigenvectors) that N1's restricted step ran, both
 held: no eigh of a_tilde = A + B^T (2I - D) B, and no solve with B B^T or
-Z^T A Z.  verify's reduced-Hessian projector is held there too, built once
-by one solve with Z^T A Z and refused when ||V||_F passes the inverse of A's
-rank cut, so no eigvalsh tests Z^T A Z.
+Z^T A Z.  Where null(A) = m, verify's reduced-Hessian projector is that V
+too, so its identities check the V the inverses ship and no solve with Z^T A Z
+runs; elsewhere the analysis builds V once by one solve with Z^T A Z.  Either V
+is refused when ||V||_F passes the inverse of A's rank cut, so no eigvalsh
+tests Z^T A Z.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2; only dense_inverse_blocks, the last
 constructor of invert, runs an eigh of K for its eigenvectors, and no
@@ -45,6 +47,7 @@ import scipy.linalg as sla
 import dsaddle
 import dsaddle.invertibility as invertibility
 import dsaddle.subspaces as subspaces
+from dsaddle.core import _analysis
 from _families import cold_copy, direct_sum_singular, fixture_three_block, max_deficient, \
     psd_disjoint_ranges
 from dsaddle import GeneratorSpec, assemble, default_alpha, dense_inverse_blocks, diagnose, \
@@ -203,7 +206,7 @@ KERNEL_BUDGETS = {
     "inverse_via_factorization": 5,
     "factorize_transformed": 4,
     "two_block_inverse": 3,
-    "verify_identities": 15,
+    "verify_identities": 14,
 }
 
 
@@ -258,7 +261,7 @@ def test_inverse_constructors_read_held_decompositions(kernels, name):
 # inverse forms only the blocks it keeps, and verify's congruence check forms one block of
 # W^T K W - K~ at a time; the factorization's L and the congruence's W are each one placed
 # ell x ell array with its unit diagonal set in place (congruence_transform at default_alpha)
-PEAK_KIB = {"inverse_via_factorization": 195, "verify_identities": 185,
+PEAK_KIB = {"inverse_via_factorization": 195, "verify_identities": 155,
             "factorize_transformed": 285, "congruence_transform": 245}
 
 
@@ -374,11 +377,10 @@ def test_diagnose_decomposes_no_assembled_matrix(counts, targets, rule):
 
 def test_session_decomposes_each_block_once(counts):
     """diagnose, both inverses and verify on one system read the analysis the
-    system holds: A, B, D, E, K, the reduced Hessian Z^T A Z of the held
-    projector and the restricted B V_0 of N1 (V_0 the null(A) = m kernel
-    eigenvectors of A) are each decomposed once in the whole session, B V_0
-    is the only restricted matrix decomposed, and the stacked [A; B] never
-    is."""
+    system holds: A, B, D, E, K and the restricted B V_0 of N1 (V_0 the
+    null(A) = m kernel eigenvectors of A) are each decomposed once in the
+    whole session, B V_0 is the only restricted matrix decomposed, and the
+    stacked [A; B] never is."""
     n, m, _ = DIMS
     for seed in range(3):
         system, _ = gen_instance(GeneratorSpec(*DIMS, null_a=10, rank_b=10, rank_c=5,
@@ -419,6 +421,31 @@ def test_verify_solves_for_z22_alone(monkeypatch, targets, rule):
         assert calls["inv"] == 0, calls
         solved = entries["nullity_bounds"]["status"] != "skipped"
         assert calls["k_columns"] == ([DIMS[1]] if solved else []), calls
+
+
+def test_verify_reads_the_projector_the_inverses_hold(monkeypatch):
+    """Where null(A) = m, the projector verify's inner_inverse and reduced_projector
+    check is the V of A's eigenbasis that three_block_inverse read: verify runs no
+    solve with the (n - m) x (n - m) reduced Hessian Z^T A Z."""
+    n, m, p = 20, 8, 5  # n - m differs from n, m, p and ell
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    for seed in range(3):
+        system, _ = gen_instance(GeneratorSpec(n, m, p, null_a=m, require_ds1=True, seed=seed))
+        system = cold_copy(system)
+        three_block_inverse(system)
+        shapes.clear()
+        statuses = {e["id"]: e["status"] for e in verify_identities(system)}
+        assert statuses["inner_inverse"] == statuses["reduced_projector"] == "ok", statuses
+        assert (n - m, n - m) not in shapes, shapes
+        an = _analysis(system, None)
+        assert an.projector is an.eigenbasis_rv[1]
 
 
 @pytest.mark.parametrize("targets, rule", [c[1:] for c in CLASSES],

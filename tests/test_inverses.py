@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -106,6 +107,13 @@ class TestReducedHessianProjector:
         with pytest.raises(PreconditionError, match="reduced Hessian"):
             reduced_projector_residual(A, ReducedHessianProjector(np.zeros((2, 2)),
                                                                   SubspaceBasis(np.eye(2)[:, :1])))
+
+    def test_overflowing_v_against_a_cut_that_underflows_is_refused(self):
+        """null(A) = m, so V is read from A's eigenbasis: 1 / 1e-314 overflows to inf
+        while A's rank cut 2e-10 * 1e-314 underflows to 0, and inf * 0 refuses V
+        with no warning for the suite's error filter to raise."""
+        with pytest.raises(PreconditionError, match="reduced Hessian"):
+            reduced_hessian_projector(np.diag([0.0, 1e-314]), [[1e-305, 0.0]])
 
     @pytest.mark.parametrize("corner", [0.0, 1e-30])
     def test_verify_skips_the_identities_a_singular_reduced_hessian_stops(self, corner):
@@ -540,6 +548,39 @@ def test_dense_inverse_of_an_invertible_extreme_scale_system_is_finite():
         except PreconditionError:
             continue
         assert np.isfinite(inv.full).all()
+
+
+# per identity, the status counts of verify_identities over all 1500 extreme-scale draws,
+# and how often reduced_hessian_projector builds V or refuses it; on the null(A) = m draws
+# both read the V of A's eigenbasis, and the counts are those of a V solved over ker(B)
+EXTREME_STATUSES = {
+    "weight_recovery": {"ok": 13, "failed": 1, "skipped": 1486},
+    "inner_inverse": {"ok": 97, "skipped": 1403},
+    "projector_complement": {"ok": 611, "skipped": 889},
+    "reduced_projector": {"ok": 448, "skipped": 1052},
+    "congruence": {"ok": 892, "skipped": 608},
+    "nullity_bounds": {"ok": 54, "failed": 43, "skipped": 1403},
+    "reduced_hessian_projector": {"ok": 448, "refused": 1052},
+}
+
+
+def test_projector_readers_keep_their_statuses_on_every_extreme_scale_draw():
+    """The two readers of the analysis' reduced-Hessian projector run on all 1500
+    extreme-scale draws: under the suite's error filter they warn nothing (on draw 1032,
+    dims (1, 1, 3), forming R overflows), every residual and V is finite, and each
+    status count is pinned."""
+    counts = Counter()
+    for system in extreme_scale_systems(1500):
+        for entry in verify_identities(cold_copy(system)):
+            counts[entry["id"], entry["status"]] += 1
+            assert np.isfinite(entry.get("residual", 0.0)), entry
+        try:
+            assert np.isfinite(reduced_hessian_projector(system.A, system.B).V).all()
+            counts["reduced_hessian_projector", "ok"] += 1
+        except PreconditionError:
+            counts["reduced_hessian_projector", "refused"] += 1
+    assert counts == Counter({(name, status): count for name, by in EXTREME_STATUSES.items()
+                              for status, count in by.items()})
 
 
 def test_dense_inverse_whose_eigh_does_not_converge_is_a_precondition_error():

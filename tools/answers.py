@@ -29,6 +29,10 @@ per family a summary: the first eps where the oracle and where ``diagnose``
 answer invertible, and the number of wrong-side answers (a definite verdict the
 oracle disagrees with).  The graded table is no member of ``CORPORA``.
 
+Two more summary lines give, for hand and for graded, on how many systems the
+dense oracle agrees with K's exact rank (``tests/_exact.py``); they enter no
+sha256.
+
 The oracle is independent of dsaddle: K is invertible when its smallest
 singular value passes rank_rtol * ell * sigma_max.  Systems are never
 filtered: a contradiction is counted and shown, not hidden.
@@ -43,6 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+import _exact  # noqa: E402
 from _families import (  # noqa: E402
     direct_sum_singular,
     fixture_three_block,
@@ -107,9 +112,15 @@ def _overlap(eps, D):
     return BlockSystem(np.zeros((1, 1)), np.eye(2, 1), [[1.0, eps]], D, np.zeros((1, 1)))
 
 
+def _n3(eps, D):
+    """The block reversal of N1_D0 and N1_D1: ker(C^T) and ker(E) meet at eps = 0."""
+    return BlockSystem([[1.0]], [[1.0]], [[eps], [1.0]], D, np.diag([0.0, 1.0]))
+
+
 # (family, K(eps)): N1 fails at eps = 0 with D = 0 (sigma_min(K) first order in eps) and
-# with D = 1 (second order); N2 fails; the ranges overlap with D = I_2 and with D = 0; and
-# C^T leaves B at the angle eps
+# with D = 1 (second order); N2 fails; the ranges overlap with D = I_2 and with D = 0;
+# C^T leaves B at the angle eps; N3 fails with D = 0 and D = 1; and E = eps is singular
+# at eps = 0, with A = 0 and D = 0 or 1
 GRADED = (
     ("N1_D0", lambda eps: BlockSystem(np.diag([0.0, 1.0]), [[eps, 1.0]], [[1.0]], [[0.0]], [[1.0]])),
     ("N1_D1", lambda eps: BlockSystem(np.diag([0.0, 1.0]), [[eps, 1.0]], [[1.0]], [[1.0]], [[1.0]])),
@@ -118,12 +129,21 @@ GRADED = (
     ("overlap_DI", lambda eps: _overlap(eps, np.eye(2))),
     ("overlap_D0", lambda eps: _overlap(eps, np.zeros((2, 2)))),
     ("range_angle", range_angle),
+    ("N3_D0", lambda eps: _n3(eps, [[0.0]])),
+    ("N3_D1", lambda eps: _n3(eps, [[1.0]])),
+    ("E_D0", lambda eps: BlockSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]], [[eps]])),
+    ("E_D1", lambda eps: BlockSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[eps]])),
 )
 
 
 def oracle_invertible(system) -> bool:
     s = np.linalg.svd(assemble(system).matrix, compute_uv=False)
     return bool(s.min() > DEFAULT_TOL.rank_rtol * system.ell * s.max())
+
+
+def exact_agrees(system) -> bool:
+    """Whether the oracle agrees with K's exact rank: invertible exactly when it is ell."""
+    return oracle_invertible(system) == (_exact.rank(assemble(system).matrix) == system.ell)
 
 
 def blocks_digest(system) -> str:
@@ -207,6 +227,10 @@ def main(argv=None) -> int:
                              for eps in (first_oracle, first_diagnose))
         summary.append(f"graded {family} oracle-invertible-from {oracle} "
                        f"diagnose-invertible-from {diagnosed} wrong-side {wrong}\n")
+    hand = [exact_agrees(system) for system in hand_corpus(args.seed)]
+    graded = [exact_agrees(build(eps)) for _, build in GRADED for eps in GRADED_EPS]
+    for name, agree in (("hand", hand), ("graded", graded)):
+        summary.append(f"exact {name} oracle-agrees {sum(agree)} of {len(agree)}\n")
     sys.stdout.writelines(summary)
     sys.stdout.write(f"table sha256 {table.hexdigest()}\n")
     return 0
