@@ -340,8 +340,9 @@ def _projector_from_basis(A: _SymEig, Z: SubspaceBasis):
 @np.errstate(all="ignore")  # an inf ||V||_F against a cut that underflows to 0 is refused
 def _checked_projector(A: _SymEig, V):
     """V, or a PreconditionError unless ||V||_F < 1 / A's rank cut: ||V||_F >= ||V||_2 =
-    1 / lambda_min(Z^T A Z) for an orthonormal Z of ker(B), so an eigenvalue under the cut
-    is refused with no decomposition, and so is one under sqrt(dim Z) times it."""
+    1 / lambda_min(Z^T A Z) for an orthonormal Z of ker(B) (to residual_rtol / 2 for A's
+    eigenbasis V), so an eigenvalue under the cut is refused with no decomposition, and so
+    is one under sqrt(dim Z) times it."""
     if V is None or not _norm(V) * rank_threshold(A.norm, A.matrix.shape, A.tol) < 1:
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; ker(A) and "
                                 "ker(B) must intersect trivially with A semidefinite")
@@ -370,14 +371,22 @@ class _Analysis:
     # |eigenvalues| of K from one eigvalsh: the oracle and ||K^{-1}||_2
     k_moduli = cached_property(lambda an: np.abs(np.linalg.eigvalsh(an.K)))
     k_nonsingular = property(lambda an: bool(_above_cut(an.k_moduli, an.K.shape, an.tol).all()))
-    # V over Z = ker(B): every reader requires A psd and N1, eigenbasis_rv's hypotheses where
-    # null(A) = m, else one solve; both cut with slack, so either V is checked
-    projector = cached_property(lambda an: _checked_projector(an.A, an.eigenbasis_rv[1])
-                                if an.A.nullity == an.sys.B.shape[0]
-                                else _projector_from_basis(an.A, an.B.kernel))
 
     @cached_property
-    @np.errstate(all="ignore")  # an R or V that overflows is refused by its reader
+    @np.errstate(all="ignore")  # a V whose bound is not finite takes the solve
+    def projector(self):
+        """V over Z = ker(B) for readers requiring A psd and N1: eigenbasis_rv's where null(A)
+        = m and A's eigenvalues A0 under the cut, which it drops, move it by ||V||_F ||A0||_2
+        <= residual_rtol / 2 relative, else one solve over B's held kernel; either checked."""
+        A = self.A
+        if _hold(self, ["null(A) = m"]):
+            V, a0 = self.eigenbasis_rv[1], np.abs(A.eigenvalues[~A.nonzero]).max(initial=0.0)
+            if _norm(V) * a0 <= self.tol.residual_rtol / 2:
+                return _checked_projector(A, V)
+        return _projector_from_basis(A, self.B.kernel)
+
+    @cached_property
+    @np.errstate(all="ignore")  # an R or V that overflows is refused or passed over
     def eigenbasis_rv(self):
         """R and V of the structured inverses from A's held eigh, for a reader that
         requires A psd, null(A) = m and N1 (null-space elimination).  With Q0, Q+ and

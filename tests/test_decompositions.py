@@ -14,7 +14,8 @@ SVD of B Q0 (Q0 A's kernel eigenvectors) that N1's restricted step ran, both
 held: no eigh of a_tilde = A + B^T (2I - D) B, and no solve with B B^T or
 Z^T A Z.  Where null(A) = m, verify's reduced-Hessian projector is that V
 too, so its identities check the V the inverses ship and no solve with Z^T A Z
-runs; elsewhere the analysis builds V once by one solve with Z^T A Z.  Either V
+runs, unless A's eigenvalues under the rank cut move V past half of
+residual_rtol; elsewhere the analysis builds V once by one solve.  Either V
 is refused when ||V||_F passes the inverse of A's rank cut, so no eigvalsh
 tests Z^T A Z.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
