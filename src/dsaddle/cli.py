@@ -140,7 +140,7 @@ def _cmd_invert(args, tol: ToleranceConfig) -> int:
         inv, constructor = three_block_inverse(system, tol), "three_block"
     except PreconditionError as exc:
         _log.info("dense inverse: %s", exc)
-        inv, constructor = dense_inverse_blocks(system), "dense"
+        inv, constructor = dense_inverse_blocks(system, tol), "dense"
 
     misfit = assemble(system).matrix @ inv.full
     misfit[np.diag_indices_from(misfit)] -= 1.0  # K X - I

@@ -327,22 +327,14 @@ def _congruence(sys: BlockSystem, alpha: float, leading=True) -> tuple:
     return (sys.A + alpha * B.T @ (B + K21) if leading else None), K21, alpha * sys.C @ B
 
 
-@np.errstate(all="ignore")  # a V that overflows is refused, not a warning
+@np.errstate(all="ignore")  # an inf ||V||_F against a cut that underflows to 0 is refused
 def _projector_from_basis(A: _SymEig, Z: SubspaceBasis):
-    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for the held eigh of A (0 for dim Z = 0)."""
+    """V = Z (Z^T A Z)^{-1} Z^T, symmetrized, for the held eigh of A (0 for dim Z = 0), refused
+    unless ||V||_F, which bounds 1 / lambda_min(Z^T A Z), is under 1 / A's rank cut."""
     try:
         V = _symmetrized(Z.basis @ np.linalg.solve(Z.basis.T @ A.matrix @ Z.basis, Z.basis.T))
     except np.linalg.LinAlgError:  # Z^T A Z exactly singular
         V = None
-    return _checked_projector(A, V)
-
-
-@np.errstate(all="ignore")  # an inf ||V||_F against a cut that underflows to 0 is refused
-def _checked_projector(A: _SymEig, V):
-    """V, or a PreconditionError unless ||V||_F < 1 / A's rank cut: ||V||_F >= ||V||_2 =
-    1 / lambda_min(Z^T A Z) for an orthonormal Z of ker(B) (to residual_rtol / 2 for A's
-    eigenbasis V), so an eigenvalue under the cut is refused with no decomposition, and so
-    is one under sqrt(dim Z) times it."""
     if V is None or not _norm(V) * rank_threshold(A.norm, A.matrix.shape, A.tol) < 1:
         raise PreconditionError("reduced Hessian Z^T A Z is numerically singular; ker(A) and "
                                 "ker(B) must intersect trivially with A semidefinite")
@@ -376,13 +368,14 @@ class _Analysis:
     @np.errstate(all="ignore")  # a V whose bound is not finite takes the solve
     def projector(self):
         """V over Z = ker(B) for readers requiring A psd and N1: eigenbasis_rv's where null(A)
-        = m and A's eigenvalues A0 under the cut, which it drops, move it by ||V||_F ||A0||_2
-        <= residual_rtol / 2 relative, else one solve over B's held kernel; either checked."""
+        = m, A's eigenvalues A0 under the cut, which it drops, move it by ||V||_F ||A0||_2 <
+        residual_rtol / 2 relative and _projector_from_basis's cut passes it, else that solve."""
         A = self.A
         if _hold(self, ["null(A) = m"]):
             V, a0 = self.eigenbasis_rv[1], np.abs(A.eigenvalues[~A.nonzero]).max(initial=0.0)
-            if _norm(V) * a0 <= self.tol.residual_rtol / 2:
-                return _checked_projector(A, V)
+            if _norm(V) * max(rank_threshold(A.norm, A.matrix.shape, A.tol),
+                              2 * a0 / self.tol.residual_rtol) < 1:
+                return V
         return _projector_from_basis(A, self.B.kernel)
 
     @cached_property

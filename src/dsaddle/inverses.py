@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AssembledMatrix, BlockSystem, PreconditionError, _analysis, _block, \
     _checked_alpha, _congruence, _dims, _finite, _m_inverse, _m_spectrum, _partition, _place, \
-    _projector_from_basis, _require, assemble
+    _projector_from_basis, _require
 from .subspaces import SubspaceBasis, ToleranceConfig, _SymEig, _above_cut, _as_matrix, _norm, \
     _singular_values, _spectral_norm, _symmetrized, is_direct_sum, is_nonsingular, rank_threshold
 
@@ -175,9 +175,7 @@ def projector_complement_residual(B, Z: SubspaceBasis,
 
 
 def _fixed_point_residual(A, proj: ReducedHessianProjector) -> float:
-    """||Z^T A V - Z^T||_2, which equals ||Z Z^T A V - Z Z^T||_2 for orthonormal Z."""
-    if proj.Z.dim == 0:
-        return 0.0
+    """||Z^T A V - Z^T||_2 = ||Z Z^T A V - Z Z^T||_2 for orthonormal Z, 0 for dim Z = 0."""
     Zt = proj.Z.basis.T
     return _spectral_norm(Zt @ A @ proj.V - Zt)
 
@@ -456,14 +454,17 @@ def inverse_via_factorization(sys: BlockSystem, tol: ToleranceConfig | None = No
 
 
 @np.errstate(all="ignore")  # _finite refuses a Q L^{-1} Q^T that overflows
-def dense_inverse_blocks(sys: BlockSystem) -> InverseBlocks:
+def dense_inverse_blocks(sys: BlockSystem, tol: ToleranceConfig | None = None) -> InverseBlocks:
     """Reference inverse Q L^{-1} Q^T from one eigh of the assembled matrix.  It is
     symmetric as formed, so its upper blocks stand for it: an LU inverse is not, and on
-    an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding.  A
-    zero eigenvalue, one whose reciprocal overflows, or an eigh of K that does not
-    converge raises PreconditionError."""
+    an ill-conditioned K its upper blocks, mirrored, miss K X = I far past rounding.  A K
+    the oracle calls singular under tol, an eigenvalue whose reciprocal overflows, or an
+    eigh of K that does not converge raises PreconditionError."""
+    an = _analysis(sys, tol)
+    if not an.k_nonsingular:
+        raise PreconditionError("K is numerically singular, so it has no dense inverse")
     try:
-        eig = _SymEig(assemble(sys).matrix)
+        eig = _SymEig(an.K)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"K has no eigendecomposition: {exc}") from exc
     return InverseBlocks.from_full(*_finite(None, eig.inverse), sys.dims)
@@ -482,7 +483,10 @@ class NullityBoundReport:
     B and C^T meet only in {0} the lower bound sharpens to
     min(null(A) + null(E), m).  With nonsingular E the bounds collapse to
     min(null(A), m) <= null(Z22) <= null(A), and the null(A) = m corner
-    forces Z22 = 0.
+    forces Z22 = 0.  That remark and that corner are the theorem at
+    null(E) = 0, so ``remark_holds`` and ``corner_zero_ok`` read
+    ``eq_base_holds`` where they apply (None elsewhere), and ``satisfied``
+    reads the base and refined bounds alone.
     """
 
     null_a: int
@@ -503,10 +507,7 @@ class NullityBoundReport:
 
     @property
     def satisfied(self) -> bool:
-        return (self.eq_base_holds
-                and self.eq_refined_holds in (None, True)
-                and self.remark_holds in (None, True)
-                and self.corner_zero_ok in (None, True))
+        return self.eq_base_holds and self.eq_refined_holds is not False
 
     def to_dict(self):
         return {**asdict(self), "satisfied": self.satisfied}
@@ -524,12 +525,12 @@ def z22_nullity_bounds(sys: BlockSystem, inv: InverseBlocks,
     """
     if inv.dims != sys.dims:
         raise ValueError(f"inverse dims {inv.dims} do not match the system's {sys.dims}")
-    return _z22_bounds(_analysis(sys, tol), inv.z22)
+    an = _analysis(sys, tol)
+    _require(an, "K invertible")
+    return _z22_bounds(an, inv.z22)
 
 
 def _z22_bounds(an, z22) -> NullityBoundReport:
-    _require(an, "K invertible")
-    tol = an.tol
     null_a = an.A.nullity
     null_e = an.E.nullity
     m = an.sys.m
@@ -537,10 +538,10 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
     inverse_norm = float(1.0 / an.k_moduli.min())
     s = _singular_values(z22)
     z22_norm = float(s.max(initial=0.0))
-    if z22_norm <= rank_threshold(inverse_norm, (m, m), tol):
+    if z22_norm <= rank_threshold(inverse_norm, (m, m), an.tol):
         null_z22 = m
     else:
-        null_z22 = m - int(_above_cut(s, z22.shape, tol).sum())
+        null_z22 = m - int(_above_cut(s, z22.shape, an.tol).sum())
 
     lower = min(max(null_a, null_e), m)
     upper = null_a + null_e
@@ -548,20 +549,15 @@ def _z22_bounds(an, z22) -> NullityBoundReport:
 
     range_disjoint = an.r.is_trivial
     refined = min(null_a + null_e, m) if range_disjoint else None
-    eq_refined = (refined <= null_z22) if range_disjoint else None
-
-    remark = None
-    if null_e == 0:
-        remark = min(null_a, m) <= null_z22 <= null_a
     corner = (null_a == m and null_e == 0)
-    corner_ok = (null_z22 == m) if corner else None
 
     return NullityBoundReport(
         null_a=null_a, null_e=null_e, null_z22=null_z22, m=m,
         lower_bound=lower, upper_bound=upper, eq_base_holds=eq_base,
         range_disjoint=range_disjoint, refined_lower=refined,
-        eq_refined_holds=eq_refined, remark_holds=remark,
-        corner_expected=corner, corner_zero_ok=corner_ok,
+        eq_refined_holds=(refined <= null_z22) if range_disjoint else None,
+        remark_holds=eq_base if null_e == 0 else None,
+        corner_expected=corner, corner_zero_ok=eq_base if corner else None,
         z22_norm=z22_norm, inverse_norm=inverse_norm,
     )
 

@@ -10,7 +10,9 @@ stay under ceilings at seed 0.  The graded table repeats byte for byte, and
 each of its families answers on the wrong side of the oracle at most as often
 as its ceiling allows.  Against K's exact rank (tests/_exact.py) the oracle
 agrees on every hand system at seeds 0, 1 and 2, and on each graded family it
-disagrees at most as often as its ceiling allows.
+disagrees at most as often as its ceiling allows.  On every hand system, the
+nullity and definiteness tag the analysis gives A, D and E match the block's
+exact inertia.
 """
 
 import functools
@@ -19,7 +21,8 @@ import pytest
 
 import _exact
 from _families import answers_tool
-from dsaddle import condition_report, range_intersection_trivial
+from dsaddle import Definiteness, condition_report, nullity, range_intersection_trivial
+from dsaddle.core import _analysis
 
 # Ceilings on the seed-0 counts of tools/answers.py, as BUDGETS are on
 # decompositions: a change may lower one, and must then lower it here too.
@@ -104,6 +107,35 @@ def test_oracle_agrees_with_exact_rank_on_the_hand_corpus(seed):
     answers = answers_tool()
     agree = [answers.exact_agrees(system) for system in answers.hand_corpus(seed)]
     assert (sum(agree), len(agree)) == (300, 300), [i for i, a in enumerate(agree) if not a]
+
+
+def test_exact_inertia_counts_each_sign():
+    """A zero diagonal takes the 2 x 2 pivot [[0, b], [b, c]], whatever c is."""
+    assert _exact.inertia([[0.0, 1.0], [1.0, 0.0]]) == (1, 1, 0)
+    assert _exact.inertia([[0.0, 2.0], [2.0, 5.0]]) == (1, 1, 0)
+    assert _exact.inertia([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) == (1, 1, 1)
+    assert _exact.inertia([[1.0, 2.0], [2.0, 4.0]]) == (1, 0, 1)
+    assert _exact.inertia([[-1.0, 0.0], [0.0, 5e-324]]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_tags_match_exact_inertia_on_the_hand_corpus(seed):
+    """nullity and the analysis' nullity are n0, and the definiteness tag is pd exactly
+    when n- = n0 = 0, psd exactly when n- = 0 < n0, and indefinite otherwise."""
+    mismatches, seen = [], set()
+    for i, system in enumerate(answers_tool().hand_corpus(seed)):
+        an = _analysis(system, None)
+        for k in "ADE":
+            pos, neg, zero = _exact.inertia(getattr(system, k))
+            want = (Definiteness.INDEFINITE if neg else Definiteness.POSITIVE_SEMIDEFINITE
+                    if zero else Definiteness.POSITIVE_DEFINITE)
+            eig = getattr(an, k)
+            seen.add(want)
+            if not nullity(getattr(system, k)) == eig.nullity == zero \
+                    or eig.definiteness is not want:
+                mismatches.append((i, k))
+    assert not mismatches
+    assert len(seen) == 3  # every tag is met
 
 
 def test_graded_oracle_disagrees_with_exact_rank_under_its_ceilings():

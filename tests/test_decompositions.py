@@ -15,9 +15,9 @@ held: no eigh of a_tilde = A + B^T (2I - D) B, and no solve with B B^T or
 Z^T A Z.  Where null(A) = m, verify's reduced-Hessian projector is that V
 too, so its identities check the V the inverses ship and no solve with Z^T A Z
 runs, unless A's eigenvalues under the rank cut move V past half of
-residual_rtol; elsewhere the analysis builds V once by one solve.  Either V
-is refused when ||V||_F passes the inverse of A's rank cut, so no eigvalsh
-tests Z^T A Z.
+residual_rtol or ||V||_F passes the inverse of A's rank cut; elsewhere the
+analysis builds V once by one solve, refused when ||V||_F passes that
+inverse, so no eigvalsh tests Z^T A Z.
 The assembled matrix K is one more fact of that analysis: one eigvalsh of K
 answers the oracle and ||K^{-1}||_2; only dense_inverse_blocks, the last
 constructor of invert, runs an eigh of K for its eigenvectors, and no

@@ -594,14 +594,26 @@ def test_dense_inverse_of_an_invertible_extreme_scale_system_is_finite():
 
 
 def test_dense_inverse_whose_eigh_does_not_converge_is_a_precondition_error():
-    """On draws 43 and 755 of the extreme-scale family, both singular by the oracle,
-    eigh(K) does not converge: the dense inverse, and so the nullity bounds that read
-    it, raise PreconditionError, not numpy's LinAlgError."""
+    """On draws 43 and 755 of the extreme-scale family eigh(K) does not converge, and it
+    raised numpy's LinAlgError.  Both are singular by the oracle, so the dense inverse,
+    and so the nullity bounds that read it, refuse them with PreconditionError before
+    any eigh of K runs."""
     draws = dict(islice(enumerate(extreme_scale_systems(1500)), 756))
     for i in (43, 755):
         assert not oracle_invertible(draws[i]), i
-        with pytest.raises(PreconditionError, match="no eigendecomposition"):
+        with pytest.raises(PreconditionError, match="no dense inverse"):
             dense_inverse_blocks(draws[i])
+
+
+def test_dense_inverse_refuses_a_k_the_oracle_calls_singular():
+    """It inverted every eigenvalue of K that was not exactly zero: on this system,
+    singular by the oracle, it returned entries up to 2.9e14 with ||K X - I||_2 = 1.73
+    and no error."""
+    system = gen_instance(GeneratorSpec(20, 10, 5, null_a=10, require_ds1=True, null_e=1,
+                                        seed=1))[0]
+    assert not oracle_invertible(system)
+    with pytest.raises(PreconditionError, match="no dense inverse"):
+        dense_inverse_blocks(cold_copy(system))
 
 
 def _stacked_n1_system():

@@ -30,8 +30,10 @@ answer invertible, and the number of wrong-side answers (a definite verdict the
 oracle disagrees with).  The graded table is no member of ``CORPORA``.
 
 Two more summary lines give, for hand and for graded, on how many systems the
-dense oracle agrees with K's exact rank (``tests/_exact.py``); they enter no
-sha256.
+dense oracle agrees with K's exact rank (``tests/_exact.py``), and one per
+corpus counts the systems ``diagnose`` proves invertible and how many of them
+``three_block_inverse`` and ``inverse_via_factorization`` accept (the reach of
+the structured inverses); none of these enters a sha256.
 
 The oracle is independent of dsaddle: K is invertible when its smallest
 singular value passes rank_rtol * ell * sigma_max.  Systems are never
@@ -57,8 +59,8 @@ from _families import (  # noqa: E402
     random_systems,
     range_angle,
 )
-from dsaddle import DEFAULT_TOL, BlockSystem, assemble, diagnose, \
-    verify_identities  # noqa: E402
+from dsaddle import DEFAULT_TOL, BlockSystem, PreconditionError, assemble, diagnose, \
+    inverse_via_factorization, three_block_inverse, verify_identities  # noqa: E402
 
 FAMILY_SEEDS = 12
 SPEC_COUNT = 300
@@ -179,6 +181,15 @@ def answer(system):
     return fields, contradiction
 
 
+def accepts(constructor, system) -> bool:
+    """Whether the structured inverse constructor returns an inverse for system."""
+    try:
+        constructor(system)
+    except PreconditionError:
+        return False
+    return True
+
+
 def graded_table():
     """The graded lines, and per family the first eps where the oracle and where
     diagnose answer invertible (None when neither does) and the wrong-side count."""
@@ -203,9 +214,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
     args = parser.parse_args(argv)
     table = hashlib.sha256()
-    summary = []
+    summary, coverage = [], []
     for name, corpus in CORPORA:
         digest, count, contradictions, undetermined = hashlib.sha256(), 0, 0, 0
+        proved = three_block = factorization = 0
         for i, system in enumerate(corpus(args.seed)):
             fields, contradiction = answer(system)
             line = " ".join([f"{name}:{i}", *fields]) + "\n"
@@ -215,8 +227,14 @@ def main(argv=None) -> int:
             count += 1
             contradictions += contradiction
             undetermined += fields[2] == "undetermined"
+            if fields[2] == "invertible":
+                proved += 1
+                three_block += accepts(three_block_inverse, system)
+                factorization += accepts(inverse_via_factorization, system)
         summary.append(f"corpus {name} systems {count} contradictions {contradictions} "
                        f"undetermined {undetermined} sha256 {digest.hexdigest()}\n")
+        coverage.append(f"coverage {name} ladder-invertible {proved} three_block {three_block} "
+                        f"factorization {factorization}\n")
     lines, families = graded_table()
     sys.stdout.writelines(lines)
     table.update("".join(lines).encode())
@@ -231,6 +249,7 @@ def main(argv=None) -> int:
     graded = [exact_agrees(build(eps)) for _, build in GRADED for eps in GRADED_EPS]
     for name, agree in (("hand", hand), ("graded", graded)):
         summary.append(f"exact {name} oracle-agrees {sum(agree)} of {len(agree)}\n")
+    summary += coverage
     sys.stdout.writelines(summary)
     sys.stdout.write(f"table sha256 {table.hexdigest()}\n")
     return 0
